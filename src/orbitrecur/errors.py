@@ -25,6 +25,10 @@ class CrossCheckError(OrbitRecurError, ArithmeticError):
     """Two independent computations of the same quantity disagree."""
 
 
+class ConvergenceError(OrbitRecurError, ArithmeticError):
+    """An iteration used up its step budget before meeting its tolerance."""
+
+
 class ResampleSignal(OrbitRecurError):
     """Orbit generation hit a partition endpoint; caller should redraw."""
 

@@ -388,10 +388,29 @@ def _rows_to_csv(digest: str, kind: str, rows: list[CurveRow]) -> str:
     return buf.getvalue()
 
 
-def _parse_row_line(line: str) -> CurveRow:
-    rec = next(csv.reader([line]))
-    return CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
-                    value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
+def _read_group(cells_dir: Path, digest: str, key: int) -> list[CurveRow] | None:
+    """Rows of a group's cell file, or None when the file is missing or any
+    row carries another config's digest (the group is then pending)."""
+    path = cells_dir / f"group-{key:012d}.csv"
+    if not path.exists():
+        return None
+    records = list(csv.reader(path.read_text().splitlines()))
+    if any(rec[0] != digest for rec in records):
+        return None
+    return [CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
+                     value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
+            for rec in records]
+
+
+def _env_workers() -> int:
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    return workers
 
 
 def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) -> ExperimentRecord:
@@ -399,21 +418,25 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     report.json under out_dir.
 
     Work groups write one temp file per cell under out_dir/cells; a rerun
-    reuses existing cell files, so partial runs resume. The merge into
+    reuses the cell files that this config's digest wrote, so partial runs
+    resume, and rewrites those of any other config. The merge into
     results.csv is single-threaded in deterministic key order, so worker
-    count and completion order never change the output bytes.
+    count and completion order never change the output bytes. The worker
+    count (default: ORBITRECUR_WORKERS, else 1) is capped at the number of
+    pending groups and of CPUs.
     """
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     if workers is None:
-        workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        workers = _env_workers()
     t0 = time.time()
     digest = cfg.digest()
     keys = _group_keys(cfg)
-    pending = [k for k in keys if not (cells_dir / f"group-{k:012d}.csv").exists()]
+    pending = [k for k in keys if _read_group(cells_dir, digest, k) is None]
+    workers = min(workers, len(pending), os.cpu_count() or 1)
     if pending:
-        if workers > 1 and len(pending) > 1:
+        if workers > 1:
             tasks = [(cfg.raw_text, k) for k in pending]
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for key, tuples in pool.map(_group_worker, tasks):
@@ -424,8 +447,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
                 _write_group(cells_dir, digest, cfg.kind, key, _run_group(cfg, key))
     rows = []
     for key in sorted(keys):
-        text = (cells_dir / f"group-{key:012d}.csv").read_text()
-        rows.extend(_parse_row_line(line) for line in text.splitlines() if line)
+        rows.extend(_read_group(cells_dir, digest, key))
     rows.sort(key=lambda r: (r.n, r.replicate))
     wall = time.time() - t0
 

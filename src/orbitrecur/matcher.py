@@ -1,10 +1,11 @@
 """Longest self-match statistic M_n and return-time-set measures.
 
 M_n is the length of the longest block occurring at two distinct start
-positions among the first n symbols. The fast path uses a doubling suffix
-array plus Kasai's LCP scan; an O(n^2) brute force with the identical
-contract serves as the testing oracle. Return-set measures mu(S_k(r)) are
-computed exactly for Bernoulli/Markov measures and empirically by sampling.
+positions among the first n symbols. It is found by binary search on the
+block length, each length tested with Karp-Miller-Rosenberg block names; an
+O(n^2) brute force with the identical contract serves as the testing oracle.
+Return-set measures mu(S_k(r)) are computed exactly for Bernoulli/Markov
+measures and empirically by sampling.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .thermo import renyi_entropy_exact
 __all__ = [
     "MatchResult",
     "ReturnSetEstimate",
-    "suffix_array",
-    "lcp_array",
     "longest_self_match",
     "longest_self_match_bruteforce",
     "match_curve",
@@ -55,67 +54,40 @@ class MatchResult:
     crossed_boundary: bool = False
 
 
-def suffix_array(seq) -> np.ndarray:
-    """Suffix array by prefix doubling with numpy lexsort (O(n log^2 n))."""
-    s = np.asarray(seq, dtype=np.int64)
-    n = len(s)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    # densify symbol ranks before sorting
-    rank = np.unique(s, return_inverse=True)[1].astype(np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    k = 1
-    order = np.argsort(rank, kind="stable")
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1 = rank[order]
-        r2 = key2[order]
-        bumped = np.empty(n, dtype=np.int64)
-        bumped[0] = 0
-        bumped[1:] = np.cumsum((np.diff(r1) != 0) | (np.diff(r2) != 0))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = bumped
-        if bumped[-1] == n - 1 or k >= n:
-            break
-        k *= 2
-    return order.astype(np.int64)
-
-
-def lcp_array(seq, sa: np.ndarray) -> np.ndarray:
-    """Kasai LCP array: lcp[i] = LCP(suffix sa[i-1], suffix sa[i]), lcp[0]=0."""
-    s = list(np.asarray(seq).tolist())
-    sa_l = list(sa.tolist())
-    n = len(sa_l)
-    rank = [0] * n
-    for i, p in enumerate(sa_l):
-        rank[p] = i
-    lcp = [0] * n
-    k = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            k = 0
-            continue
-        j = sa_l[r - 1]
-        while i + k < n and j + k < n and s[i + k] == s[j + k]:
-            k += 1
-        lcp[r] = k
-        if k:
-            k -= 1
-    return np.asarray(lcp, dtype=np.int64)
-
-
 def _as_symbols(seq) -> np.ndarray:
     if isinstance(seq, SymbolSequence):
         return seq.symbols
     return np.asarray(seq, dtype=np.int64)
 
 
+# Largest name bound whose pair names a * bound + b (a, b < bound) fit in uint64.
+_NAME_BOUND_MAX = 1 << 32
+
+
+def _dense_names(names: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rename by dense rank: equal names stay equal and the bound drops to
+    the number of distinct names."""
+    uniq, inv = np.unique(names, return_inverse=True)
+    return inv.astype(np.uint64), len(uniq)
+
+
+def _has_repeat(names: np.ndarray) -> bool:
+    srt = np.sort(names)
+    return bool(np.any(srt[1:] == srt[:-1]))
+
+
 def longest_self_match(seq, n: int | None = None) -> MatchResult:
-    """M_n via suffix array + LCP, restricted to start positions below n.
+    """M_n by binary search on the block length, restricted to start
+    positions below n.
+
+    A k-block repeats among the starts below n only if every shorter block
+    does, so the lengths are searched: k = 1, 2, 4, ... until one fails, then
+    bisection between the last two. A length k is tested by naming every
+    k-window that starts below n and lies inside the data, and looking for
+    two equal names. Names follow Karp-Miller-Rosenberg doubling: the level
+    of width w names every w-block, the level of width 2w names the pair
+    (name at p, name at p + w), and for w <= k < 2w the k-block at p is named
+    by the pair (name at p, name at p + k - w).
 
     Matched blocks may run into the generated buffer but never past the end
     of the data (containment rule). Witness tie-break: smallest i, then
@@ -129,39 +101,45 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
         raise ValueError(f"n={n} exceeds generated length {L}")
     if n < 2:
         raise ValueError("need n >= 2")
-    sa = suffix_array(s)
-    lcp = lcp_array(s, sa)
-    pos = np.flatnonzero(sa < n)  # suffix-array slots whose start is < n
-    # LCP of consecutive kept slots = min of lcp over (pos[t], pos[t+1]];
-    # reduceat segments run [pos[t]+1, pos[t+1]+1), the trailing segment into
-    # the sentinel is dropped
-    padded = np.append(lcp, 0)
-    gap_min = np.minimum.reduceat(padded, pos + 1)[:-1] if len(pos) > 1 else np.empty(0, np.int64)
-    if len(gap_min) == 0:
-        raise ValueError("need at least two start positions below n")
-    m = int(gap_min.max())
-    if m == 0:
+    # names are uint64 and lie below `bound`; a level is renamed by dense rank
+    # before pairing whenever bound > _NAME_BOUND_MAX, so pair names never wrap
+    names, bound = _dense_names(s)
+    if not _has_repeat(names[:n]):
         return MatchResult(0, 0, 1, (), False)
-    # runs of kept slots connected by gaps achieving the maximum
-    hit = gap_min == m
-    best: tuple[int, int] | None = None
-    t = 0
-    n_gaps = len(gap_min)
-    while t < n_gaps:
-        if not hit[t]:
-            t += 1
-            continue
-        u = t
-        while u < n_gaps and hit[u]:
-            u += 1
-        starts = np.sort(sa[pos[t : u + 1]])
-        cand = (int(starts[0]), int(starts[1]))
-        if best is None or cand < best:
-            best = cand
-        t = u
-    i, j = best  # type: ignore[misc]
-    word = tuple(int(x) for x in s[i : i + m])
-    return MatchResult(m, i, j, word, bool(j + m > n))
+    # a lo-block repeats, no (hi + 1)-block does; names holds the level of
+    # width `width` at every start p <= L - width
+    width, lo, hi = 1, 1, L - 1
+    while 2 * width <= hi:
+        if bound > _NAME_BOUND_MAX:
+            names, bound = _dense_names(names)
+        wider = names[: L - 2 * width + 1] * bound + names[width:]
+        if not _has_repeat(wider[:n]):
+            hi = 2 * width - 1
+            del wider  # the bisection needs only the narrower level
+            break
+        names, bound, width = wider, bound * bound, 2 * width
+        lo = width
+    if bound > _NAME_BOUND_MAX:
+        names, bound = _dense_names(names)
+
+    def window_names(k: int) -> np.ndarray:
+        # names of the k-windows starting below n, for width <= k < 2 * width
+        m = min(n, L - k + 1)
+        return names[:m] * bound + names[k - width : k - width + m]
+
+    while lo < hi:
+        k = (lo + hi + 1) // 2
+        if _has_repeat(window_names(k)):
+            lo = k
+        else:
+            hi = k - 1
+    keys = window_names(lo)
+    srt = np.sort(keys)
+    repeated = srt[1:][srt[1:] == srt[:-1]]
+    i = int(np.flatnonzero(np.isin(keys, repeated))[0])
+    j = i + 1 + int(np.flatnonzero(keys[i + 1 :] == keys[i])[0])
+    word = tuple(int(x) for x in s[i : i + lo])
+    return MatchResult(lo, i, j, word, bool(j + lo > n))
 
 
 def longest_self_match_bruteforce(seq, n: int | None = None) -> MatchResult:

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     IncompatibleMeasureError,
     InvalidSystemError,
     ReducibleChainError,
@@ -367,7 +368,8 @@ def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
     """Perron root and right/left vectors of a non-negative irreducible matrix.
 
     Power iteration on the diagonally shifted matrix, which is primitive, from
-    the deterministic uniform start.
+    the deterministic uniform start. Raises ConvergenceError when max_iter
+    steps do not reach the tolerance.
     """
     d = M.shape[0]
     shift = float(M.max()) or 1.0
@@ -375,7 +377,6 @@ def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
     v = np.full(d, 1.0 / d)
     w = np.full(d, 1.0 / d)
     lam = 0.0
-    iters = 0
     for iters in range(1, max_iter + 1):
         v_new = Ms @ v
         w_new = w @ Ms
@@ -383,10 +384,9 @@ def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
         v_new /= lam_new
         w_new /= w_new.sum()
         if abs(lam_new - lam) <= tol * abs(lam_new) and np.max(np.abs(v_new - v)) <= tol:
-            v, w, lam = v_new, w_new, lam_new
-            break
+            return lam_new - shift, v_new, w_new, iters
         v, w, lam = v_new, w_new, lam_new
-    return lam - shift, v, w, iters
+    raise ConvergenceError(f"Perron power iteration did not reach tol={tol} in {max_iter} steps")
 
 
 def _induced_chain(ts: TransitionSystem, phi: np.ndarray) -> MarkovMeasure:
@@ -525,6 +525,9 @@ def _check_compatible(m: MeasureSpec, ts: TransitionSystem | None) -> None:
         raise IncompatibleMeasureError("measure puts mass on transitions the system forbids")
 
 
+_SAMPLE_CHUNK = 1 << 16  # Markov draws converted to Python floats at a time
+
+
 def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
                     buffer: int = 0, seed: int = 0) -> SymbolSequence:
     """Sample n + buffer symbols of the stationary chain, reproducibly.
@@ -552,18 +555,22 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     cum_rows = [row.tolist() for row in np.cumsum(mk.P, axis=1)]
     for row in cum_rows:
         row[-1] = 1.0
-    u = rng.random(total).tolist()
-    out = [0] * total
-    state = int(np.searchsorted(cum_pi, u[0], side="right"))
-    state = min(state, mk.alphabet_size - 1)
-    out[0] = state
+    u = rng.random(total)
+    out = np.empty(total, dtype=np.int64)
     hi = mk.alphabet_size - 1
-    for t in range(1, total):
-        state = bisect.bisect_right(cum_rows[state], u[t])
-        if state > hi:
-            state = hi
-        out[t] = state
-    return SymbolSequence(np.asarray(out, dtype=np.int64), n, seed, m)
+    state = min(int(np.searchsorted(cum_pi, u[0], side="right")), hi)
+    out[0] = state
+    # the Python loop walks one chunk of draws at a time, so only a chunk is
+    # ever held as Python objects
+    for start in range(1, total, _SAMPLE_CHUNK):
+        block = u[start : start + _SAMPLE_CHUNK].tolist()
+        for t, x in enumerate(block):
+            state = bisect.bisect_right(cum_rows[state], x)
+            if state > hi:
+                state = hi
+            block[t] = state
+        out[start : start + len(block)] = block
+    return SymbolSequence(out, n, seed, m)
 
 
 def sample_sequences_batch(m: MeasureSpec, count: int, length: int, seed: int) -> np.ndarray:

@@ -14,7 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CrossCheckError, DegenerateMeasureError, InvalidSystemError
+from .errors import (
+    ConvergenceError,
+    CrossCheckError,
+    DegenerateMeasureError,
+    InvalidSystemError,
+)
 from .symbolic import (
     BernoulliMeasure,
     GibbsMeasure,
@@ -106,7 +111,8 @@ def _pressure_periodic(M: np.ndarray, start_n: int = 40, tol: float = 1e-10,
     with n doubled from start_n until the estimate stabilizes.
 
     trace(M^n) sums the potential weights over all closed admissible paths of
-    length n, so this route never sees the spectral decomposition.
+    length n, so this route never sees the spectral decomposition. Raises
+    ConvergenceError when the estimate has not stabilized by max_n.
     """
     n = start_n
     prev = None
@@ -117,7 +123,9 @@ def _pressure_periodic(M: np.ndarray, start_n: int = 40, tol: float = 1e-10,
         if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
             return est, n
         if n >= max_n:
-            return est, n
+            raise ConvergenceError(
+                f"periodic-orbit pressure did not stabilize to tol={tol} by n={n}"
+            )
         prev = est
         n *= 2
 

@@ -186,6 +186,51 @@ class TestRunAndVerify:
         expcli.run(cfg, tmp_path / "par", workers=3)
         assert (tmp_path / "seq" / "results.csv").read_bytes() == (tmp_path / "par" / "results.csv").read_bytes()
 
+    def test_rerun_with_other_seed_rewrites_cells(self, tmp_path):
+        # cell files written under another config's digest are not reused
+        expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "shared")
+        cfg78 = expcli.parse_config_text(SMALL_MATCH.replace("master_seed = 77", "master_seed = 78"))
+        expcli.run(cfg78, tmp_path / "shared")
+        expcli.run(cfg78, tmp_path / "fresh")
+        for name in ("results.csv", "manifest.json", "report.json"):
+            assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_env(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("ORBITRECUR_WORKERS", value)
+        with pytest.raises(ConfigError):
+            expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path / "out")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_RETURNS)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "ORBITRECUR_WORKERS" in capsys.readouterr().err
+
+    def test_workers_capped(self, tmp_path, monkeypatch):
+        # 3 pending groups on 2 CPUs: a request for 4 workers gets 2
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(expcli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(expcli.os, "cpu_count", lambda: 2)
+        expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "out", workers=4)
+        assert pools == [2]
+        monkeypatch.setattr(expcli.os, "cpu_count", lambda: 8)
+        (tmp_path / "out" / "cells" / "group-000000000200.csv").unlink()
+        expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "out", workers=4)
+        assert pools == [2]  # one pending group runs in this process
+
     def test_verify_pass_and_fail(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_PROX)
         expcli.run(cfg, tmp_path / "out")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrecur import (
     BernoulliMeasure,
@@ -12,6 +14,7 @@ from orbitrecur import (
     match_curve,
     return_set_measure,
 )
+from orbitrecur import matcher
 from orbitrecur.errors import EnumerationBudgetError
 from orbitrecur.rng import make_rng
 from orbitrecur.symbolic import admissible_words
@@ -59,6 +62,10 @@ class TestLongestSelfMatch:
         assert (res.m_n, res.witness_i, res.witness_j) == (3, 0, 3)
         assert res.crossed_boundary
 
+    def test_wide_symbol_range(self):
+        seq = [10**18, -(10**18), 7, 10**18, -(10**18), 7, 10**18, 2**62]
+        assert longest_self_match(seq, 6) == longest_self_match_bruteforce(seq, 6)
+
     def test_n_exceeding_length_rejected(self):
         with pytest.raises(ValueError):
             longest_self_match([0, 1], 3)
@@ -94,6 +101,57 @@ class TestLongestSelfMatch:
         seq = rng.integers(0, 2, size=400)
         values = [longest_self_match(seq, n).m_n for n in range(2, 400)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_property_against_bruteforce(self, data):
+        alpha = data.draw(st.integers(1, 4), label="alphabet")
+        n = data.draw(st.integers(2, 120), label="n")
+        buffer = data.draw(st.integers(0, 30), label="buffer")
+        seq = data.draw(st.lists(st.integers(0, alpha - 1), min_size=n + buffer,
+                                 max_size=n + buffer), label="seq")
+        assert longest_self_match(seq, n) == longest_self_match_bruteforce(seq, n)
+
+
+def _periodic(period, length):
+    return [period[t % len(period)] for t in range(length)]
+
+
+class TestRenamedBlockNames:
+    """Long repeats whose block names outgrow 64 bits, so that levels past
+    the symbols are renamed by dense rank before they are paired."""
+
+    @pytest.fixture
+    def renames(self, monkeypatch):
+        calls = []
+        dense = matcher._dense_names
+
+        def spy(names):
+            calls.append(len(names))
+            return dense(names)
+
+        monkeypatch.setattr(matcher, "_dense_names", spy)
+        return calls
+
+    @pytest.mark.parametrize("seq", [
+        _periodic([0, 1, 2], 210),
+        _periodic([0, 1, 1, 0, 1], 230),
+        list(make_rng(5).integers(0, 2, size=150)) * 2,
+    ], ids=["period3", "period5", "doubled_random"])
+    @pytest.mark.parametrize("n_share", [0.6, 1.0])
+    def test_long_repeats_match_bruteforce(self, renames, seq, n_share):
+        n = max(2, int(n_share * len(seq)))
+        fast = longest_self_match(seq, n)
+        assert len(renames) > 1, "only the symbols were ranked"
+        assert fast == longest_self_match_bruteforce(seq, n)
+        assert fast.m_n > 64
+
+    def test_constant_sequence(self):
+        # one name throughout: the name bound stays 1 at every level
+        for L, n in ((200, 2), (200, 150), (257, 257)):
+            res = longest_self_match([3] * L, n)
+            assert (res.m_n, res.witness_i, res.witness_j) == (L - 1, 0, 1)
+            assert res.crossed_boundary == (1 + L - 1 > n)
 
 
 class TestMatchCurve:

@@ -1,6 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
 
+from orbitrecur import symbolic
 from orbitrecur import (
     BernoulliMeasure,
     GibbsMeasure,
@@ -17,6 +20,7 @@ from orbitrecur.errors import (
     InvalidSystemError,
     ReducibleChainError,
 )
+from orbitrecur.rng import make_rng
 from orbitrecur.symbolic import admissible_words, sample_sequences_batch
 
 GOLDEN_A = [[0, 1], [1, 1]]
@@ -227,3 +231,54 @@ class TestSampling:
     def test_buffer_length(self):
         seq = sample_sequence(BernoulliMeasure([0.5, 0.5]), None, 100, 17, seed=0)
         assert len(seq) == 117 and seq.n == 100 and seq.buffer == 17
+
+
+def whole_list_markov_sample(m, total, seed):
+    """Reference Markov sampler: one bisect loop over the whole draw held as
+    a Python list."""
+    mk = m.as_markov()
+    cum_pi = np.cumsum(mk.pi)
+    cum_pi[-1] = 1.0
+    cum_rows = [row.tolist() for row in np.cumsum(mk.P, axis=1)]
+    for row in cum_rows:
+        row[-1] = 1.0
+    u = make_rng(seed).random(total).tolist()
+    out = [0] * total
+    hi = mk.alphabet_size - 1
+    state = min(int(np.searchsorted(cum_pi, u[0], side="right")), hi)
+    out[0] = state
+    for t in range(1, total):
+        state = min(bisect.bisect_right(cum_rows[state], u[t]), hi)
+        out[t] = state
+    return np.asarray(out, dtype=np.int64)
+
+
+CHAINS = {
+    2: [[0.0, 1.0], [0.5, 0.5]],
+    3: [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]],
+    4: [[0.0, 0.5, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.0, 0.5], [0.4, 0.3, 0.2, 0.1]],
+}
+
+
+def markov_chain(d):
+    P = np.asarray(CHAINS[d])
+    return MarkovMeasure(stationary_distribution(P), P)
+
+
+class TestChunkedMarkovSampling:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_small_chunks_match_whole_list(self, monkeypatch, d):
+        monkeypatch.setattr(symbolic, "_SAMPLE_CHUNK", 7)
+        m = markov_chain(d)
+        # totals straddle the chunk boundaries: the first draw sits before
+        # the first chunk, so chunks cover draws 1-7, 8-14, ...
+        for total in (1, 2, 7, 8, 9, 14, 15, 16, 50):
+            for seed in (0, 31):
+                got = sample_sequence(m, None, total, 0, seed=seed).symbols
+                assert np.array_equal(got, whole_list_markov_sample(m, total, seed)), (d, total)
+
+    def test_default_chunks_match_whole_list(self):
+        m = golden_markov()
+        n, buffer = 2 * symbolic._SAMPLE_CHUNK, 3
+        got = sample_sequence(m, None, n, buffer, seed=2026).symbols
+        assert np.array_equal(got, whole_list_markov_sample(m, n + buffer, 2026))

@@ -19,8 +19,9 @@ from orbitrecur import (
     z_decay_check,
     z_partition_sum,
 )
-from orbitrecur.errors import DegenerateMeasureError
-from orbitrecur.symbolic import admissible_words
+from orbitrecur.errors import ConvergenceError, DegenerateMeasureError, OrbitRecurError
+from orbitrecur.symbolic import _perron, admissible_words
+from orbitrecur.thermo import _pressure_periodic, transfer_matrix
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 
@@ -62,6 +63,19 @@ class TestGurevichPressure:
     def test_non_mixing_flagged(self):
         res = gurevich_pressure(TransitionSystem([[0, 1], [1, 0]]), np.zeros((2, 2)))
         assert res.flagged and abs(res.value) < 1e-10
+
+
+class TestNonConvergence:
+    def test_perron_step_budget(self):
+        with pytest.raises(ConvergenceError) as info:
+            _perron(GOLDEN.P, max_iter=1)
+        assert isinstance(info.value, OrbitRecurError)
+        assert isinstance(info.value, ArithmeticError)
+
+    def test_periodic_pressure_length_budget(self):
+        M = transfer_matrix(full_shift(2), np.zeros((2, 2)))
+        with pytest.raises(ConvergenceError):
+            _pressure_periodic(M, start_n=40, max_n=40)
 
 
 class TestRenyiEntropy:
