@@ -435,16 +435,15 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     keys = _group_keys(cfg)
     pending = [k for k in keys if _read_group(cells_dir, digest, k) is None]
     workers = min(workers, len(pending), os.cpu_count() or 1)
-    if pending:
-        if workers > 1:
-            tasks = [(cfg.raw_text, k) for k in pending]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for key, tuples in pool.map(_group_worker, tasks):
-                    rows = [CurveRow(*t) for t in tuples]
-                    _write_group(cells_dir, digest, cfg.kind, key, rows)
-        else:
-            for key in pending:
-                _write_group(cells_dir, digest, cfg.kind, key, _run_group(cfg, key))
+    if workers > 1:
+        tasks = [(cfg.raw_text, k) for k in pending]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            for key, tuples in pool.map(_group_worker, tasks):
+                rows = [CurveRow(*t) for t in tuples]
+                _write_group(cells_dir, digest, cfg.kind, key, rows)
+    else:
+        for key in pending:
+            _write_group(cells_dir, digest, cfg.kind, key, _run_group(cfg, key))
     rows = []
     for key in sorted(keys):
         rows.extend(_read_group(cells_dir, digest, key))
