@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine, sample_initial
 from .matcher import match_curve, return_set_measure
-from .proximity import proximity_curve
+from .proximity import orbit_for_cell, proximity_curve
 from .rng import derive_seed, make_rng
 from .symbolic import (
     BernoulliMeasure,
@@ -287,6 +287,20 @@ def _group_keys(cfg: ExperimentConfig) -> list[int]:
     return [0]  # diagnostics
 
 
+def _cell_seed(cfg: ExperimentConfig, n: int, replicate: int) -> int:
+    """The seed recorded for the cell (n, replicate): derive_seed of the
+    cell, or 0 for kinds that draw nothing (diagnostics, exact returns)."""
+    if cfg.kind in ("match_curve", "proximity_curve"):
+        return derive_seed(cfg.master_seed, cfg.kind, n, replicate)
+    if cfg.kind == "d2":
+        return derive_seed(cfg.master_seed, "d2", cfg.samples, replicate)
+    if cfg.kind == "h2":
+        return derive_seed(cfg.master_seed, "h2", cfg.block_len, replicate)
+    if cfg.kind == "returns" and cfg.mode == "empirical":
+        return derive_seed(cfg.master_seed, "returns", n, 0)
+    return 0
+
+
 def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
     """All rows of one work group, deterministic in (config, key)."""
     if cfg.kind == "match_curve":
@@ -298,11 +312,11 @@ def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
                                cfg.master_seed, burn_in=cfg.burn_in)
     if cfg.kind == "d2":
         spec = map_from_section(cfg.system)
-        seed = derive_seed(cfg.master_seed, "d2", cfg.samples, key)
+        seed = _cell_seed(cfg, cfg.samples, key)
         if cfg.mode == "orbit":
             # secondary mode: one orbit of length `samples`, decorrelated by
             # subsampling at the (log n)^2 stride
-            orb = _d2_orbit(spec, cfg.samples, seed)
+            orb = orbit_for_cell(spec, cfg.samples, seed)
             pts = correlation_points_from_orbit(orb.points)
         else:
             rng = make_rng(seed)
@@ -312,13 +326,13 @@ def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
                          value=fit.slope, aux=fit.stderr, flag="ok")]
     if cfg.kind == "h2":
         m = measure_from_section(cfg.system)
-        seed = derive_seed(cfg.master_seed, "h2", cfg.block_len, key)
+        seed = _cell_seed(cfg, cfg.samples, key)
         est = h2_collision_estimate(m, cfg.block_len, cfg.samples, seed)
         return [CurveRow(n=cfg.samples, replicate=key, seed=seed,
                          value=est.h2, aux=est.stderr, flag="ok")]
     if cfg.kind == "returns":
         m = measure_from_section(cfg.system)
-        seed = derive_seed(cfg.master_seed, "returns", key, 0) if cfg.mode == "empirical" else 0
+        seed = _cell_seed(cfg, key, 0)
         est = return_set_measure(m, cfg.r, key, cfg.mode,
                                  samples=max(cfg.samples, 100_000), seed=seed)
         return [CurveRow(n=key, replicate=0, seed=seed, value=est.value,
@@ -330,12 +344,6 @@ def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
         return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs,
                          flag="ok") for t, chk in enumerate(checks)]
     raise ConfigError(f"unknown kind {cfg.kind!r}")
-
-
-def _d2_orbit(spec, length: int, seed: int):
-    from .proximity import _orbit_for_cell
-
-    return _orbit_for_cell(spec, length, seed, burn_in=0)
 
 
 def _group_worker(args: tuple[str, int]) -> tuple[int, list[tuple]]:
@@ -512,11 +520,37 @@ def _expected_cells(cfg: ExperimentConfig) -> int:
     return cfg.k_max + 1  # diagnostics: sigma checks plus psi decay
 
 
+def _check_consistent(report: dict, manifest: dict, csv_text: str) -> None:
+    """Raise IncompleteRecordError, naming the file at fault, unless
+    report.json and every results.csv row carry manifest.json's config
+    digest and every manifest cell carries the seed its config derives."""
+    digest = manifest.get("digest")
+    if report.get("digest") != digest:
+        raise IncompleteRecordError(
+            f"report.json: digest {report.get('digest')!r} is not manifest.json's {digest!r}")
+    for rec in list(csv.reader(csv_text.splitlines()))[1:]:
+        found = rec[0] if rec else None
+        if found != digest:
+            raise IncompleteRecordError(
+                f"results.csv: digest {found!r} is not manifest.json's {digest!r}")
+    try:
+        cfg = parse_config_text(manifest.get("config", ""))
+    except ConfigError as exc:
+        raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
+    for cell in manifest.get("cells", []):
+        expected = _cell_seed(cfg, cell["n"], cell["replicate"])
+        if cell["seed"] != expected:
+            raise IncompleteRecordError(
+                f"manifest.json: cell (n={cell['n']}, replicate={cell['replicate']}) "
+                f"has seed {cell['seed']}, its config derives {expected}")
+
+
 def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, str]:
     """Compare the recorded slope against the target within tolerance.
 
     Returns (exit_code, message): 0 pass, 1 fail, 3 incomplete (more than
-    half of the expected cells missing).
+    half of the expected cells missing). A record that disagrees with itself
+    raises IncompleteRecordError (exit 3); see _check_consistent.
     """
     out = Path(out_dir)
     try:
@@ -525,6 +559,7 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
         csv_text = (out / "results.csv").read_text()
     except OSError as exc:
         raise IncompleteRecordError(f"missing record file: {exc}") from None
+    _check_consistent(report, manifest, csv_text)
     n_rows = max(len(csv_text.strip().splitlines()) - 1, 0)
     expected = int(manifest.get("expected_cells", 0))
     if expected > 0 and n_rows < expected / 2.0:

@@ -10,6 +10,7 @@ invariant density, and the first-return map of an intermittent map to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,32 +114,60 @@ class MPInduced:
 MapSpec = KDoubling | PiecewiseAffine | GaussMap | MPInduced
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitBuffer:
-    """n orbit points with precision metadata.
+    """n orbit points with precision metadata; read-only.
 
-    Exact orbits carry integer base-k windows (points are windows / k^W and
-    pairwise distances are exact); floating orbits carry a noise floor of
-    machine epsilon times the accumulated expansion factor, capped.
+    Floating orbits hold float64 points and a noise floor of machine epsilon
+    times the accumulated expansion factor, capped.
+
+    Exact base-k orbits ("exact_dyadic") hold point i, the W-digit window
+    starting at digit i, as C int64 limbs: limb c is the base-k value of
+    digits [i + cL, i + cL + L) with L the largest count whose k^L stays
+    below 2^63, the last limb narrower. Comparing limb tuples compares the
+    points exactly; `proximity.closest_pair` works on the limbs. The window
+    integers `windows` and the float `points` (window / k^W) are derived on
+    first access and cached.
     """
 
-    points: np.ndarray
-    map: MapSpec
-    seed: int
-    precision: str  # "exact_dyadic" | "floating"
-    noise_floor: float = 0.0
-    windows: tuple[int, ...] | None = None
-    window_bits: int = 0
-    base: int = 2
-    resampled: bool = False
+    def __init__(self, points, map: MapSpec, seed: int, precision: str,
+                 noise_floor: float = 0.0, resampled: bool = False,
+                 limbs: tuple[np.ndarray, ...] = (), window_bits: int = 0, base: int = 2):
+        self.__dict__.update(map=map, seed=seed, precision=precision,
+                             noise_floor=noise_floor, resampled=resampled,
+                             limbs=tuple(limbs), window_bits=window_bits, base=base)
+        if points is not None:
+            pts = np.array(points, dtype=np.float64)
+            pts.setflags(write=False)
+            self.__dict__["points"] = pts
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.limbs[0]) if self.limbs else len(self.points)
+
+    @property
+    def limb_radices(self) -> tuple[int, ...]:
+        """k^(digits of limb c) for each limb."""
+        return tuple(self.base**w for w in _limb_widths(self.base, self.window_bits))
+
+    @functools.cached_property
+    def windows(self) -> tuple[int, ...] | None:
+        """Window integers of an exact orbit (None for floating orbits)."""
+        if not self.limbs:
+            return None
+        acc = self.limbs[0].tolist()
+        for limb, radix in zip(self.limbs[1:], self.limb_radices[1:]):
+            acc = [a * radix + b for a, b in zip(acc, limb.tolist())]
+        return tuple(acc)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Float points of an exact orbit: each window over float(k^W)."""
+        denom = float(self.base**self.window_bits)
+        pts = np.array([w / denom for w in self.windows], dtype=np.float64)
+        pts.setflags(write=False)
+        return pts
 
     def exact_distance(self, i: int, j: int) -> Fraction:
         if self.windows is None:
@@ -167,8 +196,9 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
 
     Draw n + W digits; point i is the W-digit window starting at digit i, so
     the i-th iterate is exact and pairwise distances are exact base-k
-    rationals. enforce_floor=False admits windows too narrow for the n^-2
-    distance scale; only for hand-sized demonstrations.
+    rationals; they are stored as int64 limbs (see OrbitBuffer).
+    enforce_floor=False admits windows too narrow for the n^-2 distance
+    scale; only for hand-sized demonstrations.
     """
     if k < 2:
         raise InvalidSystemError("need base k >= 2")
@@ -181,26 +211,51 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
         raise ValueError("window_bits must be >= 1")
     W = window_bits
     if digits is None:
-        digit_arr = make_rng(seed).integers(0, k, size=n + W).tolist()
+        digit_arr = make_rng(seed).integers(0, k, size=n + W)
     else:
-        digit_arr = [int(d) for d in digits]
-        if len(digit_arr) < n + W:
+        digit_list = [int(d) for d in digits]
+        if len(digit_list) < n + W:
             raise ValueError(f"need at least n + W = {n + W} digits")
-        if any(d < 0 or d >= k for d in digit_arr):
+        if any(d < 0 or d >= k for d in digit_list):
             raise ValueError("digits out of range")
-    m = 0
-    for d in digit_arr[:W]:
-        m = m * k + d
-    windows = [0] * n
-    windows[0] = m
-    mod = k ** (W - 1)
-    for i in range(1, n):
-        m = (m % mod) * k + digit_arr[W + i - 1]
-        windows[i] = m
-    denom = float(k**W)
-    pts = np.array([w / denom for w in windows], dtype=np.float64)
-    return OrbitBuffer(pts, KDoubling(k), seed, "exact_dyadic",
-                       windows=tuple(windows), window_bits=W, base=k)
+        digit_arr = np.array(digit_list, dtype=np.int64)
+    widths = _limb_widths(k, W)
+    # Horner passes over shifted slices, g digits at a time: pack[i] holds
+    # the value of digits [i, i + g), so a limb of L digits takes about
+    # L / g + g passes instead of L
+    g = math.isqrt(widths[0])
+    span = n + W - g + 1
+    pack = digit_arr[:span].astype(np.int64)
+    for t in range(1, g):
+        pack *= k
+        pack += digit_arr[t : t + span]
+    limbs = []
+    start = 0
+    for width in widths:
+        limb = np.zeros(n, dtype=np.int64)
+        packed = width - width % g
+        for t in range(start, start + packed, g):
+            limb *= k**g
+            limb += pack[t : t + n]
+        for t in range(start + packed, start + width):
+            limb *= k
+            limb += digit_arr[t : t + n]
+        limb.setflags(write=False)
+        limbs.append(limb)
+        start += width
+    return OrbitBuffer(None, KDoubling(k), seed, "exact_dyadic",
+                       limbs=tuple(limbs), window_bits=W, base=k)
+
+
+def _limb_widths(k: int, window_bits: int) -> list[int]:
+    """Digit counts of the int64 limbs of a window: L each, with L the largest
+    count whose k^L stays below 2^63, and a narrower last limb."""
+    if k >= 2**63:
+        raise InvalidSystemError("base k must stay below 2^63 for int64 limbs")
+    L = 1
+    while k ** (L + 1) < 2**63:
+        L += 1
+    return [min(L, window_bits - c) for c in range(0, window_bits, L)]
 
 
 def _affine_branch(m: PiecewiseAffine, x: float) -> int:

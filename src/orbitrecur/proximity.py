@@ -44,6 +44,7 @@ __all__ = [
     "closest_pair_bruteforce",
     "short_return_measure",
     "proximity_curve",
+    "orbit_for_cell",
     "FLOOR_REJECT_FACTOR",
 ]
 
@@ -79,16 +80,27 @@ def _variant_minlen(variant: str) -> int:
 def _orbit_values(orbit) -> tuple[list, float, int]:
     """(comparable values, noise_floor, n); integers for exact orbits."""
     if isinstance(orbit, OrbitBuffer):
-        if orbit.precision == "exact_dyadic" and orbit.windows is not None:
-            return list(orbit.windows), 0.0, len(orbit.windows)
+        if orbit.limbs:
+            return list(orbit.windows), 0.0, len(orbit)
         return orbit.points.tolist(), orbit.noise_floor, len(orbit.points)
     vals = [float(v) for v in orbit]
     return vals, 0.0, len(vals)
 
 
+def _orbit_keys(orbit) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], float]:
+    """(keys, radices, noise_floor): the points as limb arrays, most
+    significant first, with each limb's radix; one float64 key, and no
+    radices, for floating orbits."""
+    if isinstance(orbit, OrbitBuffer):
+        if orbit.limbs:
+            return orbit.limbs, orbit.limb_radices, 0.0
+        return (orbit.points,), (), orbit.noise_floor
+    return (np.array([float(v) for v in orbit], dtype=np.float64),), (), 0.0
+
+
 def _to_result(orbit, gap, i: int, j: int, variant: str, floor: float) -> ProximityResult:
     exact = None
-    if isinstance(orbit, OrbitBuffer) and orbit.precision == "exact_dyadic":
+    if isinstance(orbit, OrbitBuffer) and orbit.limbs:
         exact = Fraction(int(gap), orbit.base**orbit.window_bits)
         value = float(exact)
     else:
@@ -97,52 +109,100 @@ def _to_result(orbit, gap, i: int, j: int, variant: str, floor: float) -> Proxim
     return ProximityResult(value, i, j, variant, below, exact)
 
 
-def _near_scan(vals: list, alpha: int):
-    """Min over pairs with index gap <= alpha, one pass per gap offset.
+def _carry(diffs: list[np.ndarray], radices) -> None:
+    """Move borrows up so that every limb after the first lies in
+    [0, radix); the limb tuple then reads as one signed number."""
+    for c in range(len(diffs) - 1, 0, -1):
+        borrow = diffs[c] < 0
+        diffs[c] += borrow * radices[c]
+        diffs[c - 1] -= borrow
 
-    Float orbits get a vectorized pass per offset; exact integer orbits run
-    the same sweep in plain Python so distances stay exact.
-    """
-    n = len(vals)
-    d_max = min(alpha, n - 1)
+
+def _abs_gaps(hi: list[np.ndarray], lo: list[np.ndarray], radices) -> list[np.ndarray]:
+    """|hi - lo| row by row, as normalised limbs, so that comparing limb
+    tuples lexicographically compares the gaps exactly."""
+    diffs = [h - lo_c for h, lo_c in zip(hi, lo)]
+    if len(diffs) == 1:
+        return [np.abs(diffs[0])]
+    _carry(diffs, radices)
+    negative = diffs[0] < 0
+    if negative.any():
+        for d in diffs:
+            np.negative(d, out=d, where=negative)
+        _carry(diffs, radices)
+    return diffs
+
+
+def _min_rows(gaps: list[np.ndarray]) -> np.ndarray:
+    """Rows holding the least gap, narrowed limb by limb."""
+    rows = np.flatnonzero(gaps[0] == gaps[0].min())
+    for g in gaps[1:]:
+        col = g[rows]
+        rows = rows[col == col.min()]
+    return rows
+
+
+def _join(limbs: list, radices):
+    """One gap from its limb values: a Python int for limbs, else a float."""
+    value = limbs[0]
+    for limb, radix in zip(limbs[1:], radices[1:]):
+        value = value * radix + limb
+    return value
+
+
+def _value_order(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Indices sorting the points by value, ties by index. A sort on the
+    first limb alone is unique when that limb has no ties; otherwise a
+    stable sort on all limbs decides."""
+    order = np.argsort(keys[0])
+    lead = keys[0][order]
+    if np.any(lead[1:] == lead[:-1]):
+        order = np.lexsort(keys[::-1])
+    return order
+
+
+def _adjacent_scan(keys, radices):
+    """Least gap between value-sorted neighbours, smallest (i, j) on ties."""
+    order = _value_order(keys)
+    ranked = [key[order] for key in keys]
+    gaps = _abs_gaps([r[1:] for r in ranked], [r[:-1] for r in ranked], radices)
+    rows = _min_rows(gaps)
+    a, b = order[rows], order[rows + 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    t = np.lexsort((hi, lo))[0]
+    return _join([g[rows[t]].item() for g in gaps], radices), int(lo[t]), int(hi[t])
+
+
+def _near_scan(keys, radices, alpha: int):
+    """Min over pairs with index gap <= alpha, one vectorised pass per gap
+    offset d; the key (gap, t, t + d) orders ties."""
+    n = len(keys[0])
     best = None
-    if isinstance(vals[0], int):
-        for d in range(1, d_max + 1):
-            for t in range(n - d):
-                g = vals[t + d] - vals[t]
-                if g < 0:
-                    g = -g
-                key = (g, t, t + d)
-                if best is None or key < best:
-                    best = key
-        return best
-    arr = np.asarray(vals, dtype=np.float64)
-    for d in range(1, d_max + 1):
-        diffs = np.abs(arr[d:] - arr[:-d])
-        t = int(np.flatnonzero(diffs == diffs.min())[0])  # smallest index on ties
-        key = (float(diffs[t]), t, t + d)
-        if best is None or key < best:
-            best = key
-    return best
+    for d in range(1, min(alpha, n - 1) + 1):
+        gaps = _abs_gaps([key[d:] for key in keys], [key[:-d] for key in keys], radices)
+        t = int(_min_rows(gaps)[0])
+        cand = ([g[t].item() for g in gaps], t, t + d)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return None
+    limbs, i, j = best
+    return _join(limbs, radices), i, j
 
 
-def _sorted_scan(vals: list, n: int, variant: str, alpha: int):
+def _sorted_scan(vals: list, order: list[int], variant: str, alpha: int):
     """Outward scan in sorted order; stops when the value gap alone exceeds
     the best admissible distance found so far."""
-    order = sorted(range(n), key=lambda t: (vals[t], t))
+    n = len(vals)
     sv = [vals[t] for t in order]
     lo_cut = n // 3
     hi_cut = math.ceil(2 * n / 3)
 
     def admissible(a: int, b: int) -> bool:
         i, j = (a, b) if a < b else (b, a)
-        if variant == "all":
-            return True
         if variant == "far":
             return j - i > alpha
-        if variant == "split":
-            return i <= lo_cut and j >= hi_cut
-        return j - i <= alpha  # near
+        return i <= lo_cut and j >= hi_cut  # split
 
     best = None  # (gap, i, j)
     for t in range(n - 1):
@@ -163,35 +223,25 @@ def _sorted_scan(vals: list, n: int, variant: str, alpha: int):
 def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> ProximityResult:
     """Minimum distance between two iterates under the variant's index rule.
 
-    "all" is the minimum adjacent gap of the value-sorted orbit; constrained
-    variants scan outward from each sorted position until the sorted-value
-    gap alone exceeds the best admissible pair; "near" sweeps index offsets
-    directly. Brute force remains the arbiter in tests.
+    "all" is the least gap between neighbours of the value-sorted orbit;
+    "near" sweeps index offsets directly, one vectorised pass per offset;
+    "far" and "split" scan outward from each sorted position until the
+    sorted-value gap alone exceeds the best admissible pair. Exact orbits
+    are compared limb by limb (see OrbitBuffer), so every distance stays
+    exact. Brute force remains the arbiter in tests.
     """
-    vals, floor, n = _orbit_values(orbit)
+    keys, radices, floor = _orbit_keys(orbit)
+    n = len(keys[0])
     if n < _variant_minlen(variant):
         raise ValueError(f"variant {variant!r} needs at least {_variant_minlen(variant)} points")
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
     if variant == "all":
-        order = sorted(range(n), key=lambda t: (vals[t], t))
-        best = None
-        for t in range(n - 1):
-            a, b = order[t], order[t + 1]
-            gap = vals[b] - vals[a] if vals[b] >= vals[a] else vals[a] - vals[b]
-            i, j = (a, b) if a < b else (b, a)
-            key = (gap, i, j)
-            if best is None or key < best:
-                best = key
-        gap, i, j = best  # type: ignore[misc]
-        return _to_result(orbit, gap, i, j, variant, floor)
-    if variant == "near":
-        got = _near_scan(vals, alpha)
-        if got is None:
-            raise ValueError("no admissible pair for variant 'near'")
-        gap, i, j = got
-        return _to_result(orbit, gap, i, j, variant, floor)
-    got = _sorted_scan(vals, n, variant, alpha)
+        got = _adjacent_scan(keys, radices)
+    elif variant == "near":
+        got = _near_scan(keys, radices, alpha)
+    else:
+        got = _sorted_scan(_orbit_values(orbit)[0], _value_order(keys).tolist(), variant, alpha)
     if got is None:
         raise ValueError(f"no admissible pair for variant {variant!r}")
     gap, i, j = got
@@ -336,8 +386,15 @@ def _vector_step(spec: MapSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int,
-                    max_resamples: int = 32) -> OrbitBuffer:
+def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0,
+                   max_resamples: int = 32) -> OrbitBuffer:
+    """The n-point orbit of one experiment cell, determined by its seed.
+
+    Multiplication maps give exact orbits; affine maps the stationary
+    itinerary reconstruction; other maps a floating orbit from a drawn
+    initial point, redrawn (and flagged resampled) when it hits a partition
+    endpoint.
+    """
     if isinstance(spec, KDoubling):
         return doubling_orbit_exact(spec.k, n, min_window_digits(spec.k, n), seed=cell_seed)
     if isinstance(spec, PiecewiseAffine):
@@ -382,7 +439,7 @@ def proximity_curve(spec: MapSpec, n_grid, replicates: int, variant: str = "all"
     for n in n_grid:
         for rep in range(replicates):
             cell_seed = derive_seed(seed, "proximity_curve", n, rep)
-            orb = _orbit_for_cell(spec, n, cell_seed, burn_in)
+            orb = orbit_for_cell(spec, n, cell_seed, burn_in)
             res = closest_pair(orb, variant)
             if res.value > 0.0:
                 aux = -math.log(res.value)

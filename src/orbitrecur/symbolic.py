@@ -495,7 +495,12 @@ def stationary_distribution_exact(P_rows: Sequence[Sequence]) -> list[Fraction]:
 
 @dataclass(frozen=True, eq=False)
 class SymbolSequence:
-    """A typical sample path: n statistic symbols plus a generated buffer."""
+    """A typical sample path: n statistic symbols plus a generated buffer.
+
+    An int64 array that owns its data and is already read-only is kept as
+    is; anything else is copied and frozen, so a sequence never aliases a
+    caller's writable buffer.
+    """
 
     symbols: np.ndarray
     n: int
@@ -503,7 +508,10 @@ class SymbolSequence:
     measure: MeasureSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_array(self.symbols, np.int64))
+        sym = self.symbols
+        if not (isinstance(sym, np.ndarray) and sym.dtype == np.int64
+                and sym.flags.owndata and not sym.flags.writeable):
+            object.__setattr__(self, "symbols", _frozen_array(sym, np.int64))
         if not 1 <= self.n <= len(self.symbols):
             raise ValueError("declared horizon n must satisfy 1 <= n <= len(symbols)")
 
@@ -546,8 +554,9 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
         cum = np.cumsum(m.weights)
         cum[-1] = 1.0
         u = rng.random(total)
-        sym = np.searchsorted(cum, u, side="right").astype(np.int64)
+        sym = np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
         np.clip(sym, 0, m.alphabet_size - 1, out=sym)
+        sym.setflags(write=False)
         return SymbolSequence(sym, n, seed, m)
     mk = m.as_markov()
     cum_pi = np.cumsum(mk.pi)
@@ -570,6 +579,7 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
                 state = hi
             block[t] = state
         out[start : start + len(block)] = block
+    out.setflags(write=False)
     return SymbolSequence(out, n, seed, m)
 
 

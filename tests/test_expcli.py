@@ -4,7 +4,7 @@ import math
 import pytest
 
 from orbitrecur import expcli
-from orbitrecur.errors import ConfigError
+from orbitrecur.errors import ConfigError, IncompleteRecordError
 
 SMALL_MATCH = """\
 [experiment]
@@ -247,6 +247,38 @@ class TestRunAndVerify:
         csv_path.write_text("\n".join(lines[:3]) + "\n")  # keep 2 of 9 rows
         code, msg = expcli.verify(tmp_path / "out")
         assert code == 3
+
+    @pytest.mark.parametrize("name", ["report.json", "results.csv"])
+    def test_verify_rejects_foreign_digest(self, tmp_path, capsys, name):
+        expcli.run(expcli.parse_config_text(SMALL_PROX), tmp_path / "out")
+        path = tmp_path / "out" / name
+        digest = json.loads((tmp_path / "out" / "manifest.json").read_text())["digest"]
+        text = path.read_text()
+        if name == "results.csv":  # one row from another config
+            lines = text.splitlines()
+            lines[4] = lines[4].replace(digest, "0123456789ab")
+            text = "\n".join(lines) + "\n"
+        else:
+            text = text.replace(digest, "0123456789ab")
+        path.write_text(text)
+        with pytest.raises(IncompleteRecordError, match=name):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("text", [
+        SMALL_MATCH, SMALL_PROX, SMALL_D2, SMALL_H2,
+        SMALL_RETURNS.replace("mode = exact", "mode = empirical"),
+    ], ids=["match_curve", "proximity_curve", "d2", "h2", "returns"])
+    def test_verify_rejects_underived_seed(self, tmp_path, capsys, text):
+        expcli.run(expcli.parse_config_text(text), tmp_path / "out")
+        expcli.verify(tmp_path / "out")  # the untouched record is consistent
+        path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["cells"][-1]["seed"] += 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(IncompleteRecordError, match="manifest.json"):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
 
     def test_manifest_records_cell_seeds(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)

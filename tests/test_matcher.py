@@ -179,7 +179,25 @@ class TestMatchCurve:
 
 
 def brute_return_measure(m, r, k):
-    """Direct enumeration over all admissible (r+k)-words."""
+    """Direct enumeration over all (r+k)-words, vectorised: axis t of the
+    mass tensor is symbol t, so entry w holds pi[w_0] P[w_0, w_1] ... (0 for
+    inadmissible words); the words with w[i + k] == w[i] for i < r are
+    summed."""
+    mk = m.as_markov()
+    d, length = mk.alphabet_size, r + k
+    mass = mk.pi.copy()
+    for _ in range(1, length):
+        mass = mass[..., None] * mk.P
+    same = np.eye(d, dtype=bool)
+    for i in range(r):
+        shape = [1] * length
+        shape[i] = shape[i + k] = d
+        mass *= same.reshape(shape)
+    return float(mass.sum())
+
+
+def loop_return_measure(m, r, k):
+    """The same enumeration one admissible word at a time."""
     total = 0.0
     for w in admissible_words(m.system, r + k):
         if all(w[i + k] == w[i] for i in range(r)):
@@ -208,6 +226,14 @@ class TestReturnSets:
             exact = return_set_measure(measure, r, k).value
             brute = brute_return_measure(measure, r, k)
             assert abs(exact - brute) < 1e-12, (r, k)
+
+    @pytest.mark.parametrize("measure", [UNIFORM, GOLDEN, BernoulliMeasure([0.2, 0.3, 0.5])])
+    def test_vectorised_enumeration_matches_loop(self, measure):
+        # same products in the same order; only the summation order differs
+        for r, k in [(1, 1), (2, 1), (3, 2), (2, 4), (4, 3), (3, 5)]:
+            vec = brute_return_measure(measure, r, k)
+            loop = loop_return_measure(measure, r, k)
+            assert abs(vec - loop) <= 64 * np.finfo(np.float64).eps, (r, k)
 
     def test_empirical_agrees_with_exact(self):
         for r, k, seed in [(3, 2, 1), (4, 6, 2), (2, 1, 3)]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrecur import (
     GaussMap,
@@ -89,6 +91,73 @@ class TestBruteforceAgreement:
             a = closest_pair(pts, variant, alpha=2)
             b = closest_pair_bruteforce(pts, variant, alpha=2)
             assert (a.value, a.witness_i, a.witness_j) == (b.value, b.witness_i, b.witness_j)
+
+
+def python_int_orbit(k, W, digits, n):
+    """The construction the limbs replaced: one Python int per window, slid
+    digit by digit, and points = window / float(k^W)."""
+    m = 0
+    for d in digits[:W]:
+        m = m * k + d
+    windows = [m]
+    mod = k ** (W - 1)
+    for i in range(1, n):
+        m = (m % mod) * k + digits[W + i - 1]
+        windows.append(m)
+    denom = float(k**W)
+    return tuple(windows), np.array([w / denom for w in windows], dtype=np.float64)
+
+
+def outcome(fn, orb, variant, alpha):
+    try:
+        res = fn(orb, variant, alpha=alpha)
+    except ValueError as exc:  # "far" with alpha >= n - 1 has no pair
+        return str(exc)
+    return (res.exact, res.value, res.witness_i, res.witness_j)
+
+
+@st.composite
+def exact_orbit_cases(draw):
+    k = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(3, 80))
+    # narrow windows force duplicates and ties; wide ones span several limbs
+    W = draw(st.one_of(st.integers(1, 8), st.integers(20, 150)))
+    total = n + W
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    digits = rng.integers(0, k, size=total)
+    # a periodic stretch makes windows that agree on their leading digits
+    # (ties in the leading limbs, later limbs decide, in any index order)
+    # or on all of them (gap 0)
+    cut = draw(st.sampled_from([0, total // 2, total]))
+    digits[:cut] = np.resize(digits[total - draw(st.integers(1, 6)):], cut)
+    alpha = draw(st.integers(1, n))
+    return k, n, W, digits.tolist(), alpha
+
+
+class TestLimbKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_orbit_cases())
+    def test_against_bruteforce_and_python_ints(self, case):
+        k, n, W, digits, alpha = case
+        orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
+        windows, points = python_int_orbit(k, W, digits, n)
+        assert len(orb) == n
+        assert orb.windows == windows
+        assert orb.points.tobytes() == points.tobytes()
+        for variant in VARIANTS:
+            for a_ in (None, alpha):
+                assert outcome(closest_pair, orb, variant, a_) == \
+                    outcome(closest_pair_bruteforce, orb, variant, a_), variant
+
+    def test_limb_layout(self):
+        # k = 2 packs 62 digits a limb, k = 7 packs 22
+        for k, W, widths in ((2, 96, (62, 34)), (2, 62, (62,)), (7, 50, (22, 22, 6))):
+            orb = doubling_orbit_exact(k, 10, W, seed=1, enforce_floor=False)
+            assert orb.limb_radices == tuple(k**w for w in widths)
+            assert all(limb.dtype == np.int64 for limb in orb.limbs)
+            # the seeded draw is the one the Python-int construction used
+            digits = make_rng(1).integers(0, k, size=10 + W).tolist()
+            assert orb.windows == python_int_orbit(k, W, digits, 10)[0]
 
 
 class TestVariantAlgebra:

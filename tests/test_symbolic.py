@@ -232,6 +232,24 @@ class TestSampling:
         seq = sample_sequence(BernoulliMeasure([0.5, 0.5]), None, 100, 17, seed=0)
         assert len(seq) == 117 and seq.n == 100 and seq.buffer == 17
 
+    def test_caller_buffers_copied_frozen_arrays_adopted(self):
+        m = BernoulliMeasure([0.5, 0.5])
+        for given in (np.array([0, 1, 1, 0], dtype=np.int64), [0, 1, 1, 0],
+                      np.array([0, 1, 1, 0], dtype=np.int32),
+                      np.array([9, 0, 1, 1, 0], dtype=np.int64)[1:]):
+            seq = symbolic.SymbolSequence(given, 4, 0, m)
+            assert seq.symbols is not given and not seq.symbols.flags.writeable
+            if isinstance(given, np.ndarray):
+                assert given.flags.writeable
+                given[0] = 1  # the caller's buffer stays theirs
+            assert seq.symbols.tolist() == [0, 1, 1, 0]
+        frozen = np.array([0, 1, 1, 0], dtype=np.int64)
+        frozen.setflags(write=False)
+        assert symbolic.SymbolSequence(frozen, 4, 0, m).symbols is frozen
+        for measure in (m, golden_markov()):
+            sym = sample_sequence(measure, None, 50, 5, seed=4).symbols
+            assert sym.flags.owndata and not sym.flags.writeable
+
 
 def whole_list_markov_sample(m, total, seed):
     """Reference Markov sampler: one bisect loop over the whole draw held as
