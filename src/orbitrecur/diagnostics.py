@@ -81,8 +81,7 @@ def _smallest_multiple_in(k: int, lo: int, hi: int) -> int | None:
     return first if first <= hi else None
 
 
-def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int,
-                       enumeration_cap: int = 1 << 20) -> list[BoundCheck]:
+def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
     """Exact return-set masses against their three regime bounds.
 
     For lag k up to floor(r/2): mu(S_k(r)) <= B^6 Z_l(w) with l the smallest
@@ -99,7 +98,7 @@ def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int,
     psi, _ = psi_mixing_table(m.as_markov(), max(k_max - r, 0))
     checks = []
     for k in range(1, k_max + 1):
-        lhs = return_set_measure(m, r, k, "exact", cap=enumeration_cap).value
+        lhs = return_set_measure(m, r, k, "exact").value
         if k <= r // 2:
             ell = _smallest_multiple_in(k, math.ceil(r / 4), r // 2)
             if ell is None:

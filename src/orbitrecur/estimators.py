@@ -135,26 +135,6 @@ def d2_estimate(curve: CorrelationCurve, trim: int = 0, c_max: float = 0.5) -> S
     return _ols(x, y)
 
 
-def d2_slope_window_band(curve: CorrelationCurve, window_points: int = 12,
-                         c_max: float = 0.5) -> tuple[float, float]:
-    """(lower, upper) dimension estimates as min/max of windowed slopes.
-
-    Slopes of log C vs log r over every sliding window of the usable grid;
-    the spread brackets the scaling exponent when it drifts across scales.
-    """
-    usable = (curve.c_values > 0.0) & (curve.c_values <= c_max) & ~curve.floor_flags
-    idx = np.flatnonzero(usable)
-    if len(idx) < window_points:
-        raise FitRefusedError(f"only {len(idx)} usable points; need {window_points}")
-    x = np.log(curve.r_grid[idx])
-    y = np.log(curve.c_values[idx])
-    slopes = [
-        _ols(x[s : s + window_points], y[s : s + window_points]).slope
-        for s in range(0, len(idx) - window_points + 1)
-    ]
-    return min(slopes), max(slopes)
-
-
 @dataclass(frozen=True)
 class CollisionEntropyEstimate:
     """Block-collision estimate of the order-2 entropy."""

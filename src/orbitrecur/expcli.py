@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -387,13 +388,12 @@ def _row_line(digest: str, kind: str, row: CurveRow) -> str:
 
 
 def _rows_to_csv(digest: str, kind: str, rows: list[CurveRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([digest, kind, row.n, row.replicate, row.seed,
-                         repr(float(row.value)), repr(float(row.aux)), row.flag])
-    return buf.getvalue()
+    return ",".join(CSV_HEADER) + "\n" + "".join(_row_line(digest, kind, r) for r in rows)
+
+
+def _parse_row(rec: list[str]) -> CurveRow:
+    return CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
+                    value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
 
 
 def _read_group(cells_dir: Path, digest: str, key: int) -> list[CurveRow] | None:
@@ -405,9 +405,7 @@ def _read_group(cells_dir: Path, digest: str, key: int) -> list[CurveRow] | None
     records = list(csv.reader(path.read_text().splitlines()))
     if any(rec[0] != digest for rec in records):
         return None
-    return [CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
-                     value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
-            for rec in records]
+    return [_parse_row(rec) for rec in records]
 
 
 def _env_workers() -> int:
@@ -458,23 +456,10 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     rows.sort(key=lambda r: (r.n, r.replicate))
     wall = time.time() - t0
 
-    meta = _experiment_meta(cfg)
     report: dict[str, Any] = {"kind": cfg.kind, "digest": digest,
-                              "tolerance": cfg.tolerance, **meta}
-    if cfg.kind in ("match_curve", "proximity_curve"):
-        try:
-            fitres = exponent_fit(rows, target=meta["target"],
-                                  min_grid_points=min(cfg.min_grid_points, len(cfg.n_grid)),
-                                  min_replicates=min(3, cfg.replicates))
-            report["slope"] = fitres.fit.slope
-            report["slope_stderr"] = fitres.fit.stderr
-            report["excluded_cells"] = fitres.excluded_cells
-            report["used_cells"] = fitres.used_cells
-        except FitRefusedError as exc:
-            report["fit_refused"] = str(exc)
-    elif cfg.kind in ("d2", "h2"):
-        report["slope"] = sum(r.value for r in rows) / len(rows)
-    elif cfg.kind == "diagnostics":
+                              "tolerance": cfg.tolerance, **_experiment_meta(cfg),
+                              **_row_fields(cfg, rows)}
+    if cfg.kind == "diagnostics":
         report.update(_diagnostics_report(cfg))
         report["pass"] = report["all_pass"]
     elif cfg.kind == "returns":
@@ -496,6 +481,22 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     (out / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")
     return ExperimentRecord(digest, cfg.kind, rows, report, manifest, out)
+
+
+def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
+    """The report fields computed from the rows: the fitted slope of a
+    curve, or the mean over d2/h2 replicates. verify recomputes them."""
+    if cfg.kind in ("match_curve", "proximity_curve"):
+        try:
+            fitres = exponent_fit(rows, min_grid_points=min(cfg.min_grid_points, len(cfg.n_grid)),
+                                  min_replicates=min(3, cfg.replicates))
+        except FitRefusedError as exc:
+            return {"fit_refused": str(exc)}
+        return {"slope": fitres.fit.slope, "slope_stderr": fitres.fit.stderr,
+                "excluded_cells": fitres.excluded_cells, "used_cells": fitres.used_cells}
+    if cfg.kind in ("d2", "h2"):
+        return {"slope": sum(r.value for r in rows) / len(rows)}
+    return {}
 
 
 def _without(d: dict, key: str) -> dict:
@@ -520,15 +521,18 @@ def _expected_cells(cfg: ExperimentConfig) -> int:
     return cfg.k_max + 1  # diagnostics: sigma checks plus psi decay
 
 
-def _check_consistent(report: dict, manifest: dict, csv_text: str) -> None:
-    """Raise IncompleteRecordError, naming the file at fault, unless
-    report.json and every results.csv row carry manifest.json's config
-    digest and every manifest cell carries the seed its config derives."""
+def _check_consistent(report: dict, manifest: dict,
+                      csv_text: str) -> tuple[ExperimentConfig, list[CurveRow]]:
+    """The record's config and rows. Raise IncompleteRecordError, naming
+    the file at fault, unless report.json and every results.csv row carry
+    manifest.json's config digest, every manifest cell carries the seed its
+    config derives, and the rows are the manifest cells in order."""
     digest = manifest.get("digest")
     if report.get("digest") != digest:
         raise IncompleteRecordError(
             f"report.json: digest {report.get('digest')!r} is not manifest.json's {digest!r}")
-    for rec in list(csv.reader(csv_text.splitlines()))[1:]:
+    records = list(csv.reader(csv_text.splitlines()))[1:]
+    for rec in records:
         found = rec[0] if rec else None
         if found != digest:
             raise IncompleteRecordError(
@@ -537,12 +541,55 @@ def _check_consistent(report: dict, manifest: dict, csv_text: str) -> None:
         cfg = parse_config_text(manifest.get("config", ""))
     except ConfigError as exc:
         raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
-    for cell in manifest.get("cells", []):
-        expected = _cell_seed(cfg, cell["n"], cell["replicate"])
-        if cell["seed"] != expected:
+    try:
+        cells = [(c["n"], c["replicate"], c["seed"]) for c in manifest.get("cells", [])]
+    except (KeyError, TypeError) as exc:
+        raise IncompleteRecordError(f"manifest.json: malformed cell: {exc!r}") from None
+    for n, replicate, seed in cells:
+        expected = _cell_seed(cfg, n, replicate)
+        if seed != expected:
             raise IncompleteRecordError(
-                f"manifest.json: cell (n={cell['n']}, replicate={cell['replicate']}) "
-                f"has seed {cell['seed']}, its config derives {expected}")
+                f"manifest.json: cell (n={n}, replicate={replicate}) "
+                f"has seed {seed}, its config derives {expected}")
+    try:
+        rows = [_parse_row(rec) for rec in records]
+    except (IndexError, ValueError) as exc:
+        raise IncompleteRecordError(f"results.csv: malformed row: {exc}") from None
+    if [(r.n, r.replicate, r.seed) for r in rows] != cells[:len(rows)]:
+        raise IncompleteRecordError(
+            "results.csv: the rows' (n, replicate, seed) are not manifest.json's cells in order")
+    return cfg, rows
+
+
+def _check_derived(cfg: ExperimentConfig, report: dict, rows: list[CurveRow]) -> None:
+    """Raise IncompleteRecordError unless all the record derives from the
+    results.csv rows comes out the same when recomputed: report.json's fit
+    or mean and its per-row check values, and each curve row's value from
+    its aux (value = aux / log n)."""
+    derived = _row_fields(cfg, rows)
+    recorded = {key: report.get(key) for key in derived}
+    if cfg.kind in ("match_curve", "proximity_curve"):
+        derived["value"] = [r.aux / math.log(r.n) for r in rows]
+        recorded["value"] = [r.value for r in rows]
+    elif cfg.kind in ("diagnostics", "returns"):
+        value, aux = ("margin", "lhs") if cfg.kind == "diagnostics" else ("value", "stderr")
+        derived["checks"] = [[r.value, r.aux] for r in rows]
+        recorded["checks"] = [[c.get(value), c.get(aux)] for c in report.get("checks", [])]
+    for key, value in derived.items():
+        # JSON text compares floats exactly and lets NaN equal NaN
+        if json.dumps(recorded[key]) != json.dumps(value):
+            raise IncompleteRecordError(
+                f"report.json and results.csv disagree: {key} is {recorded[key]!r}, "
+                f"the rows give {value!r}")
+
+
+def _record_file(out: Path, name: str):
+    """One record file: parsed JSON, or the text of results.csv."""
+    try:
+        text = (out / name).read_text()
+        return text if name.endswith(".csv") else json.loads(text)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON
+        raise IncompleteRecordError(f"{name}: missing or unreadable: {exc}") from None
 
 
 def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, str]:
@@ -552,18 +599,13 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
     half of the expected cells missing). A record that disagrees with itself
     raises IncompleteRecordError (exit 3); see _check_consistent.
     """
-    out = Path(out_dir)
-    try:
-        report = json.loads((out / "report.json").read_text())
-        manifest = json.loads((out / "manifest.json").read_text())
-        csv_text = (out / "results.csv").read_text()
-    except OSError as exc:
-        raise IncompleteRecordError(f"missing record file: {exc}") from None
-    _check_consistent(report, manifest, csv_text)
-    n_rows = max(len(csv_text.strip().splitlines()) - 1, 0)
+    report, manifest, csv_text = (_record_file(Path(out_dir), name)
+                                  for name in ("report.json", "manifest.json", "results.csv"))
+    cfg, rows = _check_consistent(report, manifest, csv_text)
     expected = int(manifest.get("expected_cells", 0))
-    if expected > 0 and n_rows < expected / 2.0:
-        return 3, f"incomplete: {n_rows} of {expected} cells present"
+    if not rows or len(rows) < expected / 2.0:
+        return 3, f"incomplete: {len(rows)} of {expected} cells present"
+    _check_derived(cfg, report, rows)
     if report.get("kind") == "diagnostics":
         ok = bool(report.get("pass"))
         return (0 if ok else 1), ("diagnostics all-pass" if ok else "diagnostics bound failed")

@@ -370,15 +370,6 @@ def gauss_inverse_cdf(u: float) -> float:
     return 2.0**u - 1.0
 
 
-def orbit_csv(orbit: OrbitBuffer) -> str:
-    """CSV export of an orbit: index, point, noise_floor."""
-    lines = ["index,point,noise_floor"]
-    floor = repr(float(orbit.noise_floor))
-    for i, p in enumerate(orbit.points):
-        lines.append(f"{i},{float(p)!r},{floor}")
-    return "\n".join(lines) + "\n"
-
-
 def sample_initial(spec: MapSpec, rng: np.random.Generator) -> float:
     """Draw an initial point from the map's sampling measure.
 

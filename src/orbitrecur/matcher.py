@@ -37,6 +37,8 @@ __all__ = [
     "return_set_measure",
 ]
 
+ENUMERATION_CAP = 1 << 20  # most k-words the exact k < r return mass enumerates
+
 
 @dataclass(frozen=True)
 class MatchResult:
@@ -224,7 +226,7 @@ class ReturnSetEstimate:
     stderr: float = 0.0
 
 
-def _exact_return_measure(m: MeasureSpec, r: int, k: int, cap: int) -> float:
+def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
     mk = m.as_markov()
     P = mk.P
     pi = mk.pi
@@ -239,9 +241,9 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int, cap: int) -> float:
         T = np.linalg.matrix_power(P, k - r + 1)
         return float(np.sum(pi * np.sum(G * T.T, axis=1)))
     # k < r: the window of length r + k is k-periodic; enumerate k-words
-    if d**k > cap:
+    if d**k > ENUMERATION_CAP:
         raise EnumerationBudgetError(
-            f"exact mode needs {d}^{k} word enumerations; cap is {cap}"
+            f"exact mode needs {d}^{k} word enumerations; cap is {ENUMERATION_CAP}"
         )
     total = 0.0
     length = r + k
@@ -264,20 +266,19 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int, cap: int) -> float:
 
 
 def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
-                       samples: int = 100_000, seed: int = 0,
-                       cap: int = 1 << 20) -> ReturnSetEstimate:
+                       samples: int = 100_000, seed: int = 0) -> ReturnSetEstimate:
     """mu(S_k(r)) = mu{x : the r-prefix of x recurs at lag k}.
 
     Exact mode (Bernoulli/Markov/2-block Gibbs): for k >= r an r-step
     pair-chain connected by a (k-r+1)-step transition power; for k < r a sum
-    over admissible k-periodic words, capped by the enumeration budget.
+    over admissible k-periodic words, at most ENUMERATION_CAP of them.
     Empirical mode: frequency of the event over independently sampled paths
     of length r + k.
     """
     if r < 1 or k < 1:
         raise ValueError("need r >= 1 and k >= 1")
     if mode == "exact":
-        value = _exact_return_measure(m, r, k, cap)
+        value = _exact_return_measure(m, r, k)
         return ReturnSetEstimate(r, k, value, "exact_markov")
     if mode == "empirical":
         if samples < 1:

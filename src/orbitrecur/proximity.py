@@ -161,27 +161,32 @@ def _value_order(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     return order
 
 
-def _adjacent_scan(keys, radices):
-    """Least gap between value-sorted neighbours, smallest (i, j) on ties."""
-    order = _value_order(keys)
-    ranked = [key[order] for key in keys]
-    gaps = _abs_gaps([r[1:] for r in ranked], [r[:-1] for r in ranked], radices)
-    rows = _min_rows(gaps)
-    a, b = order[rows], order[rows + 1]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    t = np.lexsort((hi, lo))[0]
-    return _join([g[rows[t]].item() for g in gaps], radices), int(lo[t]), int(hi[t])
+def _offset_scan(keys, radices, perm, offsets, admissible=None, stop=False):
+    """Least gap over the pairs (perm[t], perm[t + s]) of each offset s, with
+    the smallest (i, j) on ties; None when no pair is admissible.
 
-
-def _near_scan(keys, radices, alpha: int):
-    """Min over pairs with index gap <= alpha, one vectorised pass per gap
-    offset d; the key (gap, t, t + d) orders ties."""
-    n = len(keys[0])
-    best = None
-    for d in range(1, min(alpha, n - 1) + 1):
-        gaps = _abs_gaps([key[d:] for key in keys], [key[:-d] for key in keys], radices)
-        t = int(_min_rows(gaps)[0])
-        cand = ([g[t].item() for g in gaps], t, t + d)
+    `admissible(i, j)`, given index arrays with i < j, masks the pairs a
+    variant allows. With `stop`, perm must sort the points by value: each
+    pair's gap then grows with s, so the scan ends at the first offset
+    whose least gap over all its pairs exceeds the best admissible one.
+    """
+    ranked = [key[perm] for key in keys]
+    best = None  # (limb values, i, j): one comparison orders gaps, then ties
+    for s in offsets:
+        gaps = _abs_gaps([r[s:] for r in ranked], [r[:-s] for r in ranked], radices)
+        rows = _min_rows(gaps)
+        if stop and best is not None and [g[rows[0]].item() for g in gaps] > best[0]:
+            break
+        if admissible is not None:
+            a, b = perm[:-s], perm[s:]
+            allowed = np.flatnonzero(admissible(np.minimum(a, b), np.maximum(a, b)))
+            if allowed.size == 0:
+                continue
+            rows = allowed[_min_rows([g[allowed] for g in gaps])]
+        a, b = perm[rows], perm[rows + s]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        t = np.lexsort((hi, lo))[0]
+        cand = ([g[rows[t]].item() for g in gaps], int(lo[t]), int(hi[t]))
         if best is None or cand < best:
             best = cand
     if best is None:
@@ -190,45 +195,16 @@ def _near_scan(keys, radices, alpha: int):
     return _join(limbs, radices), i, j
 
 
-def _sorted_scan(vals: list, order: list[int], variant: str, alpha: int):
-    """Outward scan in sorted order; stops when the value gap alone exceeds
-    the best admissible distance found so far."""
-    n = len(vals)
-    sv = [vals[t] for t in order]
-    lo_cut = n // 3
-    hi_cut = math.ceil(2 * n / 3)
-
-    def admissible(a: int, b: int) -> bool:
-        i, j = (a, b) if a < b else (b, a)
-        if variant == "far":
-            return j - i > alpha
-        return i <= lo_cut and j >= hi_cut  # split
-
-    best = None  # (gap, i, j)
-    for t in range(n - 1):
-        for u in range(t + 1, n):
-            gap = sv[u] - sv[t]
-            if best is not None and gap > best[0]:
-                break
-            a, b = order[t], order[u]
-            if not admissible(a, b):
-                continue
-            i, j = (a, b) if a < b else (b, a)
-            key = (gap, i, j)
-            if best is None or key < best:
-                best = key
-    return best
-
-
 def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> ProximityResult:
     """Minimum distance between two iterates under the variant's index rule.
 
-    "all" is the least gap between neighbours of the value-sorted orbit;
-    "near" sweeps index offsets directly, one vectorised pass per offset;
-    "far" and "split" scan outward from each sorted position until the
-    sorted-value gap alone exceeds the best admissible pair. Exact orbits
-    are compared limb by limb (see OrbitBuffer), so every distance stays
-    exact. Brute force remains the arbiter in tests.
+    Every variant runs one offset scan over the points' limbs: "all" pairs
+    the neighbours of the value-sorted orbit; "near" pairs index offsets 1
+    to alpha directly; "far" and "split" pair ever larger rank offsets of
+    the sorted orbit, keep the pairs their index rule admits, and stop once
+    a whole offset lies beyond the best admissible gap. Exact orbits are
+    compared limb by limb (see OrbitBuffer), so every distance stays exact.
+    Brute force remains the arbiter in tests.
     """
     keys, radices, floor = _orbit_keys(orbit)
     n = len(keys[0])
@@ -237,11 +213,19 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
     if variant == "all":
-        got = _adjacent_scan(keys, radices)
+        got = _offset_scan(keys, radices, _value_order(keys), (1,))
     elif variant == "near":
-        got = _near_scan(keys, radices, alpha)
+        got = _offset_scan(keys, radices, np.arange(n), range(1, min(alpha, n - 1) + 1))
     else:
-        got = _sorted_scan(_orbit_values(orbit)[0], _value_order(keys).tolist(), variant, alpha)
+        if variant == "far":
+            def admissible(i, j):
+                return j - i > alpha
+        else:
+            lo_cut, hi_cut = n // 3, math.ceil(2 * n / 3)
+
+            def admissible(i, j):
+                return (i <= lo_cut) & (j >= hi_cut)
+        got = _offset_scan(keys, radices, _value_order(keys), range(1, n), admissible, stop=True)
     if got is None:
         raise ValueError(f"no admissible pair for variant {variant!r}")
     gap, i, j = got

@@ -181,20 +181,3 @@ class TestExponentFit:
         with pytest.raises(FitRefusedError):
             exponent_fit(rows)
 
-
-class TestD2WindowBand:
-    def test_uniform_band_brackets_one(self):
-        from orbitrecur.estimators import d2_slope_window_band
-
-        pts = make_rng(17).random(10**5)
-        lo, hi = d2_slope_window_band(correlation_integral(pts, default_r_grid()))
-        assert lo <= hi
-        assert 0.8 <= lo and hi <= 1.2
-
-    def test_needs_enough_points(self):
-        from orbitrecur.estimators import d2_slope_window_band
-
-        grid = default_r_grid(1e-1, 1, 6)
-        curve = CorrelationCurve(grid, grid.copy(), 500, np.zeros(len(grid), bool))
-        with pytest.raises(FitRefusedError):
-            d2_slope_window_band(curve, window_points=12)

@@ -280,6 +280,57 @@ class TestRunAndVerify:
             expcli.verify(tmp_path / "out")
         assert expcli.main(["verify", str(tmp_path / "out")]) == 3
 
+    @staticmethod
+    def edit_row(path, t, **fields):
+        """Rewrite fields (by CSV_HEADER name) of row t of results.csv."""
+        lines = path.read_text().splitlines()
+        rec = lines[t + 1].split(",")
+        for name, text in fields.items():
+            assert rec[expcli.CSV_HEADER.index(name)] != text
+            rec[expcli.CSV_HEADER.index(name)] = text
+        lines[t + 1] = ",".join(rec)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_verify_rejects_changed_row_seed_and_value(self, tmp_path, capsys):
+        expcli.run(expcli.parse_config_text(SMALL_PROX), tmp_path / "out")
+        assert expcli.verify(tmp_path / "out")[0] == 0
+        self.edit_row(tmp_path / "out" / "results.csv", 4, seed="12345", value="9.5")
+        with pytest.raises(IncompleteRecordError, match="results.csv"):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("kind", sorted(ALL_SMALL))
+    def test_verify_rejects_changed_row_value(self, tmp_path, capsys, kind):
+        expcli.run(expcli.parse_config_text(ALL_SMALL[kind]), tmp_path / "out")
+        expcli.verify(tmp_path / "out")  # the untouched record is consistent
+        self.edit_row(tmp_path / "out" / "results.csv", 1, value="0.123")
+        with pytest.raises(IncompleteRecordError, match="results.csv"):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("kind", ["match_curve", "proximity_curve"])
+    def test_verify_rejects_changed_fit_input(self, tmp_path, capsys, kind):
+        # aux is what the slope is fitted to; value follows it
+        expcli.run(expcli.parse_config_text(ALL_SMALL[kind]), tmp_path / "out")
+        self.edit_row(tmp_path / "out" / "results.csv", 1, value=repr(12.0 / math.log(50)),
+                      aux="12.0")
+        with pytest.raises(IncompleteRecordError, match="slope"):
+            expcli.verify(tmp_path / "out")
+
+    @pytest.mark.parametrize("name", ["report.json", "manifest.json"])
+    def test_verify_rejects_malformed_record(self, tmp_path, capsys, name):
+        expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path / "out")
+        path = tmp_path / "out" / name
+        if name == "report.json":  # cut short
+            path.write_text(path.read_text()[:40])
+        else:  # a cell without its seed
+            manifest = json.loads(path.read_text())
+            del manifest["cells"][0]["seed"]
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(IncompleteRecordError, match=name):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
     def test_manifest_records_cell_seeds(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)
         rec = expcli.run(cfg, tmp_path / "out")

@@ -264,17 +264,3 @@ class TestSpecValidation:
     def test_mp_exponent_range(self):
         with pytest.raises(InvalidSystemError):
             MPInduced(1.0)
-
-
-class TestOrbitCsv:
-    def test_schema_and_values(self):
-        from orbitrecur.intervalmaps import orbit_csv
-
-        orb = iterate(GaussMap(), 0.7071067811865476, 3)
-        text = orbit_csv(orb)
-        lines = text.splitlines()
-        assert lines[0] == "index,point,noise_floor"
-        assert len(lines) == 4
-        idx, point, floor = lines[1].split(",")
-        assert idx == "0" and float(point) == orb.points[0]
-        assert float(floor) == orb.noise_floor

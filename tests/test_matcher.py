@@ -244,7 +244,7 @@ class TestReturnSets:
     def test_budget_cap(self):
         big = BernoulliMeasure([0.25] * 4)
         with pytest.raises(EnumerationBudgetError):
-            return_set_measure(big, 20, 12, cap=1 << 10)
+            return_set_measure(big, 20, 12)  # 4^12 words exceed the 2^20 cap
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -160,6 +160,69 @@ class TestLimbKernel:
             assert orb.windows == python_int_orbit(k, W, digits, 10)[0]
 
 
+def rank_offset(values, i, j):
+    """How many places apart i and j sit in the value order, ties by index."""
+    order = sorted(range(len(values)), key=lambda t: (values[t], t))
+    rank = {t: r for r, t in enumerate(order)}
+    return abs(rank[i] - rank[j])
+
+
+class TestRankOffsets:
+    """Answers of the "far" and "split" variants beyond rank offset 1. Each
+    exact orbit is checked, and its float points (exact: W <= 52 bits)."""
+
+    @staticmethod
+    def agree(orb, variant, alpha=None):
+        for pts in (orb, list(orb.points)):
+            a = closest_pair(pts, variant, alpha)
+            b = closest_pair_bruteforce(pts, variant, alpha)
+            assert (a.value, a.witness_i, a.witness_j, a.exact) == \
+                (b.value, b.witness_i, b.witness_j, b.exact), variant
+        return b
+
+    def test_monotone_far(self):
+        # window i is 2^(8 + i) - 1: increasing, so ranks are indices and the
+        # closest admissible pair is alpha + 1 ranks apart
+        orb = doubling_orbit_exact(2, 12, 20, digits=[0] * 12 + [1] * 20, enforce_floor=False)
+        res = self.agree(orb, "far", alpha=3)
+        assert (res.witness_i, res.witness_j) == (0, 4)
+        assert rank_offset(orb.windows, 0, 4) == 4
+
+    def test_split_three_ranks_apart(self):
+        for seed in range(300):
+            orb = doubling_orbit_exact(2, 9, 10, seed=seed, enforce_floor=False)
+            res = self.agree(orb, "split")
+            if rank_offset(orb.windows, res.witness_i, res.witness_j) >= 3:
+                break
+        else:
+            pytest.fail("no seed puts the split pair 3 ranks apart")
+
+    def test_zero_gap_tie_at_larger_offset(self):
+        # windows (7, 7, 6, 5, 3, 7, 6): with alpha = 2, (1, 5) and (2, 6)
+        # have gap 0 at rank offset 1, but the smallest pair (0, 5) is 2 ranks
+        # apart; stopping once an offset's least gap ties the best misses it
+        orb = doubling_orbit_exact(2, 7, 3, digits=[1, 1, 1, 1, 0, 1, 1, 1, 0, 0],
+                                   enforce_floor=False)
+        res = self.agree(orb, "far", alpha=2)
+        assert (res.value, res.witness_i, res.witness_j) == (0.0, 0, 5)
+        assert rank_offset(orb.windows, 0, 5) == 2
+        assert rank_offset(orb.windows, 1, 5) == 1
+
+    def test_far_without_admissible_pair(self):
+        orb = doubling_orbit_exact(2, 10, 30, seed=4, enforce_floor=False)
+        for pts in (orb, list(orb.points)):
+            for alpha in (9, 10, 50):
+                for fn in (closest_pair, closest_pair_bruteforce):
+                    with pytest.raises(ValueError, match="no admissible pair"):
+                        fn(pts, "far", alpha)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_limbs_only(self, variant):
+        orb = doubling_orbit_exact(2, 200, min_window_digits(2, 200), seed=9)
+        closest_pair(orb, variant)
+        assert "windows" not in orb.__dict__ and "points" not in orb.__dict__
+
+
 class TestVariantAlgebra:
     def test_near_far_partition(self):
         for seed in range(20):
