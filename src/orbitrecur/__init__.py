@@ -55,7 +55,6 @@ from .symbolic import (
     SymbolSequence,
     SystemDiagnostics,
     TransitionSystem,
-    Word,
     cylinder_measure,
     full_shift,
     sample_sequence,

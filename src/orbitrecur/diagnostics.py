@@ -17,6 +17,7 @@ from .thermo import psi_mixing_table, z_partition_sum
 __all__ = [
     "BoundCheck",
     "quasi_bernoulli_constant",
+    "sigma_bounds",
     "sigma_bounds_check",
     "psi_decay_check",
 ]
@@ -81,14 +82,14 @@ def _smallest_multiple_in(k: int, lo: int, hi: int) -> int | None:
     return first if first <= hi else None
 
 
-def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
-    """Exact return-set masses against their three regime bounds.
+def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> list[tuple[str, float]]:
+    """The (name, rhs) of the regime bound on mu(S_k(r)) per lag k <= k_max.
 
     For lag k up to floor(r/2): mu(S_k(r)) <= B^6 Z_l(w) with l the smallest
     multiple of k in [ceil(r/4), floor(r/2)] and w = floor(r/l). For lags up
     to r: mu(S_k(r)) <= B^6 Z_{r-k}(2) Z_{2k-r}(1) (a word repeated three
     times around two identical spacers). Beyond r: mu(S_k(r)) <=
-    (1 + psi(k - r)) Z_r(1).
+    (1 + psi(k - r)) Z_r(1). Nothing is enumerated.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -96,9 +97,8 @@ def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
         raise ValueError("k_max must be >= 1")
     B = quasi_bernoulli_constant(m)
     psi, _ = psi_mixing_table(m.as_markov(), max(k_max - r, 0))
-    checks = []
+    bounds = []
     for k in range(1, k_max + 1):
-        lhs = return_set_measure(m, r, k, "exact").value
         if k <= r // 2:
             ell = _smallest_multiple_in(k, math.ceil(r / 4), r // 2)
             if ell is None:
@@ -114,8 +114,14 @@ def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
         else:
             rhs = (1.0 + psi[k - r]) * z_partition_sum(m, r, 1.0)
             name = f"sigma2[r={r},k={k}]"
-        checks.append(BoundCheck(name, lhs, rhs))
-    return checks
+        bounds.append((name, rhs))
+    return bounds
+
+
+def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
+    """Exact return-set masses mu(S_k(r)) against their sigma_bounds."""
+    return [BoundCheck(name, return_set_measure(m, r, k, "exact").value, rhs)
+            for k, (name, rhs) in enumerate(sigma_bounds(m, r, k_max), start=1)]
 
 
 def psi_decay_check(m: MarkovMeasure, k_max: int) -> BoundCheck:

@@ -30,7 +30,8 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .diagnostics import psi_decay_check, quasi_bernoulli_constant, sigma_bounds_check
+from .diagnostics import (BoundCheck, psi_decay_check, quasi_bernoulli_constant, sigma_bounds,
+                          sigma_bounds_check)
 from .errors import ConfigError, FitRefusedError, IncompleteRecordError, OrbitRecurError
 from .estimators import (
     correlation_integral,
@@ -353,31 +354,6 @@ def _group_worker(args: tuple[str, int]) -> tuple[int, list[tuple]]:
     return key, [tuple(asdict(r).values()) for r in _run_group(cfg, key)]
 
 
-def _diagnostics_report(cfg: ExperimentConfig) -> dict[str, Any]:
-    m = measure_from_section(cfg.system)
-    checks = sigma_bounds_check(m, cfg.r, cfg.k_max)
-    checks.append(psi_decay_check(m.as_markov(), max(cfg.k_max, 2)))
-    decay = z_decay_check(m, max(cfg.k_max, 2))
-    return {
-        "checks": [
-            {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin, "pass": c.passed}
-            for c in checks
-        ],
-        "quasi_bernoulli_B": quasi_bernoulli_constant(m),
-        "z_decay_ratio_band": [decay.ratio_inf, decay.ratio_sup],
-        "all_pass": all(c.passed for c in checks),
-    }
-
-
-def _returns_report(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
-    return {
-        "checks": [
-            {"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux, "mode": cfg.mode}
-            for r in rows
-        ]
-    }
-
-
 def _row_line(digest: str, kind: str, row: CurveRow) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(
@@ -456,36 +432,35 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     rows.sort(key=lambda r: (r.n, r.replicate))
     wall = time.time() - t0
 
-    report: dict[str, Any] = {"kind": cfg.kind, "digest": digest,
-                              "tolerance": cfg.tolerance, **_experiment_meta(cfg),
-                              **_row_fields(cfg, rows)}
-    if cfg.kind == "diagnostics":
-        report.update(_diagnostics_report(cfg))
-        report["pass"] = report["all_pass"]
-    elif cfg.kind == "returns":
-        report.update(_returns_report(cfg, rows))
-    if cfg.tolerance is not None and report.get("target") is not None and "slope" in report:
-        report["pass"] = bool(abs(report["slope"] - report["target"]) <= cfg.tolerance)
-
+    report = _report(cfg, rows)
     manifest = {
         "version": __version__,
         "digest": digest,
         "config": cfg.raw_text,
-        "wall_time_s": wall,
         "cells": [{"n": r.n, "replicate": r.replicate, "seed": r.seed} for r in rows],
         "expected_cells": _expected_cells(cfg),
     }
     (out / "results.csv").write_text(_rows_to_csv(digest, cfg.kind, rows))
-    manifest_text = json.dumps(_without(manifest, "wall_time_s"), indent=2, sort_keys=True)
-    (out / "manifest.json").write_text(manifest_text + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     (out / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")
     return ExperimentRecord(digest, cfg.kind, rows, report, manifest, out)
 
 
+def _report(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
+    """report.json, a function of the config and the rows alone: run writes
+    it and verify recomputes it whole."""
+    report = {"kind": cfg.kind, "digest": cfg.digest(), "tolerance": cfg.tolerance,
+              **_experiment_meta(cfg), **_row_fields(cfg, rows)}
+    if cfg.tolerance is not None and report["target"] is not None and "slope" in report:
+        report["pass"] = bool(abs(report["slope"] - report["target"]) <= cfg.tolerance)
+    return report
+
+
 def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
     """The report fields computed from the rows: the fitted slope of a
-    curve, or the mean over d2/h2 replicates. verify recomputes them."""
+    curve, the mean over d2/h2 replicates, or the per-row checks (a
+    diagnostics row's aux is its check's lhs, so nothing is enumerated)."""
     if cfg.kind in ("match_curve", "proximity_curve"):
         try:
             fitres = exponent_fit(rows, min_grid_points=min(cfg.min_grid_points, len(cfg.n_grid)),
@@ -496,11 +471,20 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
                 "excluded_cells": fitres.excluded_cells, "used_cells": fitres.used_cells}
     if cfg.kind in ("d2", "h2"):
         return {"slope": sum(r.value for r in rows) / len(rows)}
-    return {}
-
-
-def _without(d: dict, key: str) -> dict:
-    return {k: v for k, v in d.items() if k != key}
+    if cfg.kind == "returns":
+        return {"checks": [{"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux,
+                            "mode": cfg.mode} for r in rows]}
+    m = measure_from_section(cfg.system)
+    psi = psi_decay_check(m.as_markov(), max(cfg.k_max, 2))
+    bounds = sigma_bounds(m, cfg.r, cfg.k_max) + [(psi.name, psi.rhs)]
+    checks = [BoundCheck(name, row.aux, rhs) for row, (name, rhs) in zip(rows, bounds)]
+    decay = z_decay_check(m, max(cfg.k_max, 2))
+    all_pass = all(c.passed for c in checks)
+    return {"checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
+                        "pass": c.passed} for c in checks],
+            "quasi_bernoulli_B": quasi_bernoulli_constant(m),
+            "z_decay_ratio_band": [decay.ratio_inf, decay.ratio_sup],
+            "all_pass": all_pass, "pass": all_pass}
 
 
 def _write_group(cells_dir: Path, digest: str, kind: str, key: int,
@@ -521,26 +505,28 @@ def _expected_cells(cfg: ExperimentConfig) -> int:
     return cfg.k_max + 1  # diagnostics: sigma checks plus psi decay
 
 
-def _check_consistent(report: dict, manifest: dict,
+def _check_consistent(manifest: dict,
                       csv_text: str) -> tuple[ExperimentConfig, list[CurveRow]]:
     """The record's config and rows. Raise IncompleteRecordError, naming
-    the file at fault, unless report.json and every results.csv row carry
-    manifest.json's config digest, every manifest cell carries the seed its
-    config derives, and the rows are the manifest cells in order."""
-    digest = manifest.get("digest")
-    if report.get("digest") != digest:
-        raise IncompleteRecordError(
-            f"report.json: digest {report.get('digest')!r} is not manifest.json's {digest!r}")
+    the file at fault, unless manifest.json's digest and expected_cells are
+    those of its config, every results.csv row carries that digest, every
+    manifest cell carries the seed its config derives, and the rows are the
+    manifest cells in order."""
+    try:
+        cfg = parse_config_text(manifest.get("config", ""))
+    except ConfigError as exc:
+        raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
+    digest = cfg.digest()
+    for key, value in (("digest", digest), ("expected_cells", _expected_cells(cfg))):
+        if manifest.get(key) != value:
+            raise IncompleteRecordError(
+                f"manifest.json: {key} {manifest.get(key)!r} is not its config's {value!r}")
     records = list(csv.reader(csv_text.splitlines()))[1:]
     for rec in records:
         found = rec[0] if rec else None
         if found != digest:
             raise IncompleteRecordError(
                 f"results.csv: digest {found!r} is not manifest.json's {digest!r}")
-    try:
-        cfg = parse_config_text(manifest.get("config", ""))
-    except ConfigError as exc:
-        raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
     try:
         cells = [(c["n"], c["replicate"], c["seed"]) for c in manifest.get("cells", [])]
     except (KeyError, TypeError) as exc:
@@ -562,25 +548,24 @@ def _check_consistent(report: dict, manifest: dict,
 
 
 def _check_derived(cfg: ExperimentConfig, report: dict, rows: list[CurveRow]) -> None:
-    """Raise IncompleteRecordError unless all the record derives from the
-    results.csv rows comes out the same when recomputed: report.json's fit
-    or mean and its per-row check values, and each curve row's value from
-    its aux (value = aux / log n)."""
-    derived = _row_fields(cfg, rows)
-    recorded = {key: report.get(key) for key in derived}
-    if cfg.kind in ("match_curve", "proximity_curve"):
-        derived["value"] = [r.aux / math.log(r.n) for r in rows]
-        recorded["value"] = [r.value for r in rows]
-    elif cfg.kind in ("diagnostics", "returns"):
-        value, aux = ("margin", "lhs") if cfg.kind == "diagnostics" else ("value", "stderr")
-        derived["checks"] = [[r.value, r.aux] for r in rows]
-        recorded["checks"] = [[c.get(value), c.get(aux)] for c in report.get("checks", [])]
-    for key, value in derived.items():
-        # JSON text compares floats exactly and lets NaN equal NaN
-        if json.dumps(recorded[key]) != json.dumps(value):
+    """Raise IncompleteRecordError unless report.json equals the report
+    recomputed from the config and the results.csv rows, and each row's
+    value is the one its aux gives: aux / log n for a curve row, its
+    check's margin for a diagnostics row."""
+    derived = _report(cfg, rows)
+    # JSON text compares floats exactly and lets NaN equal NaN
+    differ = sorted(key for key in report.keys() | derived.keys()
+                    if key not in report or key not in derived or
+                    json.dumps(report[key], sort_keys=True) != json.dumps(derived[key], sort_keys=True))
+    if differ:
+        raise IncompleteRecordError(
+            f"report.json differs from the report recomputed from results.csv in {differ}")
+    if cfg.kind in ("match_curve", "proximity_curve", "diagnostics"):
+        values = ([c["margin"] for c in derived["checks"]] if cfg.kind == "diagnostics"
+                  else [r.aux / math.log(r.n) for r in rows])
+        if json.dumps([r.value for r in rows]) != json.dumps(values):
             raise IncompleteRecordError(
-                f"report.json and results.csv disagree: {key} is {recorded[key]!r}, "
-                f"the rows give {value!r}")
+                f"results.csv: row values {[r.value for r in rows]}, their aux give {values}")
 
 
 def _record_file(out: Path, name: str):
@@ -601,8 +586,8 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
     """
     report, manifest, csv_text = (_record_file(Path(out_dir), name)
                                   for name in ("report.json", "manifest.json", "results.csv"))
-    cfg, rows = _check_consistent(report, manifest, csv_text)
-    expected = int(manifest.get("expected_cells", 0))
+    cfg, rows = _check_consistent(manifest, csv_text)
+    expected = _expected_cells(cfg)
     if not rows or len(rows) < expected / 2.0:
         return 3, f"incomplete: {len(rows)} of {expected} cells present"
     _check_derived(cfg, report, rows)

@@ -216,6 +216,8 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
         got = _offset_scan(keys, radices, _value_order(keys), (1,))
     elif variant == "near":
         got = _offset_scan(keys, radices, np.arange(n), range(1, min(alpha, n - 1) + 1))
+    elif variant == "far" and alpha >= n - 1:
+        got = None  # no index gap exceeds alpha
     else:
         if variant == "far":
             def admissible(i, j):

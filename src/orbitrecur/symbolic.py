@@ -27,7 +27,6 @@ from .rng import make_rng
 __all__ = [
     "TransitionSystem",
     "SystemDiagnostics",
-    "Word",
     "SymbolSequence",
     "MeasureSpec",
     "BernoulliMeasure",
@@ -76,9 +75,6 @@ class TransitionSystem:
 
     def allows(self, a: int, b: int) -> bool:
         return bool(self.admissible[a, b])
-
-    def word(self, symbols: Sequence[int]) -> "Word":
-        return Word.over(self, symbols)
 
 
 def full_shift(alphabet_size: int) -> TransitionSystem:
@@ -157,26 +153,6 @@ def validate_system(ts: TransitionSystem | Sequence) -> SystemDiagnostics:
 # ---------------------------------------------------------------------------
 # Words
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word over the alphabet, with its admissibility flag."""
-
-    symbols: tuple[int, ...]
-    admissible: bool
-
-    @staticmethod
-    def over(ts: TransitionSystem, symbols: Sequence[int]) -> "Word":
-        sym = tuple(int(s) for s in symbols)
-        d = ts.alphabet_size
-        if any(s < 0 or s >= d for s in sym):
-            raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
-        ok = all(ts.allows(a, b) for a, b in zip(sym, sym[1:]))
-        return Word(sym, ok)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
 
 def admissible_words(ts: TransitionSystem, length: int) -> Iterator[tuple[int, ...]]:
@@ -406,19 +382,17 @@ def _induced_chain(ts: TransitionSystem, phi: np.ndarray) -> MarkovMeasure:
 # ---------------------------------------------------------------------------
 
 
-def cylinder_measure(m: MeasureSpec, w: Word | Sequence[int]) -> float:
+def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
     """Exact cylinder mass of the word under the measure; 0 when inadmissible."""
-    if isinstance(w, Word):
-        symbols = w.symbols
-        admissible = w.admissible
-    else:
-        word = Word.over(m.system, w)
-        symbols, admissible = word.symbols, word.admissible
-    if len(symbols) == 0:
+    sym = [int(s) for s in w]
+    if not sym:
         raise ValueError("empty word rejected")
-    if not admissible:
+    d = m.alphabet_size
+    if any(s < 0 or s >= d for s in sym):
+        raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
+    if not all(m.system.allows(a, b) for a, b in zip(sym, sym[1:])):
         return 0.0
-    return m.word_measure(symbols)
+    return m.word_measure(sym)
 
 
 def _stationary_power(P: np.ndarray, start: np.ndarray, tol: float = 1e-15,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from orbitrecur import expcli
+from orbitrecur import diagnostics, expcli
 from orbitrecur.errors import ConfigError, IncompleteRecordError
 
 SMALL_MATCH = """\
@@ -248,7 +248,7 @@ class TestRunAndVerify:
         code, msg = expcli.verify(tmp_path / "out")
         assert code == 3
 
-    @pytest.mark.parametrize("name", ["report.json", "results.csv"])
+    @pytest.mark.parametrize("name", ["report.json", "results.csv", "manifest.json"])
     def test_verify_rejects_foreign_digest(self, tmp_path, capsys, name):
         expcli.run(expcli.parse_config_text(SMALL_PROX), tmp_path / "out")
         path = tmp_path / "out" / name
@@ -330,6 +330,55 @@ class TestRunAndVerify:
         with pytest.raises(IncompleteRecordError, match=name):
             expcli.verify(tmp_path / "out")
         assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    def test_verify_rejects_malformed_expected_cells(self, tmp_path, capsys):
+        expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path / "out")
+        path = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["expected_cells"] = "six"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(IncompleteRecordError, match="manifest.json: expected_cells"):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("key,edit", [
+        ("checks", lambda r: r["checks"][0].update(rhs=-1.0)),
+        ("checks", lambda r: r["checks"][-1].update({"pass": False})),
+        ("quasi_bernoulli_B", lambda r: r.update(quasi_bernoulli_B=99.0)),
+        ("z_decay_ratio_band", lambda r: r.update(z_decay_ratio_band=[0.0, 0.0])),
+        ("pass", lambda r: r.update({"pass": False})),
+        ("tolerance", lambda r: r.pop("tolerance")),
+    ], ids=["check_rhs", "check_pass", "quasi_bernoulli_B", "z_decay_ratio_band", "pass",
+            "missing_key"])
+    def test_verify_rejects_changed_diagnostics_report(self, tmp_path, capsys, key, edit):
+        # report.json must equal the report recomputed from config and rows
+        expcli.run(expcli.parse_config_text(SMALL_DIAG), tmp_path / "out")
+        assert expcli.verify(tmp_path / "out")[0] == 0
+        path = tmp_path / "out" / "report.json"
+        report = json.loads(path.read_text())
+        edit(report)
+        path.write_text(json.dumps(report))
+        with pytest.raises(IncompleteRecordError, match=rf"report\.json.*'{key}'"):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    def test_diagnostics_enumerates_each_mass_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = diagnostics.return_set_measure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (diagnostics, expcli):
+            monkeypatch.setattr(module, "return_set_measure", counted)
+        cfg = expcli.parse_config_text(SMALL_DIAG)
+        expcli.run(cfg, tmp_path / "out")
+        assert len(calls) == cfg.k_max
+        del calls[:]
+        expcli.run(cfg, tmp_path / "out")  # a resume reuses every cell
+        assert expcli.verify(tmp_path / "out")[0] == 0
+        assert calls == []
 
     def test_manifest_records_cell_seeds(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)

@@ -17,6 +17,7 @@ from orbitrecur import (
     proximity_curve,
     short_return_measure,
 )
+from orbitrecur import proximity
 from orbitrecur.errors import PrecisionFloorError
 from orbitrecur.intervalmaps import min_window_digits
 from orbitrecur.proximity import FLOOR_REJECT_FACTOR
@@ -208,7 +209,12 @@ class TestRankOffsets:
         assert rank_offset(orb.windows, 0, 5) == 2
         assert rank_offset(orb.windows, 1, 5) == 1
 
-    def test_far_without_admissible_pair(self):
+    def test_far_without_admissible_pair(self, monkeypatch):
+        # alpha >= n - 1 admits no pair, so closest_pair raises before any scan
+        def no_scan(*args, **kwargs):
+            raise AssertionError("_offset_scan called")
+
+        monkeypatch.setattr(proximity, "_offset_scan", no_scan)
         orb = doubling_orbit_exact(2, 10, 30, seed=4, enforce_floor=False)
         for pts in (orb, list(orb.points)):
             for alpha in (9, 10, 50):

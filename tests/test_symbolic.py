@@ -79,6 +79,10 @@ class TestCylinderMeasure:
         with pytest.raises(ValueError):
             cylinder_measure(BernoulliMeasure([1.0]), [])
 
+    def test_symbol_out_of_range(self):
+        with pytest.raises(InvalidSystemError):
+            cylinder_measure(golden_markov(), [0, 2])
+
     @pytest.mark.parametrize("measure", [
         BernoulliMeasure([0.2, 0.3, 0.5]),
         golden_markov(),
