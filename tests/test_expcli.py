@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -93,6 +94,49 @@ ALL_SMALL = {
     "returns": SMALL_RETURNS,
 }
 
+SMALL_D2_ORBIT = (SMALL_D2.replace("type = gauss", "type = kdoubling\nk = 2")
+                  .replace("samples = 4000", "samples = 20000\nmode = orbit"))
+
+# sha256 of (results.csv, manifest.json, report.json) for each small config:
+# a refactor of the runner must leave every record byte-identical
+RECORD_SHA256 = {
+    "match_curve": (
+        "9cb15d7859faff31d54f0e22b86cda2812a90f3b7e9a5ea9fa7f1e848acd7896",
+        "d25ad30a45906d65b093478f668a2703fafed6f49e35b33f30ac6612f5dc3d47",
+        "e8a9e6fac76d49f05b472522f3889f2f924590d83be4052c3ede57f60d4825ed",
+    ),
+    "proximity_curve": (
+        "2193f26220d8b6d20db7fe2114d8003c889bcf3fc5b0441af01c46ac22771ac4",
+        "44c6cb05ebb26337245ffeac8077f4f836f1fed1631690608a3118dd88690c1a",
+        "0024043bc4cf658fe4bbc893004a8bf344cd0f87ce0102db722bf11014517a1b",
+    ),
+    "d2": (
+        "bc2a79a546875db2e5dcda86baac30b910fe7fa70f767801c4a90718b19cb116",
+        "efa3ad4511739b3b6f6da9b7610c897a1167870c91c98dff49408a2eadfb96e6",
+        "feded93a4c2aefecafb33b0d75945459ec7915fdf06ab932bd46da7d8c9eef82",
+    ),
+    "h2": (
+        "f6a51fc7f2beb216b238cd999567bea0788b03609635ddd6a0d8bab144af801a",
+        "f943b0e1aa19cd956da3230fb6410b9cd6a9fdca7ca24edae8f047d49b48471d",
+        "a6abd91c36d87b68f99c8187273260be79f19c838570a9b28ece4ec8ccd4c8cb",
+    ),
+    "diagnostics": (
+        "759758dfc738e3ae77d2bade822bf903ecf68440fa64bfde5fe2a284ef129681",
+        "eccafaa361d754194c991c43120e0d22bd640e71e1c14c9767c5afe461d7b820",
+        "c44c162e36b121957c39ebcfd520403535d3e56c01eef7f108c1df5172207178",
+    ),
+    "returns": (
+        "a4dfd76ce5bccbf4acbeda6220a34812e863eef4037cba9da338b6a04fbe06b3",
+        "cb54c19f0d86182b98a4636110a610f3ef575fcdca3b447d146e1f768879ef57",
+        "d7ffd76d4beb22277aa05a54b28a10ea005b16133c63175521cdeee8895e3a99",
+    ),
+    "d2_orbit": (
+        "483edd5a186f820b9d786fe3b3284b4e1e717dd7a40d57b588475cfd7e4bcf4d",
+        "058e8e1d7b625ccf601603f9a011e5428a13c12ef4cc5feec8d6a42871efd2da",
+        "376b1ba8bd22d1881a432c2412e2d9dedaa32bf22d76bd25e09ed3eba02eda15",
+    ),
+}
+
 
 class TestConfigParsing:
     @pytest.mark.parametrize("kind", sorted(expcli.EXAMPLE_CONFIGS))
@@ -169,6 +213,14 @@ class TestRunAndVerify:
         expcli.run(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SHA256))
+    def test_record_bytes_pinned(self, tmp_path, name):
+        text = SMALL_D2_ORBIT if name == "d2_orbit" else ALL_SMALL[name]
+        expcli.run(expcli.parse_config_text(text), tmp_path)
+        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                        for f in ("results.csv", "manifest.json", "report.json"))
+        assert digests == RECORD_SHA256[name]
 
     def test_cell_resume_reproduces_rows(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)
@@ -424,9 +476,7 @@ class TestCli:
 
 class TestD2OrbitMode:
     def test_orbit_mode_runs(self, tmp_path):
-        text = SMALL_D2.replace("type = gauss", "type = kdoubling\nk = 2")
-        text = text.replace("samples = 4000", "samples = 20000\nmode = orbit")
-        cfg = expcli.parse_config_text(text)
+        cfg = expcli.parse_config_text(SMALL_D2_ORBIT)
         rec = expcli.run(cfg, tmp_path / "out")
         # doubling-map orbits are Lebesgue typical: dimension estimate near 1
         assert abs(rec.report["slope"] - 1.0) < 0.2
