@@ -65,7 +65,6 @@ from .thermo import (
     EntropyResult,
     PressureResult,
     gurevich_pressure,
-    psi_mixing_exact,
     psi_mixing_table,
     renyi_entropy_exact,
     z_decay_check,

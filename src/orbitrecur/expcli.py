@@ -18,6 +18,7 @@ import configparser
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -230,15 +231,18 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind == "diagnostics" and (cfg.r < 2 or cfg.k_max < 1):
         raise ConfigError("diagnostics needs r >= 2 and k_max >= 1")
     if cfg.kind == "returns":
-        if cfg.r < 1 or not cfg.k_list:
-            raise ConfigError("returns needs r >= 1 and a k_list")
+        if cfg.r < 1 or not cfg.k_list or len(set(cfg.k_list)) < len(cfg.k_list):
+            raise ConfigError("returns needs r >= 1 and a k_list without repeated values")
         if cfg.mode not in ("exact", "empirical"):
             raise ConfigError("returns mode must be exact or empirical")
-    # fail on malformed system sections at parse time, not mid-run
-    if cfg.kind in ("match_curve", "h2", "diagnostics", "returns"):
-        measure_from_section(cfg.system)
-    else:
-        map_from_section(cfg.system)
+    _system(cfg)  # fail on malformed system sections at parse time, not mid-run
+
+
+def _system(cfg: ExperimentConfig):
+    """The interval map of an orbit kind, else the measure."""
+    if cfg.kind in ("proximity_curve", "d2"):
+        return map_from_section(cfg.system)
+    return measure_from_section(cfg.system)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -264,88 +268,56 @@ class ExperimentRecord:
     out_dir: Path
 
 
-def _experiment_meta(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Targets and their provenance; cheap, no cells executed."""
-    if cfg.kind in ("match_curve", "h2"):
-        h2 = renyi_entropy_exact(measure_from_section(cfg.system)).h2
-        if cfg.kind == "match_curve":
-            return {"target": 2.0 / h2, "target_provenance": "renyi_entropy_exact", "h2": h2}
-        return {"target": h2, "target_provenance": "renyi_entropy_exact"}
-    if cfg.kind == "proximity_curve":
-        return {"target": 2.0, "target_provenance": "correlation_dimension_acip"}
-    if cfg.kind == "d2":
-        return {"target": 1.0, "target_provenance": "bounded_invariant_density"}
-    return {"target": None}
-
-
-def _group_keys(cfg: ExperimentConfig) -> list[int]:
-    """Independent work groups; cells inside a group share its key."""
+def _cells(cfg: ExperimentConfig) -> list[tuple[int, int, int, int]]:
+    """The cell plan: (group, n, replicate, seed) of every cell, in row
+    order. A group is a unit of work with its own cell file; the seed is
+    derive_seed of the cell, or 0 for cells that draw nothing (diagnostics,
+    exact returns)."""
     if cfg.kind in ("match_curve", "proximity_curve"):
-        return list(cfg.n_grid)
+        return [(n, n, rep, derive_seed(cfg.master_seed, cfg.kind, n, rep))
+                for n in cfg.n_grid for rep in range(cfg.replicates)]
     if cfg.kind in ("d2", "h2"):
-        return list(range(cfg.replicates))
+        size = cfg.samples if cfg.kind == "d2" else cfg.block_len
+        return [(rep, cfg.samples, rep, derive_seed(cfg.master_seed, cfg.kind, size, rep))
+                for rep in range(cfg.replicates)]
     if cfg.kind == "returns":
-        return list(cfg.k_list)
-    return [0]  # diagnostics
-
-
-def _cell_seed(cfg: ExperimentConfig, n: int, replicate: int) -> int:
-    """The seed recorded for the cell (n, replicate): derive_seed of the
-    cell, or 0 for kinds that draw nothing (diagnostics, exact returns)."""
-    if cfg.kind in ("match_curve", "proximity_curve"):
-        return derive_seed(cfg.master_seed, cfg.kind, n, replicate)
-    if cfg.kind == "d2":
-        return derive_seed(cfg.master_seed, "d2", cfg.samples, replicate)
-    if cfg.kind == "h2":
-        return derive_seed(cfg.master_seed, "h2", cfg.block_len, replicate)
-    if cfg.kind == "returns" and cfg.mode == "empirical":
-        return derive_seed(cfg.master_seed, "returns", n, 0)
-    return 0
+        return [(k, k, 0, derive_seed(cfg.master_seed, "returns", k, 0)
+                 if cfg.mode == "empirical" else 0) for k in sorted(cfg.k_list)]
+    return [(0, t, 0, 0) for t in range(cfg.k_max + 1)]  # diagnostics: sigma checks, psi decay
 
 
 def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
     """All rows of one work group, deterministic in (config, key)."""
+    system = _system(cfg)
     if cfg.kind == "match_curve":
-        m = measure_from_section(cfg.system)
-        return match_curve(m, None, [key], cfg.replicates, cfg.master_seed)
+        return match_curve(system, None, [key], cfg.replicates, cfg.master_seed)
     if cfg.kind == "proximity_curve":
-        spec = map_from_section(cfg.system)
-        return proximity_curve(spec, [key], cfg.replicates, cfg.variant,
+        return proximity_curve(system, [key], cfg.replicates, cfg.variant,
                                cfg.master_seed, burn_in=cfg.burn_in)
+    if cfg.kind == "diagnostics":
+        checks = sigma_bounds_check(system, cfg.r, cfg.k_max)
+        checks.append(psi_decay_check(system.as_markov(), max(cfg.k_max, 2)))
+        return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs,
+                         flag="ok") for t, chk in enumerate(checks)]
+    _, n, replicate, seed = next(cell for cell in _cells(cfg) if cell[0] == key)
     if cfg.kind == "d2":
-        spec = map_from_section(cfg.system)
-        seed = _cell_seed(cfg, cfg.samples, key)
         if cfg.mode == "orbit":
             # secondary mode: one orbit of length `samples`, decorrelated by
             # subsampling at the (log n)^2 stride
-            orb = orbit_for_cell(spec, cfg.samples, seed)
-            pts = correlation_points_from_orbit(orb.points)
+            pts = correlation_points_from_orbit(orbit_for_cell(system, n, seed).points)
         else:
             rng = make_rng(seed)
-            pts = np.array([sample_initial(spec, rng) for _ in range(cfg.samples)])
+            pts = np.array([sample_initial(system, rng) for _ in range(n)])
         fit = d2_estimate(correlation_integral(pts, default_r_grid()))
-        return [CurveRow(n=cfg.samples, replicate=key, seed=seed,
-                         value=fit.slope, aux=fit.stderr, flag="ok")]
-    if cfg.kind == "h2":
-        m = measure_from_section(cfg.system)
-        seed = _cell_seed(cfg, cfg.samples, key)
-        est = h2_collision_estimate(m, cfg.block_len, cfg.samples, seed)
-        return [CurveRow(n=cfg.samples, replicate=key, seed=seed,
-                         value=est.h2, aux=est.stderr, flag="ok")]
-    if cfg.kind == "returns":
-        m = measure_from_section(cfg.system)
-        seed = _cell_seed(cfg, key, 0)
-        est = return_set_measure(m, cfg.r, key, cfg.mode,
+        value, aux = fit.slope, fit.stderr
+    elif cfg.kind == "h2":
+        est = h2_collision_estimate(system, cfg.block_len, n, seed)
+        value, aux = est.h2, est.stderr
+    else:  # returns
+        est = return_set_measure(system, cfg.r, n, cfg.mode,
                                  samples=max(cfg.samples, 100_000), seed=seed)
-        return [CurveRow(n=key, replicate=0, seed=seed, value=est.value,
-                         aux=est.stderr, flag="ok")]
-    if cfg.kind == "diagnostics":
-        m = measure_from_section(cfg.system)
-        checks = sigma_bounds_check(m, cfg.r, cfg.k_max)
-        checks.append(psi_decay_check(m.as_markov(), max(cfg.k_max, 2)))
-        return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs,
-                         flag="ok") for t, chk in enumerate(checks)]
-    raise ConfigError(f"unknown kind {cfg.kind!r}")
+        value, aux = est.value, est.stderr
+    return [CurveRow(n=n, replicate=replicate, seed=seed, value=value, aux=aux, flag="ok")]
 
 
 def _group_worker(args: tuple[str, int]) -> tuple[int, list[tuple]]:
@@ -402,7 +374,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     Work groups write one temp file per cell under out_dir/cells; a rerun
     reuses the cell files that this config's digest wrote, so partial runs
     resume, and rewrites those of any other config. The merge into
-    results.csv is single-threaded in deterministic key order, so worker
+    results.csv is single-threaded in the order of the cell plan, so worker
     count and completion order never change the output bytes. The worker
     count (default: ORBITRECUR_WORKERS, else 1) is capped at the number of
     pending groups and of CPUs.
@@ -414,22 +386,18 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
         workers = _env_workers()
     t0 = time.time()
     digest = cfg.digest()
-    keys = _group_keys(cfg)
+    plan = _cells(cfg)
+    keys = list(dict.fromkeys(group for group, *_ in plan))
     pending = [k for k in keys if _read_group(cells_dir, digest, k) is None]
     workers = min(workers, len(pending), os.cpu_count() or 1)
     if workers > 1:
-        tasks = [(cfg.raw_text, k) for k in pending]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, tuples in pool.map(_group_worker, tasks):
-                rows = [CurveRow(*t) for t in tuples]
-                _write_group(cells_dir, digest, cfg.kind, key, rows)
+            for key, tuples in pool.map(_group_worker, [(cfg.raw_text, k) for k in pending]):
+                _write_group(cells_dir, digest, cfg.kind, key, [CurveRow(*t) for t in tuples])
     else:
         for key in pending:
             _write_group(cells_dir, digest, cfg.kind, key, _run_group(cfg, key))
-    rows = []
-    for key in sorted(keys):
-        rows.extend(_read_group(cells_dir, digest, key))
-    rows.sort(key=lambda r: (r.n, r.replicate))
+    rows = [row for key in keys for row in _read_group(cells_dir, digest, key)]
     wall = time.time() - t0
 
     report = _report(cfg, rows)
@@ -437,8 +405,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
         "version": __version__,
         "digest": digest,
         "config": cfg.raw_text,
-        "cells": [{"n": r.n, "replicate": r.replicate, "seed": r.seed} for r in rows],
-        "expected_cells": _expected_cells(cfg),
+        "cells": [{"n": n, "replicate": rep, "seed": seed} for _, n, rep, seed in plan],
+        "expected_cells": len(plan),
     }
     (out / "results.csv").write_text(_rows_to_csv(digest, cfg.kind, rows))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -451,37 +419,47 @@ def _report(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
     """report.json, a function of the config and the rows alone: run writes
     it and verify recomputes it whole."""
     report = {"kind": cfg.kind, "digest": cfg.digest(), "tolerance": cfg.tolerance,
-              **_experiment_meta(cfg), **_row_fields(cfg, rows)}
+              **_row_fields(cfg, rows)}
     if cfg.tolerance is not None and report["target"] is not None and "slope" in report:
         report["pass"] = bool(abs(report["slope"] - report["target"]) <= cfg.tolerance)
     return report
 
 
 def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
-    """The report fields computed from the rows: the fitted slope of a
+    """The report fields of a kind: its target and the target's provenance
+    (no cells executed), then what the rows give: the fitted slope of a
     curve, the mean over d2/h2 replicates, or the per-row checks (a
     diagnostics row's aux is its check's lhs, so nothing is enumerated)."""
+    meta: dict[str, Any] = {"target": None}
+    if cfg.kind in ("match_curve", "h2"):
+        h2 = renyi_entropy_exact(_system(cfg)).h2
+        meta = ({"target": 2.0 / h2, "h2": h2} if cfg.kind == "match_curve" else {"target": h2})
+        meta["target_provenance"] = "renyi_entropy_exact"
+    elif cfg.kind == "proximity_curve":
+        meta = {"target": 2.0, "target_provenance": "correlation_dimension_acip"}
+    elif cfg.kind == "d2":
+        meta = {"target": 1.0, "target_provenance": "bounded_invariant_density"}
     if cfg.kind in ("match_curve", "proximity_curve"):
         try:
             fitres = exponent_fit(rows, min_grid_points=min(cfg.min_grid_points, len(cfg.n_grid)),
                                   min_replicates=min(3, cfg.replicates))
         except FitRefusedError as exc:
-            return {"fit_refused": str(exc)}
-        return {"slope": fitres.fit.slope, "slope_stderr": fitres.fit.stderr,
+            return {**meta, "fit_refused": str(exc)}
+        return {**meta, "slope": fitres.fit.slope, "slope_stderr": fitres.fit.stderr,
                 "excluded_cells": fitres.excluded_cells, "used_cells": fitres.used_cells}
     if cfg.kind in ("d2", "h2"):
-        return {"slope": sum(r.value for r in rows) / len(rows)}
+        return {**meta, "slope": sum(r.value for r in rows) / len(rows)}
     if cfg.kind == "returns":
-        return {"checks": [{"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux,
-                            "mode": cfg.mode} for r in rows]}
-    m = measure_from_section(cfg.system)
+        return {**meta, "checks": [{"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux,
+                                    "mode": cfg.mode} for r in rows]}
+    m = _system(cfg)
     psi = psi_decay_check(m.as_markov(), max(cfg.k_max, 2))
     bounds = sigma_bounds(m, cfg.r, cfg.k_max) + [(psi.name, psi.rhs)]
     checks = [BoundCheck(name, row.aux, rhs) for row, (name, rhs) in zip(rows, bounds)]
     decay = z_decay_check(m, max(cfg.k_max, 2))
     all_pass = all(c.passed for c in checks)
-    return {"checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
-                        "pass": c.passed} for c in checks],
+    return {**meta, "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
+                                "pass": c.passed} for c in checks],
             "quasi_bernoulli_B": quasi_bernoulli_constant(m),
             "z_decay_ratio_band": [decay.ratio_inf, decay.ratio_sup],
             "all_pass": all_pass, "pass": all_pass}
@@ -495,29 +473,20 @@ def _write_group(cells_dir: Path, digest: str, kind: str, key: int,
     tmp.replace(cells_dir / f"group-{key:012d}.csv")
 
 
-def _expected_cells(cfg: ExperimentConfig) -> int:
-    if cfg.kind in ("match_curve", "proximity_curve"):
-        return len(cfg.n_grid) * cfg.replicates
-    if cfg.kind in ("d2", "h2"):
-        return cfg.replicates
-    if cfg.kind == "returns":
-        return len(cfg.k_list)
-    return cfg.k_max + 1  # diagnostics: sigma checks plus psi decay
-
-
 def _check_consistent(manifest: dict,
                       csv_text: str) -> tuple[ExperimentConfig, list[CurveRow]]:
     """The record's config and rows. Raise IncompleteRecordError, naming
     the file at fault, unless manifest.json's digest and expected_cells are
-    those of its config, every results.csv row carries that digest, every
-    manifest cell carries the seed its config derives, and the rows are the
-    manifest cells in order."""
+    those of its config, every results.csv row carries that digest, the
+    manifest cells are the cells its config plans, and the rows are a prefix
+    of them."""
     try:
         cfg = parse_config_text(manifest.get("config", ""))
     except ConfigError as exc:
         raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
     digest = cfg.digest()
-    for key, value in (("digest", digest), ("expected_cells", _expected_cells(cfg))):
+    plan = [(n, replicate, seed) for _, n, replicate, seed in _cells(cfg)]
+    for key, value in (("digest", digest), ("expected_cells", len(plan))):
         if manifest.get(key) != value:
             raise IncompleteRecordError(
                 f"manifest.json: {key} {manifest.get(key)!r} is not its config's {value!r}")
@@ -531,17 +500,15 @@ def _check_consistent(manifest: dict,
         cells = [(c["n"], c["replicate"], c["seed"]) for c in manifest.get("cells", [])]
     except (KeyError, TypeError) as exc:
         raise IncompleteRecordError(f"manifest.json: malformed cell: {exc!r}") from None
-    for n, replicate, seed in cells:
-        expected = _cell_seed(cfg, n, replicate)
-        if seed != expected:
+    for cell, planned in itertools.zip_longest(cells, plan):
+        if cell != planned:
             raise IncompleteRecordError(
-                f"manifest.json: cell (n={n}, replicate={replicate}) "
-                f"has seed {seed}, its config derives {expected}")
+                f"manifest.json: cell (n, replicate, seed) {cell} is not its config's {planned}")
     try:
         rows = [_parse_row(rec) for rec in records]
     except (IndexError, ValueError) as exc:
         raise IncompleteRecordError(f"results.csv: malformed row: {exc}") from None
-    if [(r.n, r.replicate, r.seed) for r in rows] != cells[:len(rows)]:
+    if [(r.n, r.replicate, r.seed) for r in rows] != plan[:len(rows)]:
         raise IncompleteRecordError(
             "results.csv: the rows' (n, replicate, seed) are not manifest.json's cells in order")
     return cfg, rows
@@ -569,12 +536,15 @@ def _check_derived(cfg: ExperimentConfig, report: dict, rows: list[CurveRow]) ->
 
 
 def _record_file(out: Path, name: str):
-    """One record file: parsed JSON, or the text of results.csv."""
+    """One record file: the text of results.csv, or a JSON object."""
     try:
         text = (out / name).read_text()
-        return text if name.endswith(".csv") else json.loads(text)
+        record = text if name.endswith(".csv") else json.loads(text)
     except (OSError, ValueError) as exc:  # ValueError: not JSON
         raise IncompleteRecordError(f"{name}: missing or unreadable: {exc}") from None
+    if not isinstance(record, str if name.endswith(".csv") else dict):
+        raise IncompleteRecordError(f"{name}: not a JSON object: {text[:40]!r}")
+    return record
 
 
 def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, str]:
@@ -587,7 +557,7 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
     report, manifest, csv_text = (_record_file(Path(out_dir), name)
                                   for name in ("report.json", "manifest.json", "results.csv"))
     cfg, rows = _check_consistent(manifest, csv_text)
-    expected = _expected_cells(cfg)
+    expected = manifest["expected_cells"]  # checked to be len(_cells(cfg))
     if not rows or len(rows) < expected / 2.0:
         return 3, f"incomplete: {len(rows)} of {expected} cells present"
     _check_derived(cfg, report, rows)

@@ -332,13 +332,6 @@ class GibbsMeasure(MeasureSpec):
     def word_measure(self, symbols: Sequence[int]) -> float:
         return self.as_markov().word_measure(symbols)
 
-    @property
-    def transfer_weights(self) -> np.ndarray:
-        """Unnormalized transfer matrix A_ab exp(phi(a, b))."""
-        W = np.where(self.system.admissible == 1, np.exp(self.potential), 0.0)
-        W.setflags(write=False)
-        return W
-
 
 def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
     """Perron root and right/left vectors of a non-negative irreducible matrix.

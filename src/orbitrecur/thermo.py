@@ -41,7 +41,6 @@ __all__ = [
     "z_partition_sum",
     "z_partition_sum_log",
     "z_decay_check",
-    "psi_mixing_exact",
     "psi_mixing_table",
 ]
 
@@ -339,19 +338,3 @@ def psi_mixing_table(m: MeasureSpec, k_max: int) -> tuple[list[float], list[floa
         env[k] = max(env[k], env[k + 1])
     return psi, env
 
-
-def _identity(d: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-
-
-def psi_mixing_exact(m: MeasureSpec, k: int) -> float:
-    """psi(k) = max_ab |(P^(k+1))_ab / pi_b - 1|, exactly."""
-    if not isinstance(m, MarkovMeasure):
-        raise TypeError("psi-mixing coefficients require a Markov measure")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    P, pi = _exact_chain(m)
-    power = _identity(len(pi))
-    for _ in range(k + 1):
-        power = _mat_mul(power, P)
-    return float(_psi_from_power(power, pi))

@@ -189,7 +189,7 @@ def _check_z_enumeration() -> bool:
 
 def _check_psi_bruteforce() -> bool:
     from orbitrecur.symbolic import admissible_words
-    from orbitrecur.thermo import psi_mixing_exact
+    from orbitrecur.thermo import psi_mixing_table
 
     for m in (GOLDEN, MarkovMeasure([0.5, 0.5], [[0.25, 0.75], [0.75, 0.25]])):
         d = m.alphabet_size
@@ -209,7 +209,7 @@ def _check_psi_bruteforce() -> bool:
                             for gap in itertools.product(range(d), repeat=k)
                         )
                         worst = max(worst, abs(joint / (mu_e * mu_f) - 1.0))
-            if abs(psi_mixing_exact(m, k) - worst) > 1e-12:
+            if abs(psi_mixing_table(m, k)[0][k] - worst) > 1e-12:
                 return False
     return True
 

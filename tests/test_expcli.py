@@ -165,6 +165,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             expcli.parse_config_text(SMALL_MATCH.replace("50, 200, 800", "800, 200"))
 
+    def test_returns_repeated_k_rejected(self):
+        with pytest.raises(ConfigError, match="k_list"):
+            expcli.parse_config_text(SMALL_RETURNS.replace("1, 2, 4, 6", "4, 1, 1"))
+
+    def test_returns_unsorted_k_list_runs_in_k_order(self, tmp_path):
+        text = SMALL_RETURNS.replace("1, 2, 4, 6", "4, 1")
+        rec = expcli.run(expcli.parse_config_text(text), tmp_path)
+        assert [row.n for row in rec.rows] == [1, 4]
+        # consistent: returns has no target, so verify stops at exit 3
+        assert expcli.verify(tmp_path) == (3, "record has no (slope, target, tolerance) triple to verify")
+
     def test_markov_without_stationary_solves(self):
         cfg = expcli.parse_config_text(SMALL_H2)
         m = expcli.measure_from_section(cfg.system)
@@ -379,6 +390,14 @@ class TestRunAndVerify:
             manifest = json.loads(path.read_text())
             del manifest["cells"][0]["seed"]
             path.write_text(json.dumps(manifest))
+        with pytest.raises(IncompleteRecordError, match=name):
+            expcli.verify(tmp_path / "out")
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("name", ["report.json", "manifest.json"])
+    def test_verify_rejects_non_object_json(self, tmp_path, capsys, name):
+        expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path / "out")
+        (tmp_path / "out" / name).write_text("[]\n")
         with pytest.raises(IncompleteRecordError, match=name):
             expcli.verify(tmp_path / "out")
         assert expcli.main(["verify", str(tmp_path / "out")]) == 3

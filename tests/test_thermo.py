@@ -12,7 +12,6 @@ from orbitrecur import (
     cylinder_measure,
     full_shift,
     gurevich_pressure,
-    psi_mixing_exact,
     psi_mixing_table,
     renyi_entropy_exact,
     stationary_distribution,
@@ -169,7 +168,7 @@ class TestPsiMixing:
         assert max(psi) == 0.0 and max(env) == 0.0
 
     def test_golden_value_at_one(self):
-        assert psi_mixing_exact(GOLDEN, 1) == 0.5
+        assert psi_mixing_table(GOLDEN, 1)[0][1] == 0.5
 
     def test_golden_exact_rate(self):
         psi, env = psi_mixing_table(GOLDEN, 30)
@@ -179,7 +178,7 @@ class TestPsiMixing:
 
     def test_non_markov_rejected(self):
         with pytest.raises(TypeError):
-            psi_mixing_exact(BernoulliMeasure([0.5, 0.5]), 1)
+            psi_mixing_table(BernoulliMeasure([0.5, 0.5]), 1)
 
     @pytest.mark.parametrize("measure", [
         GOLDEN,
@@ -205,7 +204,7 @@ class TestPsiMixing:
                     for gap in itertools.product(range(d), repeat=k):
                         joint += cylinder_measure(measure, e + gap + f)
                     worst = max(worst, abs(joint / (mu_e * mu_f) - 1.0))
-        assert abs(psi_mixing_exact(measure, k) - worst) < 1e-12
+        assert abs(psi_mixing_table(measure, k)[0][k] - worst) < 1e-12
 
     def test_entropy_formula_nonnegative(self):
         # 2 P(phi) - P(2 phi) >= 0 across the suite
