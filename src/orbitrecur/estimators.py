@@ -21,9 +21,11 @@ __all__ = [
     "CollisionEntropyEstimate",
     "ExponentFitResult",
     "default_r_grid",
+    "CORRELATION_MIN_POINTS",
     "correlation_integral",
     "correlation_points_from_orbit",
     "d2_estimate",
+    "check_collision_design",
     "h2_collision_estimate",
     "exponent_fit",
 ]
@@ -66,13 +68,15 @@ class CorrelationCurve:
     r_grid: np.ndarray
     c_values: np.ndarray
     sample_count: int
-    floor_flags: np.ndarray  # True where r sits below the precision floor
 
     def __post_init__(self):
-        for name in ("r_grid", "c_values", "floor_flags"):
+        for name in ("r_grid", "c_values"):
             a = np.asarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+
+CORRELATION_MIN_POINTS = 100  # below this a correlation integral is meaningless
 
 
 def default_r_grid(r_max: float = 1e-1, decades: int = 3, per_decade: int = 24) -> np.ndarray:
@@ -81,13 +85,12 @@ def default_r_grid(r_max: float = 1e-1, decades: int = 3, per_decade: int = 24) 
     return r_max * 10.0 ** (-np.arange(count) / per_decade)
 
 
-def correlation_integral(points, r_grid=None, noise_floor: float = 0.0,
-                         min_points: int = 100) -> CorrelationCurve:
+def correlation_integral(points, r_grid=None,
+                         min_points: int = CORRELATION_MIN_POINTS) -> CorrelationCurve:
     """Pair-count estimate C(r) = 2 #{i<j : |x_i - x_j| < r} / (N (N-1)).
 
     Strict inequality; computed by sorting plus one vectorized searchsorted
-    per radius, O(N log N + N |grid|). min_points defaults to the sample
-    size below which the estimate is statistically meaningless.
+    per radius, O(N log N + N |grid|).
     """
     pts = np.sort(np.asarray(points, dtype=np.float64))
     n = len(pts)
@@ -105,31 +108,22 @@ def correlation_integral(points, r_grid=None, noise_floor: float = 0.0,
         # for each j: count of i < j with x_j - x_i < r
         lo = np.searchsorted(pts, pts - r, side="right")
         c[t] = float(np.sum(idx - lo)) / total_pairs
-    flags = r_grid < noise_floor
-    return CorrelationCurve(r_grid, c, n, flags)
+    return CorrelationCurve(r_grid, c, n)
 
 
-def correlation_points_from_orbit(orbit_points, stride: int | None = None) -> np.ndarray:
-    """Decorrelated subsample of an orbit for correlation estimation,
-    default stride alpha(n) = (log n)^2."""
+def correlation_points_from_orbit(orbit_points) -> np.ndarray:
+    """Decorrelated subsample of an orbit for correlation estimation, at the
+    stride alpha(n) = (log n)^2."""
     pts = np.asarray(orbit_points, dtype=np.float64)
-    if stride is None:
-        stride = alpha_of(len(pts))
-    return pts[::stride]
+    return pts[::alpha_of(len(pts))]
 
 
-def d2_estimate(curve: CorrelationCurve, trim: int = 0, c_max: float = 0.5) -> SlopeFit:
-    """Least-squares slope of log C against log r over the usable window.
-
-    Saturated entries (C = 0, C > c_max) and floor-flagged radii are dropped,
-    then `trim` additional points from each end.
-    """
-    usable = (curve.c_values > 0.0) & (curve.c_values <= c_max) & ~curve.floor_flags
-    idx = np.flatnonzero(usable)
-    if trim > 0:
-        idx = idx[trim:-trim] if len(idx) > 2 * trim else idx[:0]
+def d2_estimate(curve: CorrelationCurve, c_max: float = 0.5) -> SlopeFit:
+    """Least-squares slope of log C against log r over the usable window,
+    which drops the saturated entries (C = 0, C > c_max)."""
+    idx = np.flatnonzero((curve.c_values > 0.0) & (curve.c_values <= c_max))
     if len(idx) < 3:
-        raise FitRefusedError(f"only {len(idx)} usable grid points after trimming")
+        raise FitRefusedError(f"only {len(idx)} usable grid points")
     x = np.log(curve.r_grid[idx])
     y = np.log(curve.c_values[idx])
     return _ols(x, y)
@@ -147,14 +141,9 @@ class CollisionEntropyEstimate:
     pairs: int
 
 
-def h2_collision_estimate(m: MeasureSpec, block_len: int, samples: int,
-                          seed: int = 0) -> CollisionEntropyEstimate:
-    """Estimate h2 from the collision frequency of independent blocks.
-
-    Z-hat = pair-collision frequency among `samples` independent length-l
-    blocks; h2-hat = -log(Z-hat)/l with a delta-method standard error using
-    the U-statistic variance (plug-in third moments).
-    """
+def check_collision_design(m: MeasureSpec, block_len: int, samples: int) -> None:
+    """Raise ValueError unless h2_collision_estimate can run: at least 1000
+    samples, block_len >= 1, and at least 30 expected collisions."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     if block_len < 1:
@@ -164,6 +153,17 @@ def h2_collision_estimate(m: MeasureSpec, block_len: int, samples: int,
         raise ValueError(
             f"expected collision count {expected:.1f} < 30; choose a smaller block_len"
         )
+
+
+def h2_collision_estimate(m: MeasureSpec, block_len: int, samples: int,
+                          seed: int = 0) -> CollisionEntropyEstimate:
+    """Estimate h2 from the collision frequency of independent blocks.
+
+    Z-hat = pair-collision frequency among `samples` independent length-l
+    blocks; h2-hat = -log(Z-hat)/l with a delta-method standard error using
+    the U-statistic variance (plug-in third moments).
+    """
+    check_collision_design(m, block_len, samples)
     blocks = sample_sequences_batch(m, samples, block_len, seed)
     _, counts = np.unique(blocks, axis=0, return_counts=True)
     collisions = int(np.sum(counts * (counts - 1) // 2))

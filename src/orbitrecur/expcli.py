@@ -18,7 +18,6 @@ import configparser
 import csv
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -35,6 +34,8 @@ from .diagnostics import (BoundCheck, psi_decay_check, quasi_bernoulli_constant,
                           sigma_bounds_check)
 from .errors import ConfigError, FitRefusedError, IncompleteRecordError, OrbitRecurError
 from .estimators import (
+    CORRELATION_MIN_POINTS,
+    check_collision_design,
     correlation_integral,
     correlation_points_from_orbit,
     d2_estimate,
@@ -44,7 +45,7 @@ from .estimators import (
 )
 from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine, sample_initial
 from .matcher import match_curve, return_set_measure
-from .proximity import orbit_for_cell, proximity_curve
+from .proximity import alpha_of, curve_min_n, orbit_for_cell, proximity_curve
 from .rng import derive_seed, make_rng
 from .symbolic import (
     BernoulliMeasure,
@@ -54,7 +55,7 @@ from .symbolic import (
     TransitionSystem,
     stationary_distribution,
 )
-from .tables import CurveRow
+from .tables import CurveRow, check_curve
 from .thermo import renyi_entropy_exact, z_decay_check
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "run", "verify",
@@ -215,19 +216,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    """Reject a config that run could not compute, reading each limit from
+    the library that holds it."""
     if cfg.replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if cfg.kind in ("match_curve", "proximity_curve"):
-        if len(cfg.n_grid) < 1:
-            raise ConfigError(f"{cfg.kind} needs a non-empty n_grid")
-        if any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
-    if cfg.kind in ("d2", "h2") and cfg.samples < 1:
-        raise ConfigError(f"{cfg.kind} needs samples >= 1")
     if cfg.kind == "d2" and cfg.mode not in ("exact", "iid", "orbit"):
         raise ConfigError("d2 mode must be iid (default) or orbit")
-    if cfg.kind == "h2" and cfg.block_len < 1:
-        raise ConfigError("h2 needs block_len >= 1")
     if cfg.kind == "diagnostics" and (cfg.r < 2 or cfg.k_max < 1):
         raise ConfigError("diagnostics needs r >= 2 and k_max >= 1")
     if cfg.kind == "returns":
@@ -235,7 +229,24 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("returns needs r >= 1 and a k_list without repeated values")
         if cfg.mode not in ("exact", "empirical"):
             raise ConfigError("returns mode must be exact or empirical")
-    _system(cfg)  # fail on malformed system sections at parse time, not mid-run
+    system = _system(cfg)  # fail on malformed system sections at parse time, not mid-run
+    try:
+        if cfg.kind == "match_curve":
+            check_curve(cfg.n_grid, cfg.replicates)
+            if renyi_entropy_exact(system).h2 <= 0:
+                raise ValueError("needs a positive Renyi entropy h2")
+        elif cfg.kind == "proximity_curve":
+            check_curve(cfg.n_grid, cfg.replicates, curve_min_n(cfg.variant))
+        elif cfg.kind == "h2":
+            check_collision_design(system, cfg.block_len, cfg.samples)
+        elif cfg.kind == "d2":
+            # the points correlation_integral gets: the samples, or the orbit subsample
+            points = (len(range(cfg.samples)[::alpha_of(cfg.samples)]) if cfg.mode == "orbit"
+                      else cfg.samples)
+            if points < CORRELATION_MIN_POINTS:
+                raise ValueError(f"{points} correlation points, fewer than {CORRELATION_MIN_POINTS}")
+    except (ValueError, OrbitRecurError) as exc:
+        raise ConfigError(f"{cfg.kind}: {exc}") from None
 
 
 def _system(cfg: ExperimentConfig):
@@ -260,11 +271,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
-    digest: str
-    kind: str
     rows: list[CurveRow]
     report: dict[str, Any]
-    manifest: dict[str, Any]
     out_dir: Path
 
 
@@ -326,34 +334,41 @@ def _group_worker(args: tuple[str, int]) -> tuple[int, list[tuple]]:
     return key, [tuple(asdict(r).values()) for r in _run_group(cfg, key)]
 
 
-def _row_line(digest: str, kind: str, row: CurveRow) -> str:
+def _rows_text(cfg: ExperimentConfig, rows: list[CurveRow]) -> str:
+    """The CSV lines of rows, as results.csv (after its header) and the
+    cell files hold them."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(
-        [digest, kind, row.n, row.replicate, row.seed,
-         repr(float(row.value)), repr(float(row.aux)), row.flag]
-    )
+    csv.writer(buf, lineterminator="\n").writerows(
+        [cfg.digest(), cfg.kind, r.n, r.replicate, r.seed, repr(float(r.value)),
+         repr(float(r.aux)), r.flag] for r in rows)
     return buf.getvalue()
 
 
-def _rows_to_csv(digest: str, kind: str, rows: list[CurveRow]) -> str:
-    return ",".join(CSV_HEADER) + "\n" + "".join(_row_line(digest, kind, r) for r in rows)
-
-
-def _parse_row(rec: list[str]) -> CurveRow:
-    return CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
-                    value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
-
-
-def _read_group(cells_dir: Path, digest: str, key: int) -> list[CurveRow] | None:
-    """Rows of a group's cell file, or None when the file is missing or any
-    row carries another config's digest (the group is then pending)."""
-    path = cells_dir / f"group-{key:012d}.csv"
-    if not path.exists():
+def _read_rows(cfg: ExperimentConfig, text: str,
+               cells: list[tuple[int, int, int]]) -> list[CurveRow] | None:
+    """The rows of text, or None unless writing them again gives back text
+    exactly and their (n, replicate, seed) are the first entries of cells."""
+    try:
+        rows = [CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
+                         value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
+                for rec in csv.reader(text.splitlines())]
+    except (IndexError, ValueError, csv.Error):  # a blank, cut-short or unparsable row
         return None
-    records = list(csv.reader(path.read_text().splitlines()))
-    if any(rec[0] != digest for rec in records):
+    if _rows_text(cfg, rows) != text or [(r.n, r.replicate, r.seed) for r in rows] != cells[:len(rows)]:
         return None
-    return [_parse_row(rec) for rec in records]
+    return rows
+
+
+def _read_group(cells_dir: Path, cfg: ExperimentConfig, key: int,
+                cells: list[tuple[int, int, int]]) -> list[CurveRow] | None:
+    """Rows of a group's cell file, or None when the file does not hold
+    exactly the group's planned cells as this config writes them (the group
+    is then pending)."""
+    try:
+        rows = _read_rows(cfg, (cells_dir / f"group-{key:012d}.csv").read_text(), cells)
+    except (OSError, ValueError):  # missing, or not text
+        return None
+    return rows if rows is not None and len(rows) == len(cells) else None
 
 
 def _env_workers() -> int:
@@ -372,8 +387,9 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     report.json under out_dir.
 
     Work groups write one temp file per cell under out_dir/cells; a rerun
-    reuses the cell files that this config's digest wrote, so partial runs
-    resume, and rewrites those of any other config. The merge into
+    reuses a cell file only if it holds exactly its group's planned cells as
+    this config writes them, so partial runs resume, and recomputes any
+    other (another config's, cut short or damaged). The merge into
     results.csv is single-threaded in the order of the cell plan, so worker
     count and completion order never change the output bytes. The worker
     count (default: ORBITRECUR_WORKERS, else 1) is capped at the number of
@@ -385,34 +401,41 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     if workers is None:
         workers = _env_workers()
     t0 = time.time()
-    digest = cfg.digest()
-    plan = _cells(cfg)
-    keys = list(dict.fromkeys(group for group, *_ in plan))
-    pending = [k for k in keys if _read_group(cells_dir, digest, k) is None]
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for group, n, replicate, seed in _cells(cfg):
+        groups.setdefault(group, []).append((n, replicate, seed))
+    found = {key: _read_group(cells_dir, cfg, key, cells) for key, cells in groups.items()}
+    pending = [key for key, rows in found.items() if rows is None]
     workers = min(workers, len(pending), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for key, tuples in pool.map(_group_worker, [(cfg.raw_text, k) for k in pending]):
-                _write_group(cells_dir, digest, cfg.kind, key, [CurveRow(*t) for t in tuples])
+                _write_group(cells_dir, cfg, key, [CurveRow(*t) for t in tuples])
     else:
         for key in pending:
-            _write_group(cells_dir, digest, cfg.kind, key, _run_group(cfg, key))
-    rows = [row for key in keys for row in _read_group(cells_dir, digest, key)]
+            _write_group(cells_dir, cfg, key, _run_group(cfg, key))
+    for key in pending:
+        found[key] = _read_group(cells_dir, cfg, key, groups[key])
+        if found[key] is None:
+            raise RuntimeError(f"cells/group-{key:012d}.csv: just computed, yet not its planned cells")
+    rows = [row for group_rows in found.values() for row in group_rows]
     wall = time.time() - t0
 
     report = _report(cfg, rows)
-    manifest = {
-        "version": __version__,
-        "digest": digest,
-        "config": cfg.raw_text,
-        "cells": [{"n": n, "replicate": rep, "seed": seed} for _, n, rep, seed in plan],
-        "expected_cells": len(plan),
-    }
-    (out / "results.csv").write_text(_rows_to_csv(digest, cfg.kind, rows))
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / "results.csv").write_text(",".join(CSV_HEADER) + "\n" + _rows_text(cfg, rows))
+    (out / "manifest.json").write_text(json.dumps(_manifest(cfg), indent=2, sort_keys=True) + "\n")
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     (out / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")
-    return ExperimentRecord(digest, cfg.kind, rows, report, manifest, out)
+    return ExperimentRecord(rows, report, out)
+
+
+def _manifest(cfg: ExperimentConfig) -> dict[str, Any]:
+    """manifest.json, a function of the config alone: run writes it and
+    verify recomputes it."""
+    plan = _cells(cfg)
+    return {"version": __version__, "digest": cfg.digest(), "config": cfg.raw_text,
+            "cells": [{"n": n, "replicate": rep, "seed": seed} for _, n, rep, seed in plan],
+            "expected_cells": len(plan)}
 
 
 def _report(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
@@ -465,74 +488,24 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
             "all_pass": all_pass, "pass": all_pass}
 
 
-def _write_group(cells_dir: Path, digest: str, kind: str, key: int,
+def _write_group(cells_dir: Path, cfg: ExperimentConfig, key: int,
                  rows: list[CurveRow]) -> None:
-    text = "".join(_row_line(digest, kind, r) for r in rows)
     tmp = cells_dir / f"group-{key:012d}.csv.tmp"
-    tmp.write_text(text)
+    tmp.write_text(_rows_text(cfg, rows))
     tmp.replace(cells_dir / f"group-{key:012d}.csv")
 
 
-def _check_consistent(manifest: dict,
-                      csv_text: str) -> tuple[ExperimentConfig, list[CurveRow]]:
-    """The record's config and rows. Raise IncompleteRecordError, naming
-    the file at fault, unless manifest.json's digest and expected_cells are
-    those of its config, every results.csv row carries that digest, the
-    manifest cells are the cells its config plans, and the rows are a prefix
-    of them."""
-    try:
-        cfg = parse_config_text(manifest.get("config", ""))
-    except ConfigError as exc:
-        raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
-    digest = cfg.digest()
-    plan = [(n, replicate, seed) for _, n, replicate, seed in _cells(cfg)]
-    for key, value in (("digest", digest), ("expected_cells", len(plan))):
-        if manifest.get(key) != value:
-            raise IncompleteRecordError(
-                f"manifest.json: {key} {manifest.get(key)!r} is not its config's {value!r}")
-    records = list(csv.reader(csv_text.splitlines()))[1:]
-    for rec in records:
-        found = rec[0] if rec else None
-        if found != digest:
-            raise IncompleteRecordError(
-                f"results.csv: digest {found!r} is not manifest.json's {digest!r}")
-    try:
-        cells = [(c["n"], c["replicate"], c["seed"]) for c in manifest.get("cells", [])]
-    except (KeyError, TypeError) as exc:
-        raise IncompleteRecordError(f"manifest.json: malformed cell: {exc!r}") from None
-    for cell, planned in itertools.zip_longest(cells, plan):
-        if cell != planned:
-            raise IncompleteRecordError(
-                f"manifest.json: cell (n, replicate, seed) {cell} is not its config's {planned}")
-    try:
-        rows = [_parse_row(rec) for rec in records]
-    except (IndexError, ValueError) as exc:
-        raise IncompleteRecordError(f"results.csv: malformed row: {exc}") from None
-    if [(r.n, r.replicate, r.seed) for r in rows] != plan[:len(rows)]:
-        raise IncompleteRecordError(
-            "results.csv: the rows' (n, replicate, seed) are not manifest.json's cells in order")
-    return cfg, rows
-
-
-def _check_derived(cfg: ExperimentConfig, report: dict, rows: list[CurveRow]) -> None:
-    """Raise IncompleteRecordError unless report.json equals the report
-    recomputed from the config and the results.csv rows, and each row's
-    value is the one its aux gives: aux / log n for a curve row, its
-    check's margin for a diagnostics row."""
-    derived = _report(cfg, rows)
+def _check_keys(name: str, record: dict, derived: dict, source: str) -> None:
+    """Raise IncompleteRecordError, naming the file and the keys, unless the
+    record file's JSON object equals the one recomputed from source key by
+    key."""
     # JSON text compares floats exactly and lets NaN equal NaN
-    differ = sorted(key for key in report.keys() | derived.keys()
-                    if key not in report or key not in derived or
-                    json.dumps(report[key], sort_keys=True) != json.dumps(derived[key], sort_keys=True))
+    differ = sorted(key for key in record.keys() | derived.keys()
+                    if key not in record or key not in derived or
+                    json.dumps(record[key], sort_keys=True) != json.dumps(derived[key], sort_keys=True))
     if differ:
-        raise IncompleteRecordError(
-            f"report.json differs from the report recomputed from results.csv in {differ}")
-    if cfg.kind in ("match_curve", "proximity_curve", "diagnostics"):
-        values = ([c["margin"] for c in derived["checks"]] if cfg.kind == "diagnostics"
-                  else [r.aux / math.log(r.n) for r in rows])
-        if json.dumps([r.value for r in rows]) != json.dumps(values):
-            raise IncompleteRecordError(
-                f"results.csv: row values {[r.value for r in rows]}, their aux give {values}")
+        raise IncompleteRecordError(f"{name}: {', '.join(differ)} differ from the {name} "
+                                    f"recomputed from {source} (keys {differ})")
 
 
 def _record_file(out: Path, name: str):
@@ -551,16 +524,37 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
     """Compare the recorded slope against the target within tolerance.
 
     Returns (exit_code, message): 0 pass, 1 fail, 3 incomplete (more than
-    half of the expected cells missing). A record that disagrees with itself
-    raises IncompleteRecordError (exit 3); see _check_consistent.
+    half of the expected cells missing). Each record file must equal what
+    its config writes: manifest.json is _manifest(cfg), results.csv the
+    header plus the planned rows or a prefix of them, and report.json
+    _report(cfg, rows); and each row's value must be the one its aux gives:
+    aux / log n for a curve row, its check's margin for a diagnostics row.
+    A file that does not raises IncompleteRecordError naming it (exit 3).
     """
     report, manifest, csv_text = (_record_file(Path(out_dir), name)
                                   for name in ("report.json", "manifest.json", "results.csv"))
-    cfg, rows = _check_consistent(manifest, csv_text)
-    expected = manifest["expected_cells"]  # checked to be len(_cells(cfg))
-    if not rows or len(rows) < expected / 2.0:
-        return 3, f"incomplete: {len(rows)} of {expected} cells present"
-    _check_derived(cfg, report, rows)
+    if not isinstance(manifest.get("config"), str):
+        raise IncompleteRecordError(f"manifest.json: config {manifest.get('config')!r} is not text")
+    try:
+        cfg = parse_config_text(manifest["config"])
+    except ConfigError as exc:
+        raise IncompleteRecordError(f"manifest.json: bad config: {exc}") from None
+    _check_keys("manifest.json", manifest, _manifest(cfg), "its config")
+    plan = [(n, replicate, seed) for _, n, replicate, seed in _cells(cfg)]
+    header = ",".join(CSV_HEADER) + "\n"
+    rows = _read_rows(cfg, csv_text[len(header):], plan) if csv_text.startswith(header) else None
+    if rows is None:
+        raise IncompleteRecordError("results.csv: not the header and a prefix of the planned "
+                                    "rows, as its config writes them")
+    if not rows or len(rows) < len(plan) / 2.0:
+        return 3, f"incomplete: {len(rows)} of {len(plan)} cells present"
+    _check_keys("report.json", report, _report(cfg, rows), "its config and results.csv")
+    if cfg.kind in ("match_curve", "proximity_curve", "diagnostics"):
+        values = ([c["margin"] for c in report["checks"]] if cfg.kind == "diagnostics"
+                  else [r.aux / math.log(r.n) for r in rows])
+        if json.dumps([r.value for r in rows]) != json.dumps(values):
+            raise IncompleteRecordError(
+                f"results.csv: row values {[r.value for r in rows]}, their aux give {values}")
     if report.get("kind") == "diagnostics":
         ok = bool(report.get("pass"))
         return (0 if ok else 1), ("diagnostics all-pass" if ok else "diagnostics bound failed")

@@ -302,8 +302,7 @@ def _step(spec: MapSpec, x: float) -> tuple[float, float]:
     raise TypeError(f"unknown map spec {type(spec).__name__}")
 
 
-def iterate(spec: MapSpec, x0: float, n: int, mode: str = "floating",
-            burn_in: int = 0, seed: int = 0) -> OrbitBuffer:
+def iterate(spec: MapSpec, x0: float, n: int, burn_in: int = 0, seed: int = 0) -> OrbitBuffer:
     """Forward orbit of n points starting at x0 (after burn_in discarded
     steps), recording the capped expansion bound as a noise floor.
 
@@ -312,8 +311,6 @@ def iterate(spec: MapSpec, x0: float, n: int, mode: str = "floating",
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode != "floating":
-        raise ValueError("iterate produces floating orbits; use doubling_orbit_exact for exact ones")
     x = float(x0)
     growth = 1.0
     for _ in range(burn_in):
@@ -327,8 +324,7 @@ def iterate(spec: MapSpec, x0: float, n: int, mode: str = "floating",
     return OrbitBuffer(pts, spec, seed, "floating", noise_floor=EPS64 * growth)
 
 
-def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0,
-                 depth: int = 60) -> OrbitBuffer:
+def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0) -> OrbitBuffer:
     """Stationary orbit of a full-branch affine map by inverse-branch
     reconstruction.
 
@@ -336,12 +332,13 @@ def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0,
     shifting: every step consumes mantissa bits and the orbit collapses to 0
     within ~50 steps. Instead the branch itinerary is drawn i.i.d. with the
     Lebesgue branch masses (the exact symbolic law of the invariant measure)
-    and point t is reconstructed through `depth` inverse branches, which are
-    contractions; the truncation error is below one ulp for depth >= 54.
+    and point t is reconstructed through 60 inverse branches, which are
+    contractions; the truncation error is below one ulp from depth 54.
     Itinerary draws landing in the truncated tail are redrawn.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    depth = 60
     bp = np.asarray(spec.breakpoints)
     tail = spec.tail_mass
     rng = make_rng(seed)

@@ -25,7 +25,7 @@ from .symbolic import (
     sample_sequence,
     sample_sequences_batch,
 )
-from .tables import CurveRow
+from .tables import CurveRow, check_curve
 from .thermo import renyi_entropy_exact
 
 __all__ = [
@@ -169,28 +169,21 @@ def longest_self_match_bruteforce(seq, n: int | None = None) -> MatchResult:
 
 
 def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates: int,
-                seed: int, h2_lower_bound: float | None = None) -> list[CurveRow]:
+                seed: int) -> list[CurveRow]:
     """M_n across a grid of n with independent replicates.
 
     Each (n, replicate) cell gets its own derived seed and its own sequence;
-    the buffer holds ceil(8 log n / h2_lower_bound) extra symbols so the
-    containment rule cannot truncate a match at the statistic's scale. When
-    the bound is not supplied it is taken from the exact Renyi entropy.
+    the buffer holds ceil(8 log n / h2) extra symbols, h2 the exact Renyi
+    entropy, so the containment rule cannot truncate a match at the
+    statistic's scale.
     """
-    n_grid = [int(x) for x in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be non-empty strictly increasing")
-    if n_grid[0] < 2:
-        raise ValueError("grid entries must be >= 2")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if h2_lower_bound is None:
-        h2_lower_bound = renyi_entropy_exact(m).h2
-    if h2_lower_bound <= 0:
-        raise ValueError("h2_lower_bound must be positive")
+    n_grid = check_curve(n_grid, replicates)
+    h2 = renyi_entropy_exact(m).h2
+    if h2 <= 0:
+        raise ValueError("match_curve needs a positive Renyi entropy h2")
     rows = []
     for n in n_grid:
-        buffer = math.ceil(8.0 * math.log(n) / h2_lower_bound)
+        buffer = math.ceil(8.0 * math.log(n) / h2)
         for rep in range(replicates):
             cell_seed = derive_seed(seed, "match_curve", n, rep)
             seq = sample_sequence(m, ts, n, buffer, cell_seed)

@@ -34,7 +34,7 @@ from .intervalmaps import (
     sample_initial,
 )
 from .rng import derive_seed, make_rng
-from .tables import CurveRow
+from .tables import CurveRow, check_curve
 
 __all__ = [
     "ProximityResult",
@@ -42,6 +42,7 @@ __all__ = [
     "alpha_of",
     "closest_pair",
     "closest_pair_bruteforce",
+    "curve_min_n",
     "short_return_measure",
     "proximity_curve",
     "orbit_for_cell",
@@ -75,6 +76,11 @@ def _variant_minlen(variant: str) -> int:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     return 3 if variant == "split" else 2
+
+
+def curve_min_n(variant: str) -> int:
+    """Fewest points of a proximity_curve cell; 3 for "far", as alpha_of(2) = 1."""
+    return 3 if variant == "far" else _variant_minlen(variant)
 
 
 def _orbit_values(orbit) -> tuple[list, float, int]:
@@ -372,14 +378,13 @@ def _vector_step(spec: MapSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0,
-                   max_resamples: int = 32) -> OrbitBuffer:
+def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0) -> OrbitBuffer:
     """The n-point orbit of one experiment cell, determined by its seed.
 
     Multiplication maps give exact orbits; affine maps the stationary
     itinerary reconstruction; other maps a floating orbit from a drawn
-    initial point, redrawn (and flagged resampled) when it hits a partition
-    endpoint.
+    initial point, redrawn (and flagged resampled) up to 32 times when it
+    hits a partition endpoint.
     """
     if isinstance(spec, KDoubling):
         return doubling_orbit_exact(spec.k, n, min_window_digits(spec.k, n), seed=cell_seed)
@@ -389,7 +394,7 @@ def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0,
         return affine_orbit(spec, n, seed=cell_seed)
     rng = make_rng(cell_seed)
     resampled = False
-    for _ in range(max_resamples):
+    for _ in range(32):
         x0 = sample_initial(spec, rng)
         try:
             orb = iterate(spec, x0, n, burn_in=burn_in, seed=cell_seed)
@@ -400,7 +405,7 @@ def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0,
             return OrbitBuffer(orb.points, orb.map, orb.seed, orb.precision,
                                noise_floor=orb.noise_floor, resampled=True)
         return orb
-    raise ResampleSignal(f"exceeded {max_resamples} resampling attempts")
+    raise ResampleSignal("exceeded 32 resampling attempts")
 
 
 def proximity_curve(spec: MapSpec, n_grid, replicates: int, variant: str = "all",
@@ -412,13 +417,7 @@ def proximity_curve(spec: MapSpec, n_grid, replicates: int, variant: str = "all"
     noise floor are flagged "floor" and excluded from fits downstream;
     resampled cells keep their value with flag "resampled".
     """
-    n_grid = [int(x) for x in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be non-empty strictly increasing")
-    if n_grid[0] < 2:
-        raise ValueError("grid entries must be >= 2")
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    n_grid = check_curve(n_grid, replicates, curve_min_n(variant))
     if burn_in is None:
         burn_in = 1000 if isinstance(spec, MPInduced) else 0
     rows = []

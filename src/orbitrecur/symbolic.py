@@ -388,21 +388,20 @@ def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
     return m.word_measure(sym)
 
 
-def _stationary_power(P: np.ndarray, start: np.ndarray, tol: float = 1e-15,
-                      max_iter: int = 100_000) -> np.ndarray:
+def _stationary_power(P: np.ndarray, start: np.ndarray) -> np.ndarray:
     # Iterate the half-lazy kernel (I+P)/2: same fixed point, no period-2
     # oscillation on periodic chains.
     pi = np.array(start, dtype=np.float64)
-    for _ in range(max_iter):
+    for _ in range(100_000):
         nxt = 0.5 * (pi + pi @ P)
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= tol:
+        if np.max(np.abs(nxt - pi)) <= 1e-15:
             return nxt
         pi = nxt
     raise ReducibleChainError("power iteration did not converge; chain may be reducible")
 
 
-def stationary_distribution(P, tol: float = 1e-15, max_iter: int = 100_000) -> np.ndarray:
+def stationary_distribution(P) -> np.ndarray:
     """Stationary vector of a row-stochastic irreducible matrix.
 
     Power iteration from the uniform start; reducible inputs are rejected by a
@@ -418,7 +417,7 @@ def stationary_distribution(P, tol: float = 1e-15, max_iter: int = 100_000) -> n
     if not diag.strongly_connected:
         raise ReducibleChainError("P is reducible; stationary vector not unique")
     d = P.shape[0]
-    pi = _stationary_power(P, np.full(d, 1.0 / d), tol=tol, max_iter=max_iter)
+    pi = _stationary_power(P, np.full(d, 1.0 / d))
     if np.max(np.abs(pi @ P - pi)) > 1e-10:
         raise ReducibleChainError("stationary vector failed the 1e-10 fixed-point check")
     return pi

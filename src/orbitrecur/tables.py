@@ -26,3 +26,17 @@ class CurveRow:
     def __post_init__(self):
         if self.flag not in FLAGS:
             raise ValueError(f"flag must be one of {FLAGS}")
+
+
+def check_curve(n_grid, replicates: int, min_n: int = 2) -> list[int]:
+    """The n grid of a curve as ints; ValueError unless it is non-empty,
+    strictly increasing and starts at min_n or above (log n > 0 needs 2),
+    and replicates >= 1."""
+    n_grid = [int(x) for x in n_grid]
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be non-empty strictly increasing")
+    if n_grid[0] < min_n:
+        raise ValueError(f"n_grid entries must be >= {min_n}")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    return n_grid

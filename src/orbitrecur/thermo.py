@@ -129,14 +129,14 @@ def _pressure_periodic(M: np.ndarray, start_n: int = 40, tol: float = 1e-10,
         n *= 2
 
 
-def gurevich_pressure(ts: TransitionSystem, potential, method: str = "spectral_radius",
-                      cross_check_tol: float = 1e-6) -> PressureResult:
+def gurevich_pressure(ts: TransitionSystem, potential,
+                      method: str = "spectral_radius") -> PressureResult:
     """Growth rate of potential-weighted closed-path sums.
 
     For a 2-block potential the n-step sum with fixed start symbol a is
     (M^n)_aa, so the pressure is log of the Perron root of M. Both the power
     iteration route and the periodic-orbit (trace) route are computed and must
-    agree within cross_check_tol. A non-mixing system still yields the
+    agree within 1e-6. A non-mixing system still yields the
     spectral radius but the result is flagged.
     """
     M = transfer_matrix(ts, potential)
@@ -153,7 +153,7 @@ def gurevich_pressure(ts: TransitionSystem, potential, method: str = "spectral_r
             raise ValueError("periodic-orbit sums need a topologically mixing system")
         return PressureResult(spectral, "spectral_radius", iters, True)
     periodic, n_used = _pressure_periodic(M)
-    if abs(spectral - periodic) > cross_check_tol:
+    if abs(spectral - periodic) > 1e-6:
         raise CrossCheckError(
             f"pressure methods disagree: spectral {spectral!r} vs periodic {periodic!r}"
         )

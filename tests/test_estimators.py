@@ -73,7 +73,7 @@ class TestD2Estimate:
 
     def test_exact_line_recovered(self):
         grid = default_r_grid(1e-1, 2, 10)
-        curve = CorrelationCurve(grid, grid.copy(), 1000, np.zeros(len(grid), bool))
+        curve = CorrelationCurve(grid, grid.copy(), 1000)
         fit = d2_estimate(curve, c_max=1.0)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
@@ -89,8 +89,7 @@ class TestD2Estimate:
 
     def test_insufficient_usable_points(self):
         grid = np.array([0.5, 0.4, 0.3])
-        curve = CorrelationCurve(grid, np.array([0.9, 0.9, 0.9]), 500,
-                                 np.zeros(3, bool))
+        curve = CorrelationCurve(grid, np.array([0.9, 0.9, 0.9]), 500)
         with pytest.raises(FitRefusedError):
             d2_estimate(curve, c_max=0.5)
 

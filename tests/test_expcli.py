@@ -1,98 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
+from _configs import SMALL_CONFIGS as ALL_SMALL
 
 from orbitrecur import diagnostics, expcli
 from orbitrecur.errors import ConfigError, IncompleteRecordError
 
-SMALL_MATCH = """\
-[experiment]
-kind = match_curve
-n_grid = 50, 200, 800
-replicates = 3
-master_seed = 77
-tolerance = 1.5
-
-[system]
-type = bernoulli
-weights = 0.5, 0.5
-"""
-
-SMALL_PROX = """\
-[experiment]
-kind = proximity_curve
-n_grid = 50, 200, 800
-replicates = 3
-master_seed = 77
-tolerance = 1.5
-min_grid_points = 3
-
-[system]
-type = kdoubling
-k = 2
-"""
-
-SMALL_D2 = """\
-[experiment]
-kind = d2
-samples = 4000
-replicates = 2
-master_seed = 77
-tolerance = 0.2
-
-[system]
-type = gauss
-"""
-
-SMALL_H2 = """\
-[experiment]
-kind = h2
-samples = 2000
-block_len = 6
-replicates = 2
-master_seed = 77
-tolerance = 0.1
-
-[system]
-type = markov
-transition = 0, 1; 0.5, 0.5
-"""
-
-SMALL_DIAG = """\
-[experiment]
-kind = diagnostics
-r = 5
-k_max = 8
-master_seed = 77
-
-[system]
-type = markov
-transition = 0, 1; 0.5, 0.5
-"""
-
-SMALL_RETURNS = """\
-[experiment]
-kind = returns
-r = 3
-k_list = 1, 2, 4, 6
-mode = exact
-master_seed = 77
-
-[system]
-type = bernoulli
-weights = 0.5, 0.5
-"""
-
-ALL_SMALL = {
-    "match_curve": SMALL_MATCH,
-    "proximity_curve": SMALL_PROX,
-    "d2": SMALL_D2,
-    "h2": SMALL_H2,
-    "diagnostics": SMALL_DIAG,
-    "returns": SMALL_RETURNS,
-}
+SMALL_MATCH, SMALL_PROX, SMALL_D2, SMALL_H2, SMALL_DIAG, SMALL_RETURNS = (
+    ALL_SMALL[kind] for kind in
+    ("match_curve", "proximity_curve", "d2", "h2", "diagnostics", "returns"))
 
 SMALL_D2_ORBIT = (SMALL_D2.replace("type = gauss", "type = kdoubling\nk = 2")
                   .replace("samples = 4000", "samples = 20000\nmode = orbit"))
@@ -176,6 +95,32 @@ class TestConfigParsing:
         # consistent: returns has no target, so verify stops at exit 3
         assert expcli.verify(tmp_path) == (3, "record has no (slope, target, tolerance) triple to verify")
 
+    @pytest.mark.parametrize("text", [
+        SMALL_MATCH.replace("50, 200, 800", "1, 10, 100"),
+        SMALL_PROX.replace("50, 200, 800", "1, 10, 100"),
+        SMALL_PROX.replace("min_grid_points", "variant = nope\nmin_grid_points"),
+        SMALL_PROX.replace("50, 200, 800", "2, 10, 100")
+        .replace("min_grid_points", "variant = split\nmin_grid_points"),
+        SMALL_PROX.replace("50, 200, 800", "2, 10, 100")
+        .replace("min_grid_points", "variant = far\nmin_grid_points"),
+        SMALL_H2.replace("samples = 2000", "samples = 200"),
+        SMALL_H2.replace("samples = 2000", "samples = 1000").replace("block_len = 6", "block_len = 40")
+        .replace("type = markov\ntransition = 0, 1; 0.5, 0.5", "type = bernoulli\nweights = 0.5, 0.5"),
+        SMALL_D2.replace("samples = 4000", "samples = 50"),
+        SMALL_D2.replace("samples = 4000", "samples = 1000\nmode = orbit"),
+        SMALL_MATCH.replace("type = bernoulli\nweights = 0.5, 0.5", "type = markov\ntransition = 0, 1; 1, 0"),
+    ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
+            "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
+            "d2_orbit_21_points", "match_zero_entropy"])
+    def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
+        # each parsed at the parent, then crashed run with a ValueError traceback
+        with pytest.raises(ConfigError):
+            expcli.parse_config_text(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_markov_without_stationary_solves(self):
         cfg = expcli.parse_config_text(SMALL_H2)
         m = expcli.measure_from_section(cfg.system)
@@ -242,6 +187,72 @@ class TestRunAndVerify:
         removed.unlink()
         expcli.run(cfg, tmp_path / "out")
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    @staticmethod
+    def record_sha256(out):
+        return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                     for f in ("results.csv", "manifest.json", "report.json"))
+
+    @staticmethod
+    def count_groups(monkeypatch):
+        computed = []
+        real = expcli._run_group
+
+        def counted(cfg, key):
+            computed.append(key)
+            return real(cfg, key)
+
+        monkeypatch.setattr(expcli, "_run_group", counted)
+        return computed
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:2],
+        lambda lines: lines[:2] + lines[1:],
+        lambda lines: lines[:1] + [""] + lines[1:],
+        lambda lines: lines[:2] + [lines[2][:30]],
+        lambda lines: [lines[0].replace(",ok", "x,ok")] + lines[1:],
+    ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number"])
+    def test_damaged_cell_file_recomputed(self, tmp_path, monkeypatch, damage):
+        cfg = expcli.parse_config_text(SMALL_MATCH)
+        expcli.run(cfg, tmp_path)
+        path = tmp_path / "cells" / "group-000000000200.csv"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3  # the replicates of n = 200
+        path.write_text("\n".join(damage(lines)) + "\n")
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path)
+        assert computed == [200]
+        assert self.record_sha256(tmp_path) == RECORD_SHA256["match_curve"]
+        assert expcli.verify(tmp_path)[0] == 0
+
+    def test_computed_group_that_fails_its_plan_raises(self, tmp_path, monkeypatch):
+        real = expcli._run_group
+
+        def wrong_seed(cfg, key):
+            return [dataclasses.replace(row, seed=row.seed + 1) for row in real(cfg, key)]
+
+        monkeypatch.setattr(expcli, "_run_group", wrong_seed)
+        with pytest.raises(RuntimeError, match="group-000000000050"):
+            expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path)
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SHA256))
+    def test_resume_from_pinned_cells(self, tmp_path, monkeypatch, name):
+        # the pinned results.csv rows, grouped as the cell plan groups them, are
+        # the cell files that every earlier version with these pins wrote
+        text = SMALL_D2_ORBIT if name == "d2_orbit" else ALL_SMALL[name]
+        cfg = expcli.parse_config_text(text)
+        expcli.run(cfg, tmp_path / "first")
+        assert self.record_sha256(tmp_path / "first") == RECORD_SHA256[name]
+        lines = (tmp_path / "first" / "results.csv").read_text().splitlines(keepends=True)[1:]
+        cells = tmp_path / "resume" / "cells"
+        cells.mkdir(parents=True)
+        for (group, *_), line in zip(expcli._cells(cfg), lines):
+            with open(cells / f"group-{group:012d}.csv", "a") as fh:
+                fh.write(line)
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path / "resume")
+        assert computed == []
+        assert self.record_sha256(tmp_path / "resume") == RECORD_SHA256[name]
 
     def test_parallel_workers_same_bytes(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_PROX)
@@ -411,6 +422,37 @@ class TestRunAndVerify:
         with pytest.raises(IncompleteRecordError, match="manifest.json: expected_cells"):
             expcli.verify(tmp_path / "out")
         assert expcli.main(["verify", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("name,edit", [
+        ("manifest.json", lambda text: text.replace('"version": "', '"version": "9')),
+        ("manifest.json", lambda text: text.replace("{", '{\n  "note": 1,', 1)),
+        ("results.csv", lambda text: text.replace("experiment,", "exp,", 1)),
+        ("results.csv", lambda text: text.replace(",h2,", ",d2,", 1)),
+        ("results.csv", lambda text: text.replace("\n", ",x\n").replace("flag,x", "flag", 1)),
+    ], ids=["manifest_version", "manifest_key_added", "header_renamed", "row_kind",
+            "column_appended"])
+    def test_verify_rejects_record_not_as_written(self, tmp_path, capsys, name, edit):
+        # every edit exited 0 at the parent
+        expcli.run(expcli.parse_config_text(SMALL_H2), tmp_path)
+        assert expcli.verify(tmp_path)[0] == 0
+        path = tmp_path / name
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
+        with pytest.raises(IncompleteRecordError, match=name):
+            expcli.verify(tmp_path)
+        assert expcli.main(["verify", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("config", [5, ["x"]])
+    def test_verify_rejects_non_text_config(self, tmp_path, capsys, config):
+        expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"] = config
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(IncompleteRecordError, match="manifest.json: config"):
+            expcli.verify(tmp_path)
+        assert expcli.main(["verify", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("key,edit", [
         ("checks", lambda r: r["checks"][0].update(rhs=-1.0)),
