@@ -82,8 +82,9 @@ def _smallest_multiple_in(k: int, lo: int, hi: int) -> int | None:
     return first if first <= hi else None
 
 
-def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> list[tuple[str, float]]:
-    """The (name, rhs) of the regime bound on mu(S_k(r)) per lag k <= k_max.
+def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, float]], BoundCheck]:
+    """The (name, rhs) of the regime bound on mu(S_k(r)) per lag k <= k_max,
+    and psi_decay_check over max(k_max, 2) lags, both from one psi table.
 
     For lag k up to floor(r/2): mu(S_k(r)) <= B^6 Z_l(w) with l the smallest
     multiple of k in [ceil(r/4), floor(r/2)] and w = floor(r/l). For lags up
@@ -96,7 +97,7 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> list[tuple[str, float]]:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     B = quasi_bernoulli_constant(m)
-    psi, _ = psi_mixing_table(m.as_markov(), max(k_max - r, 0))
+    psi, _ = psi_mixing_table(m.as_markov(), max(k_max, 2))
     bounds = []
     for k in range(1, k_max + 1):
         if k <= r // 2:
@@ -115,13 +116,13 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> list[tuple[str, float]]:
             rhs = (1.0 + psi[k - r]) * z_partition_sum(m, r, 1.0)
             name = f"sigma2[r={r},k={k}]"
         bounds.append((name, rhs))
-    return bounds
+    return bounds, _psi_decay(m.as_markov(), psi)
 
 
 def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
     """Exact return-set masses mu(S_k(r)) against their sigma_bounds."""
     return [BoundCheck(name, return_set_measure(m, r, k, "exact").value, rhs)
-            for k, (name, rhs) in enumerate(sigma_bounds(m, r, k_max), start=1)]
+            for k, (name, rhs) in enumerate(sigma_bounds(m, r, k_max)[0], start=1)]
 
 
 def psi_decay_check(m: MarkovMeasure, k_max: int) -> BoundCheck:
@@ -135,10 +136,15 @@ def psi_decay_check(m: MarkovMeasure, k_max: int) -> BoundCheck:
         raise TypeError("psi decay requires a Markov measure")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    return _psi_decay(m, psi_mixing_table(m, k_max)[0])
+
+
+def _psi_decay(m: MarkovMeasure, psi: list[float]) -> BoundCheck:
+    """psi_decay_check from psi(k), k = 0..k_max."""
+    k_max = len(psi) - 1
     eigs = np.linalg.eigvals(np.asarray(m.P))
     mods = np.sort(np.abs(eigs))[::-1]
     lam2 = float(mods[1]) if len(mods) > 1 else 0.0
-    psi, _ = psi_mixing_table(m, k_max)
     if lam2 < 1e-14 or max(psi[1:], default=0.0) == 0.0:
         return BoundCheck(f"psi_decay[lam2={lam2:.3g}]", 0.0, 0.0)
     c_fit = psi[1] / lam2

@@ -13,25 +13,22 @@ Exit codes: 0 pass, 1 fail, 2 config error, 3 incomplete record.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import csv
 import hashlib
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import (BoundCheck, psi_decay_check, quasi_bernoulli_constant, sigma_bounds,
-                          sigma_bounds_check)
+from .diagnostics import BoundCheck, quasi_bernoulli_constant, sigma_bounds
 from .errors import ConfigError, FitRefusedError, IncompleteRecordError, OrbitRecurError
 from .estimators import (
     CORRELATION_MIN_POINTS,
@@ -64,8 +61,6 @@ __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "run", "verif
 KINDS = ("match_curve", "proximity_curve", "d2", "h2", "diagnostics", "returns")
 
 CSV_HEADER = ["experiment", "kind", "n", "replicate", "seed", "value", "aux", "flag"]
-
-WORKERS_ENV = "ORBITRECUR_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +289,10 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int, int, int]]:
     return [(0, t, 0, 0) for t in range(cfg.k_max + 1)]  # diagnostics: sigma checks, psi decay
 
 
-def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
-    """All rows of one work group, deterministic in (config, key)."""
+def _run_group(cfg: ExperimentConfig, key: int,
+               cells: list[tuple[int, int, int]]) -> list[CurveRow]:
+    """All rows of one work group, deterministic in (config, key); cells are
+    its planned (n, replicate, seed)."""
     system = _system(cfg)
     if cfg.kind == "match_curve":
         return match_curve(system, None, [key], cfg.replicates, cfg.master_seed)
@@ -303,11 +300,12 @@ def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
         return proximity_curve(system, [key], cfg.replicates, cfg.variant,
                                cfg.master_seed, burn_in=cfg.burn_in)
     if cfg.kind == "diagnostics":
-        checks = sigma_bounds_check(system, cfg.r, cfg.k_max)
-        checks.append(psi_decay_check(system.as_markov(), max(cfg.k_max, 2)))
+        bounds, psi = sigma_bounds(system, cfg.r, cfg.k_max)
+        checks = [BoundCheck(name, return_set_measure(system, cfg.r, k, "exact").value, rhs)
+                  for k, (name, rhs) in enumerate(bounds, start=1)] + [psi]
         return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs,
                          flag="ok") for t, chk in enumerate(checks)]
-    _, n, replicate, seed = next(cell for cell in _cells(cfg) if cell[0] == key)
+    [(n, replicate, seed)] = cells
     if cfg.kind == "d2":
         if cfg.mode == "orbit":
             # secondary mode: one orbit of length `samples`, decorrelated by
@@ -328,12 +326,6 @@ def _run_group(cfg: ExperimentConfig, key: int) -> list[CurveRow]:
     return [CurveRow(n=n, replicate=replicate, seed=seed, value=value, aux=aux, flag="ok")]
 
 
-def _group_worker(args: tuple[str, int]) -> tuple[int, list[tuple]]:
-    text, key = args
-    cfg = parse_config_text(text)
-    return key, [tuple(asdict(r).values()) for r in _run_group(cfg, key)]
-
-
 def _rows_text(cfg: ExperimentConfig, rows: list[CurveRow]) -> str:
     """The CSV lines of rows, as results.csv (after its header) and the
     cell files hold them."""
@@ -347,7 +339,9 @@ def _rows_text(cfg: ExperimentConfig, rows: list[CurveRow]) -> str:
 def _read_rows(cfg: ExperimentConfig, text: str,
                cells: list[tuple[int, int, int]]) -> list[CurveRow] | None:
     """The rows of text, or None unless writing them again gives back text
-    exactly and their (n, replicate, seed) are the first entries of cells."""
+    exactly, their (n, replicate, seed) are the first entries of cells and
+    each flag is one the config writes: floor for a non-finite value, else
+    ok, or also floor or resampled on a floating orbit's proximity cell."""
     try:
         rows = [CurveRow(n=int(rec[2]), replicate=int(rec[3]), seed=int(rec[4]),
                          value=float(rec[5]), aux=float(rec[6]), flag=rec[7])
@@ -355,6 +349,10 @@ def _read_rows(cfg: ExperimentConfig, text: str,
     except (IndexError, ValueError, csv.Error):  # a blank, cut-short or unparsable row
         return None
     if _rows_text(cfg, rows) != text or [(r.n, r.replicate, r.seed) for r in rows] != cells[:len(rows)]:
+        return None
+    floating = cfg.kind == "proximity_curve" and not isinstance(_system(cfg), KDoubling)
+    if not all(r.flag == "floor" if not math.isfinite(r.value) else floating or r.flag == "ok"
+               for r in rows):
         return None
     return rows
 
@@ -371,50 +369,31 @@ def _read_group(cells_dir: Path, cfg: ExperimentConfig, key: int,
     return rows if rows is not None and len(rows) == len(cells) else None
 
 
-def _env_workers() -> int:
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    return workers
-
-
-def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) -> ExperimentRecord:
+def run(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRecord:
     """Execute the experiment and persist results.csv / manifest.json /
     report.json under out_dir.
 
     Work groups write one temp file per cell under out_dir/cells; a rerun
     reuses a cell file only if it holds exactly its group's planned cells as
     this config writes them, so partial runs resume, and recomputes any
-    other (another config's, cut short or damaged). The merge into
-    results.csv is single-threaded in the order of the cell plan, so worker
-    count and completion order never change the output bytes. The worker
-    count (default: ORBITRECUR_WORKERS, else 1) is capped at the number of
-    pending groups and of CPUs.
+    other (another config's, cut short or damaged). Pending groups are
+    computed in this process in plan order, and results.csv is merged in
+    the order of the cell plan.
     """
     out = Path(out_dir)
     cells_dir = out / "cells"
-    cells_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = _env_workers()
+    try:
+        cells_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file in the way
+        raise ConfigError(f"cannot make the output directory {cells_dir}: {exc}") from None
     t0 = time.time()
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for group, n, replicate, seed in _cells(cfg):
         groups.setdefault(group, []).append((n, replicate, seed))
     found = {key: _read_group(cells_dir, cfg, key, cells) for key, cells in groups.items()}
     pending = [key for key, rows in found.items() if rows is None]
-    workers = min(workers, len(pending), os.cpu_count() or 1)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, tuples in pool.map(_group_worker, [(cfg.raw_text, k) for k in pending]):
-                _write_group(cells_dir, cfg, key, [CurveRow(*t) for t in tuples])
-    else:
-        for key in pending:
-            _write_group(cells_dir, cfg, key, _run_group(cfg, key))
     for key in pending:
+        _write(cells_dir / f"group-{key:012d}.csv", _rows_text(cfg, _run_group(cfg, key, groups[key])))
         found[key] = _read_group(cells_dir, cfg, key, groups[key])
         if found[key] is None:
             raise RuntimeError(f"cells/group-{key:012d}.csv: just computed, yet not its planned cells")
@@ -422,10 +401,10 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, workers: int | None = None) 
     wall = time.time() - t0
 
     report = _report(cfg, rows)
-    (out / "results.csv").write_text(",".join(CSV_HEADER) + "\n" + _rows_text(cfg, rows))
-    (out / "manifest.json").write_text(json.dumps(_manifest(cfg), indent=2, sort_keys=True) + "\n")
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    (out / "timing.json").write_text(json.dumps({"wall_time_s": wall}) + "\n")
+    _write(out / "results.csv", ",".join(CSV_HEADER) + "\n" + _rows_text(cfg, rows))
+    _write(out / "manifest.json", json.dumps(_manifest(cfg), indent=2, sort_keys=True) + "\n")
+    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out / "timing.json", json.dumps({"wall_time_s": wall}) + "\n")
     return ExperimentRecord(rows, report, out)
 
 
@@ -476,9 +455,9 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
         return {**meta, "checks": [{"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux,
                                     "mode": cfg.mode} for r in rows]}
     m = _system(cfg)
-    psi = psi_decay_check(m.as_markov(), max(cfg.k_max, 2))
-    bounds = sigma_bounds(m, cfg.r, cfg.k_max) + [(psi.name, psi.rhs)]
-    checks = [BoundCheck(name, row.aux, rhs) for row, (name, rhs) in zip(rows, bounds)]
+    bounds, psi = sigma_bounds(m, cfg.r, cfg.k_max)
+    checks = [BoundCheck(name, row.aux, rhs)
+              for row, (name, rhs) in zip(rows, bounds + [(psi.name, psi.rhs)])]
     decay = z_decay_check(m, max(cfg.k_max, 2))
     all_pass = all(c.passed for c in checks)
     return {**meta, "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
@@ -488,11 +467,16 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
             "all_pass": all_pass, "pass": all_pass}
 
 
-def _write_group(cells_dir: Path, cfg: ExperimentConfig, key: int,
-                 rows: list[CurveRow]) -> None:
-    tmp = cells_dir / f"group-{key:012d}.csv.tmp"
-    tmp.write_text(_rows_text(cfg, rows))
-    tmp.replace(cells_dir / f"group-{key:012d}.csv")
+def _write(path: Path, text: str) -> None:
+    """Write text to path through a temp file, so no reader sees it half
+    written; an OSError (say, a directory in the way) is a ConfigError
+    naming the path."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _check_keys(name: str, record: dict, derived: dict, source: str) -> None:

@@ -40,6 +40,7 @@ __all__ = [
 
 EPS64 = 2.0**-52  # unit roundoff scale for 64-bit orbits
 GROWTH_CAP = 2.0**8  # cap on the accumulated expansion factor in the floor
+LIMB_BOUND = 2**63  # exact orbits hold base-k digits in int64 limbs, each below this
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class KDoubling:
     k: int = 2
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InvalidSystemError("need k >= 2")
+        if not 2 <= self.k < LIMB_BOUND:
+            raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in int64 limbs)")
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,7 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     enforce_floor=False admits windows too narrow for the n^-2 distance
     scale; only for hand-sized demonstrations.
     """
-    if k < 2:
-        raise InvalidSystemError("need base k >= 2")
+    spec = KDoubling(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     floor = min_window_digits(k, n)
@@ -243,17 +243,15 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
         limb.setflags(write=False)
         limbs.append(limb)
         start += width
-    return OrbitBuffer(None, KDoubling(k), seed, "exact_dyadic",
+    return OrbitBuffer(None, spec, seed, "exact_dyadic",
                        limbs=tuple(limbs), window_bits=W, base=k)
 
 
 def _limb_widths(k: int, window_bits: int) -> list[int]:
     """Digit counts of the int64 limbs of a window: L each, with L the largest
-    count whose k^L stays below 2^63, and a narrower last limb."""
-    if k >= 2**63:
-        raise InvalidSystemError("base k must stay below 2^63 for int64 limbs")
+    count whose k^L stays below LIMB_BOUND, and a narrower last limb."""
     L = 1
-    while k ** (L + 1) < 2**63:
+    while k ** (L + 1) < LIMB_BOUND:
         L += 1
     return [min(L, window_bits - c) for c in range(0, window_bits, L)]
 

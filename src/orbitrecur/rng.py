@@ -8,8 +8,6 @@ its own to regenerate the cell.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 # Stable codes for seed derivation; never reorder or reuse.
@@ -25,13 +23,11 @@ KIND_CODES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def derive_seed(master_seed: int, kind: str, n: int, replicate: int) -> int:
     """Derive the 64-bit seed of one experiment cell.
 
     Uses numpy's SeedSequence spawning, which is platform-stable. The result
-    alone determines the cell's stream (see make_rng). Memoized: each work
-    group of a run looks its seed up in the whole cell plan.
+    alone determines the cell's stream (see make_rng).
     """
     if kind not in KIND_CODES:
         raise KeyError(f"unknown experiment kind {kind!r}")

@@ -109,11 +109,13 @@ class TestConfigParsing:
         SMALL_D2.replace("samples = 4000", "samples = 50"),
         SMALL_D2.replace("samples = 4000", "samples = 1000\nmode = orbit"),
         SMALL_MATCH.replace("type = bernoulli\nweights = 0.5, 0.5", "type = markov\ntransition = 0, 1; 1, 0"),
+        SMALL_PROX.replace("k = 2", "k = 18446744073709551616"),
+        SMALL_PROX.replace("k = 2", "k = 9223372036854775808"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
-            "d2_orbit_21_points", "match_zero_entropy"])
+            "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
-        # each parsed at the parent, then crashed run with a ValueError traceback
+        # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
             expcli.parse_config_text(text)
         cfg_path = tmp_path / "exp.cfg"
@@ -198,9 +200,9 @@ class TestRunAndVerify:
         computed = []
         real = expcli._run_group
 
-        def counted(cfg, key):
+        def counted(cfg, key, cells):
             computed.append(key)
-            return real(cfg, key)
+            return real(cfg, key, cells)
 
         monkeypatch.setattr(expcli, "_run_group", counted)
         return computed
@@ -211,7 +213,9 @@ class TestRunAndVerify:
         lambda lines: lines[:1] + [""] + lines[1:],
         lambda lines: lines[:2] + [lines[2][:30]],
         lambda lines: [lines[0].replace(",ok", "x,ok")] + lines[1:],
-    ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number"])
+        lambda lines: [lines[0].replace(",ok", ",resampled")] + lines[1:],
+    ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number",
+            "flag_not_written"])
     def test_damaged_cell_file_recomputed(self, tmp_path, monkeypatch, damage):
         cfg = expcli.parse_config_text(SMALL_MATCH)
         expcli.run(cfg, tmp_path)
@@ -228,8 +232,8 @@ class TestRunAndVerify:
     def test_computed_group_that_fails_its_plan_raises(self, tmp_path, monkeypatch):
         real = expcli._run_group
 
-        def wrong_seed(cfg, key):
-            return [dataclasses.replace(row, seed=row.seed + 1) for row in real(cfg, key)]
+        def wrong_seed(cfg, key, cells):
+            return [dataclasses.replace(row, seed=row.seed + 1) for row in real(cfg, key, cells)]
 
         monkeypatch.setattr(expcli, "_run_group", wrong_seed)
         with pytest.raises(RuntimeError, match="group-000000000050"):
@@ -254,12 +258,6 @@ class TestRunAndVerify:
         assert computed == []
         assert self.record_sha256(tmp_path / "resume") == RECORD_SHA256[name]
 
-    def test_parallel_workers_same_bytes(self, tmp_path):
-        cfg = expcli.parse_config_text(SMALL_PROX)
-        expcli.run(cfg, tmp_path / "seq", workers=1)
-        expcli.run(cfg, tmp_path / "par", workers=3)
-        assert (tmp_path / "seq" / "results.csv").read_bytes() == (tmp_path / "par" / "results.csv").read_bytes()
-
     def test_rerun_with_other_seed_rewrites_cells(self, tmp_path):
         # cell files written under another config's digest are not reused
         expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "shared")
@@ -268,42 +266,6 @@ class TestRunAndVerify:
         expcli.run(cfg78, tmp_path / "fresh")
         for name in ("results.csv", "manifest.json", "report.json"):
             assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_worker_env(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("ORBITRECUR_WORKERS", value)
-        with pytest.raises(ConfigError):
-            expcli.run(expcli.parse_config_text(SMALL_RETURNS), tmp_path / "out")
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SMALL_RETURNS)
-        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        assert "ORBITRECUR_WORKERS" in capsys.readouterr().err
-
-    def test_workers_capped(self, tmp_path, monkeypatch):
-        # 3 pending groups on 2 CPUs: a request for 4 workers gets 2
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(expcli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(expcli.os, "cpu_count", lambda: 2)
-        expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "out", workers=4)
-        assert pools == [2]
-        monkeypatch.setattr(expcli.os, "cpu_count", lambda: 8)
-        (tmp_path / "out" / "cells" / "group-000000000200.csv").unlink()
-        expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path / "out", workers=4)
-        assert pools == [2]  # one pending group runs in this process
 
     def test_verify_pass_and_fail(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_PROX)
@@ -423,17 +385,22 @@ class TestRunAndVerify:
             expcli.verify(tmp_path / "out")
         assert expcli.main(["verify", str(tmp_path / "out")]) == 3
 
-    @pytest.mark.parametrize("name,edit", [
-        ("manifest.json", lambda text: text.replace('"version": "', '"version": "9')),
-        ("manifest.json", lambda text: text.replace("{", '{\n  "note": 1,', 1)),
-        ("results.csv", lambda text: text.replace("experiment,", "exp,", 1)),
-        ("results.csv", lambda text: text.replace(",h2,", ",d2,", 1)),
-        ("results.csv", lambda text: text.replace("\n", ",x\n").replace("flag,x", "flag", 1)),
+    @pytest.mark.parametrize("config,name,edit", [
+        (SMALL_H2, "manifest.json", lambda text: text.replace('"version": "', '"version": "9')),
+        (SMALL_H2, "manifest.json", lambda text: text.replace("{", '{\n  "note": 1,', 1)),
+        (SMALL_H2, "results.csv", lambda text: text.replace("experiment,", "exp,", 1)),
+        (SMALL_H2, "results.csv", lambda text: text.replace(",h2,", ",d2,", 1)),
+        (SMALL_H2, "results.csv", lambda text: text.replace("\n", ",x\n").replace("flag,x", "flag", 1)),
+        (SMALL_H2, "results.csv", lambda text: text.replace(",ok\n", ",resampled\n", 1)),
+        (SMALL_MATCH, "results.csv", lambda text: text.replace(",ok\n", ",resampled\n", 1)),
+        (SMALL_PROX, "results.csv", lambda text: text.replace(",ok\n", ",resampled\n", 1)),
     ], ids=["manifest_version", "manifest_key_added", "header_renamed", "row_kind",
-            "column_appended"])
-    def test_verify_rejects_record_not_as_written(self, tmp_path, capsys, name, edit):
-        # every edit exited 0 at the parent
-        expcli.run(expcli.parse_config_text(SMALL_H2), tmp_path)
+            "column_appended", "h2_flag_resampled", "match_flag_resampled",
+            "proximity_exact_flag_resampled"])
+    def test_verify_rejects_record_not_as_written(self, tmp_path, capsys, config, name, edit):
+        # every edit leaves report.json as it was, so only the edited file's own
+        # check can reject it
+        expcli.run(expcli.parse_config_text(config), tmp_path)
         assert expcli.verify(tmp_path)[0] == 0
         path = tmp_path / name
         text = path.read_text()
@@ -442,6 +409,18 @@ class TestRunAndVerify:
         with pytest.raises(IncompleteRecordError, match=name):
             expcli.verify(tmp_path)
         assert expcli.main(["verify", str(tmp_path)]) == 3
+
+    def test_floating_orbit_flags_accepted(self, tmp_path, monkeypatch):
+        # a truncated affine map's orbits write resampled cells; run keeps them
+        # and verify accepts them
+        cfg = expcli.parse_config_text(
+            SMALL_PROX.replace("type = kdoubling\nk = 2", "type = affine\ntruncation = 8"))
+        rec = expcli.run(cfg, tmp_path)
+        assert {row.flag for row in rec.rows} == {"ok", "resampled"}
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path)
+        assert computed == []
+        assert expcli.verify(tmp_path)[0] in (0, 1)
 
     @pytest.mark.parametrize("config", [5, ["x"]])
     def test_verify_rejects_non_text_config(self, tmp_path, capsys, config):
@@ -493,6 +472,42 @@ class TestRunAndVerify:
         assert expcli.verify(tmp_path / "out")[0] == 0
         assert calls == []
 
+    def test_diagnostics_computes_one_psi_table_per_stage(self, tmp_path, monkeypatch):
+        calls = []
+        real = diagnostics.psi_mixing_table
+
+        def counted(m, k_max):
+            calls.append(k_max)
+            return real(m, k_max)
+
+        monkeypatch.setattr(diagnostics, "psi_mixing_table", counted)
+        cfg = expcli.parse_config_text(SMALL_DIAG)
+        expcli.run(cfg, tmp_path)
+        assert calls == [cfg.k_max] * 2  # the cell, then the report
+        del calls[:]
+        expcli.run(cfg, tmp_path)  # a resume reuses the cell
+        assert calls == [cfg.k_max]
+        del calls[:]
+        assert expcli.verify(tmp_path)[0] == 0
+        assert calls == [cfg.k_max]
+        assert self.record_sha256(tmp_path) == RECORD_SHA256["diagnostics"]
+
+    def test_run_derives_each_seed_twice_at_most(self, tmp_path, monkeypatch):
+        # each group gets its planned cells, so only the plan and the manifest
+        # derive seeds: linear, not quadratic, in the replicates
+        calls = []
+        real = expcli.derive_seed
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(expcli, "derive_seed", counted)
+        replicates = 50
+        expcli.run(expcli.parse_config_text(
+            SMALL_H2.replace("replicates = 2", f"replicates = {replicates}")), tmp_path)
+        assert len(calls) <= 2 * replicates
+
     def test_manifest_records_cell_seeds(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)
         rec = expcli.run(cfg, tmp_path / "out")
@@ -530,6 +545,17 @@ class TestCli:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("not a config at all")
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("out,regular_file", [("afile/x", "afile"), ("out", "out/cells")],
+                             ids=["out_under_a_file", "cells_a_file"])
+    def test_unwritable_out_is_run_error(self, tmp_path, capsys, out, regular_file):
+        (tmp_path / regular_file).parent.mkdir(exist_ok=True)
+        (tmp_path / regular_file).write_text("")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_RETURNS)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error") and str(tmp_path / out) in err
 
     def test_verify_missing_record(self, tmp_path, capsys):
         assert expcli.main(["verify", str(tmp_path / "nothing")]) == 3
