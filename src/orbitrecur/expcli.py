@@ -41,7 +41,7 @@ from .estimators import (
     h2_collision_estimate,
 )
 from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine, sample_initial
-from .matcher import match_curve, return_set_measure
+from .matcher import check_enumeration, match_curve, return_set_measure
 from .proximity import alpha_of, curve_min_n, orbit_for_cell, proximity_curve
 from .rng import derive_seed, make_rng
 from .symbolic import (
@@ -240,6 +240,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                       else cfg.samples)
             if points < CORRELATION_MIN_POINTS:
                 raise ValueError(f"{points} correlation points, fewer than {CORRELATION_MIN_POINTS}")
+        elif cfg.kind == "diagnostics":
+            check_enumeration(system.alphabet_size, min(cfg.k_max, cfg.r - 1))
+        elif cfg.kind == "returns" and cfg.mode == "exact":
+            # only lags below r enumerate words; the largest of them decides
+            enumerated = [k for k in cfg.k_list if k < cfg.r]
+            if enumerated:
+                check_enumeration(system.alphabet_size, max(enumerated))
     except (ValueError, OrbitRecurError) as exc:
         raise ConfigError(f"{cfg.kind}: {exc}") from None
 

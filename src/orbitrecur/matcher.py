@@ -21,7 +21,6 @@ from .symbolic import (
     MeasureSpec,
     SymbolSequence,
     TransitionSystem,
-    admissible_words,
     sample_sequence,
     sample_sequences_batch,
 )
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1 << 20  # most k-words the exact k < r return mass enumerates
+_BLOCK_WORDS = 1 << 12  # most k-words held at once while they are enumerated
 
 
 @dataclass(frozen=True)
@@ -220,6 +220,17 @@ class ReturnSetEstimate:
 
 
 def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
+    """mu(S_k(r)) in exact mode.
+
+    For k < r the window of length r + k is k-periodic, so the mass is a sum
+    over the admissible k-words w with A[w[-1], w[0]]. The words are built by
+    prefix extension in lexicographic order (the order admissible_words
+    yields), in blocks of at most _BLOCK_WORDS words. Each mass is the
+    left-to-right product pi[w0] P[w0, w1] ... over the r + k symbols, and
+    the masses are added one at a time in word order, with the running total
+    carried from block to block. So the float equals that of a per-word loop
+    bit for bit, which a pairwise np.sum would not.
+    """
     mk = m.as_markov()
     P = mk.P
     pi = mk.pi
@@ -233,29 +244,42 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
             G = G @ Q
         T = np.linalg.matrix_power(P, k - r + 1)
         return float(np.sum(pi * np.sum(G * T.T, axis=1)))
-    # k < r: the window of length r + k is k-periodic; enumerate k-words
+    check_enumeration(d, k)
+    A = m.system.admissible
+    # each block: the completions of a run of prefixes, at most _BLOCK_WORDS words
+    tail = k - 1
+    while d**tail > _BLOCK_WORDS:
+        tail -= 1
+    step = _BLOCK_WORDS // d**tail
+    prefixes = _extend_words(np.arange(d, dtype=np.min_scalar_type(d - 1))[:, None], A, k - tail)
+    total = np.zeros(1)
+    for lo in range(0, len(prefixes), step):
+        w = _extend_words(prefixes[lo : lo + step], A, k)
+        w = w[A[w[:, -1], w[:, 0]] != 0]
+        mass = pi[w[:, 0]]
+        for t in range(1, r + k):
+            mass *= P[w[:, (t - 1) % k], w[:, t % k]]
+        # cumsum adds in word order, as a Python loop would; np.sum is pairwise
+        total = np.cumsum(np.concatenate([total, mass]))[-1:]
+    return float(total[0])
+
+
+def check_enumeration(d: int, k: int) -> None:
+    """Raise EnumerationBudgetError if the exact mass at lag k < r on d
+    symbols would enumerate more than ENUMERATION_CAP k-words."""
     if d**k > ENUMERATION_CAP:
         raise EnumerationBudgetError(
             f"exact mode needs {d}^{k} word enumerations; cap is {ENUMERATION_CAP}"
         )
-    total = 0.0
-    length = r + k
-    A = m.system.admissible
-    for w in admissible_words(m.system, k):
-        if not A[w[-1], w[0]]:
-            continue
-        mass = pi[w[0]]
-        if mass == 0.0:
-            continue
-        prev = w[0]
-        for idx in range(1, length):
-            nxt = w[idx % k]
-            mass *= P[prev, nxt]
-            if mass == 0.0:
-                break
-            prev = nxt
-        total += mass
-    return float(total)
+
+
+def _extend_words(words: np.ndarray, A: np.ndarray, length: int) -> np.ndarray:
+    """Every admissible extension of the rows of words to the given length,
+    in lexicographic order: nonzero walks A's rows in row-major order."""
+    while words.shape[1] < length:
+        rows, nxt = np.nonzero(A[words[:, -1]])
+        words = np.column_stack([words[rows], nxt.astype(words.dtype)])
+    return words
 
 
 def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
@@ -264,7 +288,9 @@ def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
 
     Exact mode (Bernoulli/Markov/2-block Gibbs): for k >= r an r-step
     pair-chain connected by a (k-r+1)-step transition power; for k < r a sum
-    over admissible k-periodic words, at most ENUMERATION_CAP of them.
+    over admissible k-periodic words, at most ENUMERATION_CAP of them
+    (check_enumeration), enumerated in lexicographic order in blocks and
+    summed sequentially in that order.
     Empirical mode: frequency of the event over independently sampled paths
     of length r + k.
     """

@@ -111,9 +111,15 @@ class TestConfigParsing:
         SMALL_MATCH.replace("type = bernoulli\nweights = 0.5, 0.5", "type = markov\ntransition = 0, 1; 1, 0"),
         SMALL_PROX.replace("k = 2", "k = 18446744073709551616"),
         SMALL_PROX.replace("k = 2", "k = 9223372036854775808"),
+        # 3^13 words at lag 13 < r exceed matcher.ENUMERATION_CAP
+        SMALL_DIAG.replace("r = 5\nk_max = 8", "r = 20\nk_max = 19")
+        .replace("0, 1; 0.5, 0.5", "0.6, 0.2, 0.2; 0.2, 0.6, 0.2; 0.2, 0.2, 0.6"),
+        SMALL_RETURNS.replace("r = 3\nk_list = 1, 2, 4, 6", "r = 20\nk_list = 2, 13")
+        .replace("0.5, 0.5", "0.2, 0.3, 0.5"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
-            "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63"])
+            "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
+            "diagnostics_past_cap", "returns_past_cap"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
@@ -122,6 +128,7 @@ class TestConfigParsing:
         cfg_path.write_text(text)
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_markov_without_stationary_solves(self):
         cfg = expcli.parse_config_text(SMALL_H2)

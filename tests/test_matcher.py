@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from orbitrecur import (
     BernoulliMeasure,
     MarkovMeasure,
+    TransitionSystem,
     cylinder_measure,
     longest_self_match,
     longest_self_match_bruteforce,
@@ -17,10 +19,12 @@ from orbitrecur import (
 from orbitrecur import matcher
 from orbitrecur.errors import EnumerationBudgetError
 from orbitrecur.rng import make_rng
-from orbitrecur.symbolic import admissible_words
+from orbitrecur.symbolic import admissible_words, stationary_distribution
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])
+SYM3_P = [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
+SYM3 = MarkovMeasure(stationary_distribution(SYM3_P), SYM3_P)
 
 
 class TestLongestSelfMatch:
@@ -205,6 +209,49 @@ def loop_return_measure(m, r, k):
     return total
 
 
+def per_word_return_measure(m, r, k):
+    """The k < r exact mass one admissible k-word at a time, in
+    admissible_words order, each a left-to-right product added to a running
+    total: the loop the vectorised kernel must match bit for bit."""
+    mk = m.as_markov()
+    P = mk.P
+    pi = mk.pi
+    total = 0.0
+    length = r + k
+    A = m.system.admissible
+    for w in admissible_words(m.system, k):
+        if not A[w[-1], w[0]]:
+            continue
+        mass = pi[w[0]]
+        if mass == 0.0:
+            continue
+        prev = w[0]
+        for idx in range(1, length):
+            nxt = w[idx % k]
+            mass *= P[prev, nxt]
+            if mass == 0.0:
+                break
+            prev = nxt
+        total += mass
+    return float(total)
+
+
+@st.composite
+def markov_with_zeros(draw):
+    """An irreducible chain on 1-4 states whose P has zero entries, on its
+    own support or on a system that also allows some zero-mass transitions."""
+    d = draw(st.integers(1, 4), label="d")
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=d * d, max_size=d * d)),
+                       dtype=np.float64).reshape(d, d)
+    for a in range(d):  # a d-cycle keeps the chain irreducible
+        weights[a, (a + 1) % d] += 1.0
+    P = weights / weights.sum(axis=1, keepdims=True)
+    pi = stationary_distribution(P)
+    extra = np.array(draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d)),
+                     dtype=np.uint8).reshape(d, d)
+    return MarkovMeasure(pi, P, TransitionSystem(((P > 0) | (extra == 1)).astype(np.uint8)))
+
+
 class TestReturnSets:
     def test_uniform_constant_over_lags(self):
         for r in (2, 4, 6):
@@ -240,6 +287,35 @@ class TestReturnSets:
             exact = return_set_measure(GOLDEN, r, k).value
             emp = return_set_measure(GOLDEN, r, k, "empirical", samples=200_000, seed=seed)
             assert abs(emp.value - exact) <= 4.0 * max(emp.stderr, 1e-9), (r, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=markov_with_zeros(), data=st.data())
+    def test_exact_bits_equal_per_word_loop(self, m, data):
+        d = m.alphabet_size
+        r = data.draw(st.integers(2, 13), label="r")
+        k = data.draw(st.integers(1, r - 1).filter(lambda k: d**k <= 1 << 12), label="k")
+        assert (return_set_measure(m, r, k).value.hex()
+                == per_word_return_measure(m, r, k).hex())
+
+    @pytest.mark.parametrize("measure,r,k", [
+        (SYM3, 12, 11),  # 3^11 words: many enumeration blocks
+        (GOLDEN, 13, 12),
+        (BernoulliMeasure([0.2, 0.0, 0.8]), 9, 7),
+        (BernoulliMeasure([1.0]), 13, 12),
+    ])
+    def test_exact_bits_equal_per_word_loop_fixed(self, measure, r, k):
+        assert (return_set_measure(measure, r, k).value.hex()
+                == per_word_return_measure(measure, r, k).hex())
+
+    def test_exact_working_set_bounded(self):
+        # words are enumerated in blocks: all 3^11 of them at once peak near 7 MB
+        tracemalloc.start()
+        try:
+            return_set_measure(SYM3, 12, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_budget_cap(self):
         big = BernoulliMeasure([0.25] * 4)

@@ -124,9 +124,20 @@ class TestCylinderMeasure:
         (BernoulliMeasure([0.2, 0.3, 0.5]), 0.5),
     ])
     def test_exponential_decay_bernoulli(self, measure, rho):
-        # max cylinder mass of product measures decays exactly like (max p)^k
+        # max cylinder mass of product measures decays exactly like (max p)^k;
+        # masses[w] is the left-to-right product word_measure forms
+        p = measure.weights
+        masses = p.copy()
         for k in range(1, 13):
-            worst = max(cylinder_measure(measure, w) for w in admissible_words(measure.system, k))
+            if k > 1:
+                masses = masses[..., None] * p
+            if k <= 6:
+                words = list(admissible_words(measure.system, k))
+                assert len(words) == masses.size
+                assert all(cylinder_measure(measure, w) == masses[w] for w in words)
+            top = np.unravel_index(np.argmax(masses), masses.shape)
+            worst = cylinder_measure(measure, top)
+            assert worst == masses[top] == masses.max()
             assert worst <= rho**k + 1e-15
 
     @pytest.mark.parametrize("measure", [golden_markov(), gibbs_example()])
