@@ -7,7 +7,7 @@ against exact entropy/dimension oracles computed from transfer matrices.
 
 __version__ = "0.1.0"
 
-from .diagnostics import BoundCheck, psi_decay_check, quasi_bernoulli_constant, sigma_bounds_check
+from .diagnostics import BoundCheck, quasi_bernoulli_constant, sigma_bounds_check
 from .estimators import (
     CollisionEntropyEstimate,
     CorrelationCurve,
@@ -29,7 +29,6 @@ from .intervalmaps import (
     gauss_inverse_cdf,
     iterate,
     mp_first_return,
-    partition_index,
     sample_initial,
 )
 from .matcher import (

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
 from .matcher import return_set_measure
 from .symbolic import BernoulliMeasure, MarkovMeasure, MeasureSpec
 from .thermo import psi_mixing_table, z_partition_sum
@@ -19,7 +18,6 @@ __all__ = [
     "quasi_bernoulli_constant",
     "sigma_bounds",
     "sigma_bounds_check",
-    "psi_decay_check",
 ]
 
 PASS_SLACK = 1e-12
@@ -57,8 +55,6 @@ def quasi_bernoulli_constant(m: MeasureSpec, max_len: int = 6) -> float:
         raise ValueError("max_len must be >= 1")
     mk = m.as_markov()
     d = mk.alphabet_size
-    if d**max_len > 1 << 22:
-        raise EnumerationBudgetError(f"{d}^{max_len} exceeds the enumeration budget")
     if isinstance(m, BernoulliMeasure):
         return 1.0
     # symbols that occur as the last letter of a positive-measure word of
@@ -84,7 +80,7 @@ def _smallest_multiple_in(k: int, lo: int, hi: int) -> int | None:
 
 def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, float]], BoundCheck]:
     """The (name, rhs) of the regime bound on mu(S_k(r)) per lag k <= k_max,
-    and psi_decay_check over max(k_max, 2) lags, both from one psi table.
+    and the psi-decay check over max(k_max, 2) lags, both from one psi table.
 
     For lag k up to floor(r/2): mu(S_k(r)) <= B^6 Z_l(w) with l the smallest
     multiple of k in [ceil(r/4), floor(r/2)] and w = floor(r/l). For lags up
@@ -120,27 +116,21 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, fl
 
 
 def sigma_bounds_check(m: MeasureSpec, r: int, k_max: int) -> list[BoundCheck]:
-    """Exact return-set masses mu(S_k(r)) against their sigma_bounds."""
+    """The exact return-set masses mu(S_k(r)), k = 1..k_max, against their
+    sigma_bounds, followed by the psi-decay check."""
+    bounds, psi = sigma_bounds(m, r, k_max)
     return [BoundCheck(name, return_set_measure(m, r, k, "exact").value, rhs)
-            for k, (name, rhs) in enumerate(sigma_bounds(m, r, k_max)[0], start=1)]
+            for k, (name, rhs) in enumerate(bounds, start=1)] + [psi]
 
 
-def psi_decay_check(m: MarkovMeasure, k_max: int) -> BoundCheck:
-    """psi(k) <= C |lambda_2|^k with C fitted at k = 1.
+def _psi_decay(m: MarkovMeasure, psi: list[float]) -> BoundCheck:
+    """psi(k) <= C |lambda_2|^k with C fitted at k = 1, from psi(k),
+    k = 0..k_max.
 
     Reported as a single check on the worst ratio psi(k) / |lambda_2|^k over
     k <= k_max. A vanishing second eigenvalue (psi identically 0)
     short-circuits to a pass.
     """
-    if not isinstance(m, MarkovMeasure):
-        raise TypeError("psi decay requires a Markov measure")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    return _psi_decay(m, psi_mixing_table(m, k_max)[0])
-
-
-def _psi_decay(m: MarkovMeasure, psi: list[float]) -> BoundCheck:
-    """psi_decay_check from psi(k), k = 0..k_max."""
     k_max = len(psi) - 1
     eigs = np.linalg.eigvals(np.asarray(m.P))
     mods = np.sort(np.abs(eigs))[::-1]

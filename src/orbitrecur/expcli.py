@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .diagnostics import BoundCheck, quasi_bernoulli_constant, sigma_bounds
+from .diagnostics import BoundCheck, quasi_bernoulli_constant, sigma_bounds, sigma_bounds_check
 from .errors import ConfigError, FitRefusedError, IncompleteRecordError, OrbitRecurError
 from .estimators import (
     CORRELATION_MIN_POINTS,
@@ -121,33 +121,30 @@ def measure_from_section(section: dict[str, str]) -> MeasureSpec:
     """Build a measure from a [system] section (types bernoulli, markov,
     gibbs2block)."""
     kind = section.get("type", "").strip().lower()
-    if kind == "bernoulli":
-        if "weights" not in section:
-            raise ConfigError("bernoulli system needs weights")
-        w = _parse_matrix(section["weights"]).ravel()
-        return BernoulliMeasure(w)
-    if kind == "markov":
-        if "transition" not in section:
-            raise ConfigError("markov system needs a transition matrix")
-        P = _parse_matrix(section["transition"])
-        try:
+    try:
+        if kind == "bernoulli":
+            if "weights" not in section:
+                raise ConfigError("bernoulli system needs weights")
+            return BernoulliMeasure(_parse_matrix(section["weights"]).ravel())
+        if kind == "markov":
+            if "transition" not in section:
+                raise ConfigError("markov system needs a transition matrix")
+            P = _parse_matrix(section["transition"])
             pi = (_parse_matrix(section["stationary"]).ravel()
                   if "stationary" in section else stationary_distribution(P))
             ts = (TransitionSystem(_parse_matrix(section["admissible"]).astype(np.uint8))
                   if "admissible" in section else None)
             return MarkovMeasure(pi, P, ts)
-        except OrbitRecurError as exc:
-            raise ConfigError(f"invalid markov system: {exc}") from None
-    if kind == "gibbs2block":
-        if "admissible" not in section or "potential" not in section:
-            raise ConfigError("gibbs2block system needs admissible and potential matrices")
-        try:
+        if kind == "gibbs2block":
+            if "admissible" not in section or "potential" not in section:
+                raise ConfigError("gibbs2block system needs admissible and potential matrices")
             ts = TransitionSystem(_parse_matrix(section["admissible"]).astype(np.uint8))
-            phi_raw = _parse_matrix(section["potential"])
-            phi = np.where(ts.admissible == 1, phi_raw, -np.inf)
+            phi = np.where(ts.admissible == 1, _parse_matrix(section["potential"]), -np.inf)
             return GibbsMeasure(phi, ts)
-        except OrbitRecurError as exc:
-            raise ConfigError(f"invalid gibbs2block system: {exc}") from None
+    except ConfigError:
+        raise
+    except OrbitRecurError as exc:
+        raise ConfigError(f"invalid {kind} system: {exc}") from None
     raise ConfigError(f"unknown measure type {kind!r}")
 
 
@@ -307,11 +304,8 @@ def _run_group(cfg: ExperimentConfig, key: int,
         return proximity_curve(system, [key], cfg.replicates, cfg.variant,
                                cfg.master_seed, burn_in=cfg.burn_in)
     if cfg.kind == "diagnostics":
-        bounds, psi = sigma_bounds(system, cfg.r, cfg.k_max)
-        checks = [BoundCheck(name, return_set_measure(system, cfg.r, k, "exact").value, rhs)
-                  for k, (name, rhs) in enumerate(bounds, start=1)] + [psi]
-        return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs,
-                         flag="ok") for t, chk in enumerate(checks)]
+        return [CurveRow(n=t, replicate=0, seed=0, value=chk.margin, aux=chk.lhs, flag="ok")
+                for t, chk in enumerate(sigma_bounds_check(system, cfg.r, cfg.k_max))]
     [(n, replicate, seed)] = cells
     if cfg.kind == "d2":
         if cfg.mode == "orbit":

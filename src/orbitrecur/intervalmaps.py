@@ -33,7 +33,6 @@ __all__ = [
     "sample_initial",
     "gauss_inverse_cdf",
     "mp_first_return",
-    "partition_index",
     "min_window_digits",
     "EPS64",
 ]
@@ -88,10 +87,6 @@ class PiecewiseAffine:
     @property
     def tail_mass(self) -> float:
         return self.breakpoints[-1]
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.breakpoints) - 1
 
 
 @dataclass(frozen=True)
@@ -398,20 +393,3 @@ def mp_first_return(a: float, x: float, max_steps: int = 1_000_000) -> FirstRetu
         if tau > max_steps:
             raise UnresolvedReturn(f"no return within {max_steps} steps from x={x}")
     return FirstReturnSample(x, y, tau)
-
-
-def partition_index(spec: MapSpec, x: float) -> int:
-    """Symbolic coding digit of the point under the map's natural partition."""
-    if isinstance(spec, KDoubling):
-        if not 0.0 <= x < 1.0:
-            raise ResampleSignal(f"point {x} outside [0, 1)")
-        return int(math.floor(spec.k * x))
-    if isinstance(spec, GaussMap):
-        if x <= 0.0 or x > 1.0:
-            raise ResampleSignal(f"point {x} outside (0, 1]")
-        return int(math.floor(1.0 / x))
-    if isinstance(spec, PiecewiseAffine):
-        return _affine_branch(spec, x)
-    if isinstance(spec, MPInduced):
-        return mp_first_return(spec.a, x, spec.max_steps).tau
-    raise TypeError(f"unknown map spec {type(spec).__name__}")

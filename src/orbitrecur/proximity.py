@@ -337,10 +337,8 @@ def short_return_measure(spec: MapSpec, n_iter: int, eps: float, samples: int,
 
 def _vector_step(spec: MapSpec, x: np.ndarray) -> np.ndarray:
     """Vectorized map application; points that leave the tractable domain
-    become NaN and are dropped by the caller."""
-    if isinstance(spec, KDoubling):
-        y = x * spec.k
-        return y - np.floor(y)
+    become NaN and are dropped by the caller. Multiplication maps never get
+    here: short_return_measure evaluates them exactly."""
     if isinstance(spec, GaussMap):
         out = np.full_like(x, np.nan)
         ok = x > 0.0

@@ -8,7 +8,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -499,7 +498,47 @@ def _check_compatible(m: MeasureSpec, ts: TransitionSystem | None) -> None:
         raise IncompatibleMeasureError("measure puts mass on transitions the system forbids")
 
 
-_SAMPLE_CHUNK = 1 << 16  # Markov draws converted to Python floats at a time
+_BLOCK = 256  # draws per block that sample_sequence walks from every state
+
+
+def _cumulative(mk: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative pi and rows of P, each ending in exactly 1.0 so that no
+    draw in [0, 1) passes the last symbol."""
+    cum_pi = np.cumsum(mk.pi)
+    cum_pi[-1] = 1.0
+    cum_P = np.cumsum(mk.P, axis=1)
+    cum_P[:, -1] = 1.0
+    return cum_pi, cum_P
+
+
+def _walk(cum_P: np.ndarray, start: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+    """States of the chain stepped from `start` through the draws `u`.
+
+    `u` has shape (rows, steps) and `start` broadcasts against (rows,); entry
+    [..., i, t] is the state after draw u[i, t], where one step is
+    state = #{cum_P[state] <= u}. The states come in the smallest unsigned
+    dtype. When all rows of cum_P are equal a step does not depend on the
+    state, and every start gives the same path: the draws looked up in one
+    row. So does every start when there are no rows to walk.
+    """
+    d = len(cum_P)
+    dtype = np.min_scalar_type(d - 1)
+    rows, steps = u.shape
+    shape = np.broadcast_shapes(np.shape(start), (rows,)) + (steps,)
+    if not rows or (cum_P == cum_P[0]).all():
+        return np.broadcast_to(np.searchsorted(cum_P[0], u, side="right").astype(dtype), shape)
+    out = np.empty(shape, dtype=dtype)
+    state = np.broadcast_to(start, shape[:-1])
+    i = np.arange(rows)
+    for t in range(steps):
+        # next-state table of this step's draws, one searchsorted per row;
+        # a table for all steps at once would cost a contiguous copy of u
+        # and an intp array of its size
+        ut = np.ascontiguousarray(u[:, t])
+        nxt = np.array([np.searchsorted(row, ut, side="right") for row in cum_P], dtype=dtype)
+        state = nxt[state, i]
+        out[..., t] = state
+    return out
 
 
 def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
@@ -515,36 +554,24 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
         raise ValueError("buffer must be >= 0")
     _check_compatible(m, ts)
     total = n + buffer
-    rng = make_rng(seed)
-    if isinstance(m, BernoulliMeasure):
-        cum = np.cumsum(m.weights)
-        cum[-1] = 1.0
-        u = rng.random(total)
-        sym = np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
-        np.clip(sym, 0, m.alphabet_size - 1, out=sym)
-        sym.setflags(write=False)
-        return SymbolSequence(sym, n, seed, m)
-    mk = m.as_markov()
-    cum_pi = np.cumsum(mk.pi)
-    cum_pi[-1] = 1.0
-    cum_rows = [row.tolist() for row in np.cumsum(mk.P, axis=1)]
-    for row in cum_rows:
-        row[-1] = 1.0
-    u = rng.random(total)
+    cum_pi, cum_P = _cumulative(m.as_markov())
+    u = make_rng(seed).random(total)
+    state = int(np.searchsorted(cum_pi, u[0], side="right"))
+    # walk every block of draws, and the shorter tail, from every state at
+    # once; the blocks' true start states then follow from their end states
+    full = (total - 1) // _BLOCK * _BLOCK
+    every = np.arange(len(cum_P))[:, None]
+    blocks = _walk(cum_P, every, u[1 : 1 + full].reshape(-1, _BLOCK))
+    tail = _walk(cum_P, every, u[None, 1 + full :])
+    del u  # freed before the int64 path is allocated
     out = np.empty(total, dtype=np.int64)
-    hi = mk.alphabet_size - 1
-    state = min(int(np.searchsorted(cum_pi, u[0], side="right")), hi)
     out[0] = state
-    # the Python loop walks one chunk of draws at a time, so only a chunk is
-    # ever held as Python objects
-    for start in range(1, total, _SAMPLE_CHUNK):
-        block = u[start : start + _SAMPLE_CHUNK].tolist()
-        for t, x in enumerate(block):
-            state = bisect.bisect_right(cum_rows[state], x)
-            if state > hi:
-                state = hi
-            block[t] = state
-        out[start : start + len(block)] = block
+    starts = []
+    for ends in blocks[:, :, -1].T.tolist():
+        starts.append(state)
+        state = ends[state]
+    out[1 : 1 + full] = blocks[starts, np.arange(len(starts))].ravel()
+    out[1 + full :] = tail[state, 0]
     out.setflags(write=False)
     return SymbolSequence(out, n, seed, m)
 
@@ -557,27 +584,12 @@ def sample_sequences_batch(m: MeasureSpec, count: int, length: int, seed: int) -
     """
     if count < 1 or length < 1:
         raise ValueError("count and length must be >= 1")
-    rng = make_rng(seed)
-    if isinstance(m, BernoulliMeasure):
-        cum = np.cumsum(m.weights)
-        cum[-1] = 1.0
-        u = rng.random((count, length))
-        return np.searchsorted(cum, u.ravel(), side="right").reshape(count, length).astype(np.int64)
-    mk = m.as_markov()
-    cum_pi = np.cumsum(mk.pi)
-    cum_pi[-1] = 1.0
-    cum_P = np.cumsum(mk.P, axis=1)
-    cum_P[:, -1] = 1.0
-    u = rng.random((count, length))
+    cum_pi, cum_P = _cumulative(m.as_markov())
+    u = make_rng(seed).random((count, length))
+    first = np.searchsorted(cum_pi, u[:, 0], side="right")
+    rest = _walk(cum_P, first, u[:, 1:])
+    del u  # freed before the int64 paths are allocated
     out = np.empty((count, length), dtype=np.int64)
-    state = np.searchsorted(cum_pi, u[:, 0], side="right")
-    np.clip(state, 0, mk.alphabet_size - 1, out=state)
-    out[:, 0] = state
-    for t in range(1, length):
-        rows = cum_P[state]  # (count, d)
-        # count of cumulative entries <= u, matching bisect_right in
-        # sample_sequence; never selects a zero-probability transition
-        state = (rows <= u[:, t : t + 1]).sum(axis=1)
-        np.clip(state, 0, mk.alphabet_size - 1, out=state)
-        out[:, t] = state
+    out[:, 0] = first
+    out[:, 1:] = rest
     return out

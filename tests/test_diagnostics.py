@@ -6,7 +6,6 @@ from orbitrecur import (
     BernoulliMeasure,
     MarkovMeasure,
     cylinder_measure,
-    psi_decay_check,
     psi_mixing_table,
     quasi_bernoulli_constant,
     return_set_measure,
@@ -14,7 +13,7 @@ from orbitrecur import (
     stationary_distribution,
     z_partition_sum,
 )
-from orbitrecur.errors import EnumerationBudgetError
+from orbitrecur.diagnostics import sigma_bounds
 from orbitrecur.symbolic import admissible_words
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
@@ -39,9 +38,13 @@ class TestQuasiBernoulli:
         )]:
             assert abs(quasi_bernoulli_constant(m, 6) - quasi_bernoulli_constant(m, 8)) < 1e-12
 
-    def test_budget_error(self):
-        with pytest.raises(EnumerationBudgetError):
-            quasi_bernoulli_constant(BernoulliMeasure([0.25] * 4), max_len=20)
+    def test_no_budget_on_word_length(self):
+        # B is read from reachability, not by enumerating words, so d^max_len
+        # words far past 2^22 cost nothing
+        assert quasi_bernoulli_constant(BernoulliMeasure([0.25] * 4), max_len=20) == 1.0
+        P = [[0.5 if b in (a, (a + 1) % 13) else 0.0 for b in range(13)] for a in range(13)]
+        m = MarkovMeasure(stationary_distribution(P), P)
+        assert quasi_bernoulli_constant(m, 6) == quasi_bernoulli_constant(m, 2) == pytest.approx(13 / 2)
 
     @pytest.mark.parametrize("measure", [
         GOLDEN,
@@ -93,6 +96,7 @@ class TestSigmaBounds:
 
     def test_regime_names_cover_lags(self):
         names = [c.name for c in sigma_bounds_check(UNIFORM, 6, 9)]
+        assert len(names) == 10 and names[-1].startswith("psi_decay")
         assert sum(n.startswith("sigma0") for n in names) == 3
         assert sum(n.startswith("sigma1") for n in names) == 3
         assert sum(n.startswith("sigma2") for n in names) == 3
@@ -109,21 +113,27 @@ class TestSigmaBounds:
                     assert lhs <= B * B * z * (1.0 + psi[k - r]) + 1e-12
 
 
+def psi_decay(m, k_max):
+    """The psi-decay check over k_max lags, as sigma_bounds returns it."""
+    return sigma_bounds(m, 2, k_max)[1]
+
+
 class TestPsiDecay:
     def test_uniform_short_circuit(self):
         m = MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-        chk = psi_decay_check(m, 20)
+        chk = psi_decay(m, 20)
         assert chk.passed and chk.lhs == 0.0
 
     def test_golden_exact_geometric(self):
-        chk = psi_decay_check(GOLDEN, 30)
+        chk = psi_decay(GOLDEN, 30)
         assert chk.passed
         assert chk.lhs == pytest.approx(chk.rhs, abs=1e-12)
 
     def test_slow_mixing_chain(self):
         m = MarkovMeasure([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
-        assert psi_decay_check(m, 50).passed
+        assert psi_decay(m, 50).passed
 
-    def test_requires_markov(self):
-        with pytest.raises(TypeError):
-            psi_decay_check(UNIFORM, 10)
+    def test_bernoulli_short_circuit(self):
+        # a product measure is checked through its Markov form: psi is 0
+        chk = psi_decay(UNIFORM, 10)
+        assert chk.passed and chk.lhs == 0.0

@@ -116,10 +116,11 @@ class TestConfigParsing:
         .replace("0, 1; 0.5, 0.5", "0.6, 0.2, 0.2; 0.2, 0.6, 0.2; 0.2, 0.2, 0.6"),
         SMALL_RETURNS.replace("r = 3\nk_list = 1, 2, 4, 6", "r = 20\nk_list = 2, 13")
         .replace("0.5, 0.5", "0.2, 0.3, 0.5"),
+        SMALL_RETURNS.replace("weights = 0.5, 0.5", "weights = 0.6, 0.5"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
-            "diagnostics_past_cap", "returns_past_cap"])
+            "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
@@ -530,6 +531,18 @@ class TestRunAndVerify:
         assert rec.report["pass"] is True
         assert isinstance(rec.report["checks"], list)
         assert all(c["pass"] for c in rec.report["checks"])
+
+    def test_diagnostics_on_thirteen_symbols(self, tmp_path, capsys):
+        # the quasi-Bernoulli constant enumerates no words, so no word budget
+        # stops a large alphabet
+        text = (SMALL_DIAG.replace("r = 5\nk_max = 8", "r = 2\nk_max = 1")
+                .replace("type = markov\ntransition = 0, 1; 0.5, 0.5",
+                         "type = bernoulli\nweights = " + ", ".join([repr(1 / 13)] * 13)))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert expcli.main(["verify", str(tmp_path / "out")]) == 0
+        assert "diagnostics all-pass" in capsys.readouterr().out
 
 
 class TestCli:

@@ -13,12 +13,23 @@ from orbitrecur import (
     gauss_inverse_cdf,
     iterate,
     mp_first_return,
-    partition_index,
     sample_initial,
 )
 from orbitrecur.errors import InvalidSystemError, ResampleSignal, TailHit, UnresolvedReturn
-from orbitrecur.intervalmaps import _step, affine_orbit, min_window_digits
+from orbitrecur.intervalmaps import _affine_branch, _step, affine_orbit, min_window_digits
 from orbitrecur.rng import make_rng
+
+
+def branch_digit(spec, x: float) -> int:
+    """The branch of the map's natural partition that x lies in: the affine
+    branch, the induced return time, or the integer part that one step of a
+    multiplication or the Gauss map drops."""
+    if isinstance(spec, PiecewiseAffine):
+        return _affine_branch(spec, x)
+    if isinstance(spec, MPInduced):
+        return mp_first_return(spec.a, x, spec.max_steps).tau
+    lifted = spec.k * x if isinstance(spec, KDoubling) else 1.0 / x
+    return round(lifted - _step(spec, x)[0])
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -71,7 +82,7 @@ class TestDoublingOrbitExact:
         W = orb.window_bits
         for i in range(200):
             lead = orb.windows[i] >> (W - 1)
-            assert partition_index(KDoubling(2), orb.points[i]) == lead
+            assert branch_digit(KDoubling(2), orb.points[i]) == lead
 
 
 class TestIterate:
@@ -150,7 +161,7 @@ class TestInvariance:
             h = 1e-9
             y = x + h
             try:
-                if partition_index(spec, x) != partition_index(spec, y):
+                if branch_digit(spec, x) != branch_digit(spec, y):
                     continue
                 fx, _ = _step(spec, x)
                 fy, _ = _step(spec, y)
@@ -202,25 +213,27 @@ class TestFirstReturn:
 
 
 class TestPartitionIndex:
+    """The branch a point lies in, read from one step of the map."""
+
     def test_gauss_digit(self):
-        assert partition_index(GaussMap(), 0.4) == 2
+        assert branch_digit(GaussMap(), 0.4) == 2
 
     def test_kdoubling_digit(self):
-        assert partition_index(KDoubling(2), 0.7) == 1
+        assert branch_digit(KDoubling(2), 0.7) == 1
 
     def test_affine_branch(self):
-        assert partition_index(PiecewiseAffine.dyadic(40), 0.3) == 2
+        assert _affine_branch(PiecewiseAffine.dyadic(40), 0.3) == 2
 
     def test_mp_induced_return_time(self):
-        assert partition_index(MPInduced(0.5), 0.4) == 3
+        assert mp_first_return(0.5, 0.4).tau == 3
 
     def test_endpoint_signals(self):
         with pytest.raises(ResampleSignal):
-            partition_index(GaussMap(), 0.0)
+            _step(GaussMap(), 0.0)
         with pytest.raises(ResampleSignal):
-            partition_index(PiecewiseAffine.dyadic(10), 1.0)
+            _affine_branch(PiecewiseAffine.dyadic(10), 1.0)
         with pytest.raises(TailHit):
-            partition_index(PiecewiseAffine.dyadic(10), 1e-12)
+            _affine_branch(PiecewiseAffine.dyadic(10), 1e-12)
 
 
 class TestAffineOrbit:
@@ -255,7 +268,7 @@ class TestSpecValidation:
 
     def test_dyadic_tail_mass(self):
         aff = PiecewiseAffine.dyadic(40)
-        assert aff.tail_mass == 2.0**-39 and aff.branch_count == 39
+        assert aff.tail_mass == 2.0**-39 and len(aff.breakpoints) - 1 == 39
 
     def test_kdoubling_needs_k_at_least_two(self):
         with pytest.raises(InvalidSystemError):

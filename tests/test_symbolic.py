@@ -266,8 +266,8 @@ class TestSampling:
             assert sym.flags.owndata and not sym.flags.writeable
 
 
-def whole_list_markov_sample(m, total, seed):
-    """Reference Markov sampler: one bisect loop over the whole draw held as
+def whole_list_markov_path(m, u):
+    """Reference Markov sampler: one bisect loop over the draws `u` held as
     a Python list."""
     mk = m.as_markov()
     cum_pi = np.cumsum(mk.pi)
@@ -275,15 +275,19 @@ def whole_list_markov_sample(m, total, seed):
     cum_rows = [row.tolist() for row in np.cumsum(mk.P, axis=1)]
     for row in cum_rows:
         row[-1] = 1.0
-    u = make_rng(seed).random(total).tolist()
-    out = [0] * total
+    u = list(u)
+    out = [0] * len(u)
     hi = mk.alphabet_size - 1
     state = min(int(np.searchsorted(cum_pi, u[0], side="right")), hi)
     out[0] = state
-    for t in range(1, total):
+    for t in range(1, len(u)):
         state = min(bisect.bisect_right(cum_rows[state], u[t]), hi)
         out[t] = state
     return np.asarray(out, dtype=np.int64)
+
+
+def whole_list_markov_sample(m, total, seed):
+    return whole_list_markov_path(m, make_rng(seed).random(total).tolist())
 
 
 CHAINS = {
@@ -298,13 +302,24 @@ def markov_chain(d):
     return MarkovMeasure(stationary_distribution(P), P)
 
 
+# measures whose steps do not depend on the state, so the walker takes its
+# i.i.d. shortcut
+IID_MEASURES = {
+    "bernoulli_zero_weight": BernoulliMeasure([0.2, 0.0, 0.8]),
+    "identical_rows": MarkovMeasure([0.3, 0.7], [[0.3, 0.7], [0.3, 0.7]]),
+}
+SAMPLED = {**{d: markov_chain(d) for d in CHAINS}, **IID_MEASURES}
+
+
 class TestChunkedMarkovSampling:
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    """Both samplers against the bisect oracle, bit for bit."""
+
+    @pytest.mark.parametrize("d", list(SAMPLED))
     def test_small_chunks_match_whole_list(self, monkeypatch, d):
-        monkeypatch.setattr(symbolic, "_SAMPLE_CHUNK", 7)
-        m = markov_chain(d)
-        # totals straddle the chunk boundaries: the first draw sits before
-        # the first chunk, so chunks cover draws 1-7, 8-14, ...
+        monkeypatch.setattr(symbolic, "_BLOCK", 7)
+        m = SAMPLED[d]
+        # totals straddle the block boundaries: the first draw sits before
+        # the first block, so blocks cover draws 1-7, 8-14, ...
         for total in (1, 2, 7, 8, 9, 14, 15, 16, 50):
             for seed in (0, 31):
                 got = sample_sequence(m, None, total, 0, seed=seed).symbols
@@ -312,6 +327,28 @@ class TestChunkedMarkovSampling:
 
     def test_default_chunks_match_whole_list(self):
         m = golden_markov()
-        n, buffer = 2 * symbolic._SAMPLE_CHUNK, 3
+        n, buffer = 512 * symbolic._BLOCK, 3
         got = sample_sequence(m, None, n, buffer, seed=2026).symbols
         assert np.array_equal(got, whole_list_markov_sample(m, n + buffer, 2026))
+
+    @pytest.mark.parametrize("d", list(SAMPLED))
+    def test_draw_on_a_cumulative_value_goes_right(self, d):
+        # random draws almost never tie; a tie counts the entry it equals,
+        # as bisect_right does
+        m = SAMPLED[d]
+        _, cum_P = symbolic._cumulative(m.as_markov())
+        u = [0.5] + sorted(set(cum_P[:, :-1].ravel().tolist())) * 3
+        want = whole_list_markov_path(m, u)
+        got = symbolic._walk(cum_P, want[0], np.array([u[1:]]))[0]
+        assert np.array_equal(got, want[1:])
+
+    @pytest.mark.parametrize("d", list(SAMPLED))
+    def test_batch_rows_match_whole_list(self, d):
+        m = SAMPLED[d]
+        for count, length in ((1, 1), (5, 1), (1, 9), (40, 10), (7, 23)):
+            for seed in (0, 31):
+                got = sample_sequences_batch(m, count, length, seed)
+                u = make_rng(seed).random((count, length))
+                assert got.shape == (count, length) and got.dtype == np.int64
+                for row, draws in zip(got, u):
+                    assert np.array_equal(row, whole_list_markov_path(m, draws.tolist())), (d, count, length)
