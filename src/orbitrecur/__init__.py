@@ -21,6 +21,7 @@ from .estimators import (
 from .intervalmaps import (
     FirstReturnSample,
     GaussMap,
+    IntervalMap,
     KDoubling,
     MPInduced,
     OrbitBuffer,
@@ -29,7 +30,6 @@ from .intervalmaps import (
     gauss_inverse_cdf,
     iterate,
     mp_first_return,
-    sample_initial,
 )
 from .matcher import (
     MatchResult,

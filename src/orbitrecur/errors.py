@@ -33,10 +33,6 @@ class ResampleSignal(OrbitRecurError):
     """Orbit generation hit a partition endpoint; caller should redraw."""
 
 
-class TailHit(ResampleSignal):
-    """Orbit entered the truncated tail of a countable-branch map."""
-
-
 class UnresolvedReturn(OrbitRecurError, RuntimeError):
     """First-return iteration exceeded its step budget."""
 

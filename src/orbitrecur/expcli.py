@@ -40,9 +40,9 @@ from .estimators import (
     exponent_fit,
     h2_collision_estimate,
 )
-from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine, sample_initial
+from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine
 from .matcher import check_enumeration, match_curve, return_set_measure
-from .proximity import alpha_of, curve_min_n, orbit_for_cell, proximity_curve
+from .proximity import alpha_of, curve_min_n, proximity_curve
 from .rng import derive_seed, make_rng
 from .symbolic import (
     BernoulliMeasure,
@@ -221,8 +221,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("returns needs r >= 1 and a k_list without repeated values")
         if cfg.mode not in ("exact", "empirical"):
             raise ConfigError("returns mode must be exact or empirical")
+    iterates = cfg.kind == "proximity_curve" or (cfg.kind == "d2" and cfg.mode == "orbit")
+    if cfg.burn_in is not None and not iterates:
+        raise ConfigError("burn_in applies only to proximity_curve and d2 with mode = orbit")
     system = _system(cfg)  # fail on malformed system sections at parse time, not mid-run
     try:
+        if iterates:
+            system.resolve_burn_in(cfg.burn_in)
         if cfg.kind == "match_curve":
             check_curve(cfg.n_grid, cfg.replicates)
             if renyi_entropy_exact(system).h2 <= 0:
@@ -311,10 +316,9 @@ def _run_group(cfg: ExperimentConfig, key: int,
         if cfg.mode == "orbit":
             # secondary mode: one orbit of length `samples`, decorrelated by
             # subsampling at the (log n)^2 stride
-            pts = correlation_points_from_orbit(orbit_for_cell(system, n, seed).points)
+            pts = correlation_points_from_orbit(system.orbit(n, seed, cfg.burn_in).points)
         else:
-            rng = make_rng(seed)
-            pts = np.array([sample_initial(system, rng) for _ in range(n)])
+            pts = system.sample(make_rng(seed), n)
         fit = d2_estimate(correlation_integral(pts, default_r_grid()))
         value, aux = fit.slope, fit.stderr
     elif cfg.kind == "h2":

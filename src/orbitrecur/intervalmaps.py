@@ -1,6 +1,7 @@
 """Expanding interval maps: orbit generation with explicit precision policy.
 
-Four map families: mod-1 multiplication by k (exact base-k window
+Four map families, each an IntervalMap that samples points and builds the
+orbit of an experiment cell: mod-1 multiplication by k (exact base-k window
 arithmetic), countable full-branch piecewise affine maps truncated at a
 finite branch count, the continued-fraction map 1/x mod 1 with its classical
 invariant density, and the first-return map of an intermittent map to
@@ -14,14 +15,15 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import InvalidSystemError, ResampleSignal, TailHit, UnresolvedReturn
+from .errors import InvalidSystemError, ResampleSignal, UnresolvedReturn
 from .rng import make_rng
 
 __all__ = [
+    "IntervalMap",
     "KDoubling",
     "PiecewiseAffine",
     "GaussMap",
@@ -30,7 +32,6 @@ __all__ = [
     "FirstReturnSample",
     "doubling_orbit_exact",
     "iterate",
-    "sample_initial",
     "gauss_inverse_cdf",
     "mp_first_return",
     "min_window_digits",
@@ -42,19 +43,77 @@ GROWTH_CAP = 2.0**8  # cap on the accumulated expansion factor in the floor
 LIMB_BOUND = 2**63  # exact orbits hold base-k digits in int64 limbs, each below this
 
 
+class IntervalMap:
+    """What every map spec does: draw points of its sampling measure
+    (`sample`), build the n-point orbit of one experiment cell (`orbit`),
+    and, for maps iterated in floating point, step one point forward
+    (`step`).
+
+    The defaults sample Lebesgue on [0, 1) and build a floating orbit by
+    iterating `step` from a drawn point. Maps whose orbit is exact or
+    reconstructed override `orbit`, have no `step`, and take no burn-in.
+    """
+
+    burn_in: ClassVar[int | None] = 0  # default discarded steps; None: orbit not iterated
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` draws of the sampling measure; one draw of `size` gives the
+        same points as `size` draws of one."""
+        return rng.random(size)
+
+    def step(self, x: float) -> tuple[float, float]:
+        """One map application: (image, branch sup |derivative|)."""
+        raise InvalidSystemError(f"{type(self).__name__} has no forward floating step")
+
+    def resolve_burn_in(self, burn_in: int | None) -> int | None:
+        """burn_in, or the map's default when None; raise InvalidSystemError
+        for a negative burn_in, or any burn_in on a map whose orbit is not
+        iterated."""
+        if burn_in is None:
+            return self.burn_in
+        if self.burn_in is None or burn_in < 0:
+            raise InvalidSystemError(f"no burn_in of {burn_in} steps for {type(self).__name__}: "
+                                     "it needs an iterated orbit and burn_in >= 0")
+        return burn_in
+
+    def orbit(self, n: int, seed: int, burn_in: int | None = None) -> OrbitBuffer:
+        """The n-point orbit of one experiment cell, determined by its seed:
+        iterate from a drawn point after burn_in discarded steps, redrawing
+        (and flagging the orbit resampled) up to 32 times while it hits a
+        partition endpoint."""
+        burn_in = self.resolve_burn_in(burn_in)
+        rng = make_rng(seed)
+        for attempt in range(32):
+            try:
+                orb = iterate(self, self.sample(rng, 1)[0], n, burn_in=burn_in, seed=seed)
+            except ResampleSignal:
+                continue
+            if attempt:
+                return OrbitBuffer(orb.points, self, seed, orb.precision,
+                                   noise_floor=orb.noise_floor, resampled=True)
+            return orb
+        raise ResampleSignal("exceeded 32 resampling attempts")
+
+
 @dataclass(frozen=True)
-class KDoubling:
+class KDoubling(IntervalMap):
     """x -> k x (mod 1) with Lebesgue as invariant measure."""
 
     k: int = 2
+    burn_in: ClassVar[None] = None
 
     def __post_init__(self):
         if not 2 <= self.k < LIMB_BOUND:
             raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in int64 limbs)")
 
+    def orbit(self, n: int, seed: int, burn_in: int | None = None) -> OrbitBuffer:
+        """The exact orbit of base-k digit windows."""
+        self.resolve_burn_in(burn_in)
+        return doubling_orbit_exact(self.k, n, min_window_digits(self.k, n), seed=seed)
+
 
 @dataclass(frozen=True)
-class PiecewiseAffine:
+class PiecewiseAffine(IntervalMap):
     """Full-branch affine map on breakpoints 1 = a_1 > a_2 > ... > a_K > 0.
 
     Branch j (j = 1..K-1) maps [a_{j+1}, a_j) affinely onto [0, 1); the tail
@@ -64,6 +123,7 @@ class PiecewiseAffine:
     """
 
     breakpoints: tuple[float, ...]
+    burn_in: ClassVar[None] = None
 
     def __post_init__(self):
         bp = tuple(float(x) for x in self.breakpoints)
@@ -88,26 +148,52 @@ class PiecewiseAffine:
     def tail_mass(self) -> float:
         return self.breakpoints[-1]
 
+    def orbit(self, n: int, seed: int, burn_in: int | None = None) -> OrbitBuffer:
+        """The stationary orbit by inverse-branch reconstruction: forward float
+        iteration of affine branches sheds mantissa bits (see affine_orbit)."""
+        self.resolve_burn_in(burn_in)
+        return affine_orbit(self, n, seed=seed)
+
 
 @dataclass(frozen=True)
-class GaussMap:
+class GaussMap(IntervalMap):
     """x -> 1/x (mod 1) on (0, 1]; invariant density 1 / ((1+x) log 2)."""
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Inverse-CDF draws of the invariant density, by Python's float power:
+        numpy's power and exp2 round some of them differently."""
+        return np.array([gauss_inverse_cdf(u) for u in rng.random(size).tolist()])
+
+    def step(self, x: float) -> tuple[float, float]:
+        if x <= 0.0 or x > 1.0:
+            raise ResampleSignal(f"point {x} outside (0, 1] (fixed point at 0)")
+        inv = 1.0 / x
+        d = math.floor(inv)
+        return inv - d, (d + 1.0) ** 2  # sup of 1/x^2 on the branch [1/(d+1), 1/d]
+
 
 @dataclass(frozen=True)
-class MPInduced:
+class MPInduced(IntervalMap):
     """First-return map to [0, 1/2) of the intermittent map
-    x -> x (1 + 2^a x^a) on [0, 1/2), 2x - 1 on [1/2, 1], for a in (0, 1)."""
+    x -> x (1 + 2^a x^a) on [0, 1/2), 2x - 1 on [1/2, 1], for a in (0, 1);
+    sampled Lebesgue on [0, 1/2), and orbits discard 1000 steps by default."""
 
     a: float = 0.5
     max_steps: int = 1_000_000
+    burn_in: ClassVar[int] = 1000
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise InvalidSystemError("need a in (0, 1)")
 
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.random(size) * 0.5
 
-MapSpec = KDoubling | PiecewiseAffine | GaussMap | MPInduced
+    def step(self, x: float) -> tuple[float, float]:
+        sample = mp_first_return(self.a, x, self.max_steps)
+        # expansion bound along the excursion: 2^(tau-1) from the affine leg
+        # times the derivative of the intermittent branch (>= 1)
+        return sample.fx, 2.0 ** max(sample.tau - 1, 0)
 
 
 class OrbitBuffer:
@@ -125,7 +211,7 @@ class OrbitBuffer:
     first access and cached.
     """
 
-    def __init__(self, points, map: MapSpec, seed: int, precision: str,
+    def __init__(self, points, map: IntervalMap, seed: int, precision: str,
                  noise_floor: float = 0.0, resampled: bool = False,
                  limbs: tuple[np.ndarray, ...] = (), window_bits: int = 0, base: int = 2):
         self.__dict__.update(map=map, seed=seed, precision=precision,
@@ -251,67 +337,24 @@ def _limb_widths(k: int, window_bits: int) -> list[int]:
     return [min(L, window_bits - c) for c in range(0, window_bits, L)]
 
 
-def _affine_branch(m: PiecewiseAffine, x: float) -> int:
-    """1-based branch index j with a_{j+1} <= x < a_j."""
-    bp = m.breakpoints
-    if x >= 1.0 or x < 0.0:
-        raise ResampleSignal(f"point {x} outside the domain [0, 1)")
-    if x < bp[-1]:
-        raise TailHit(f"point {x} fell into the truncated tail [0, {bp[-1]})")
-    lo, hi = 0, len(bp) - 1  # find j with bp[j] > x >= bp[j+1] (0-based)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x < bp[mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo + 1
-
-
-def _step(spec: MapSpec, x: float) -> tuple[float, float]:
-    """One map application: (image, branch sup |derivative|)."""
-    if isinstance(spec, KDoubling):
-        y = x * spec.k
-        return y - math.floor(y), float(spec.k)
-    if isinstance(spec, GaussMap):
-        if x <= 0.0 or x > 1.0:
-            raise ResampleSignal(f"point {x} outside (0, 1] (fixed point at 0)")
-        inv = 1.0 / x
-        d = math.floor(inv)
-        y = inv - d
-        return y, (d + 1.0) ** 2  # sup of 1/x^2 on the branch [1/(d+1), 1/d]
-    if isinstance(spec, PiecewiseAffine):
-        j = _affine_branch(spec, x)
-        hi, lo = spec.breakpoints[j - 1], spec.breakpoints[j]
-        y = (x - lo) / (hi - lo)
-        if y >= 1.0:
-            raise ResampleSignal("image rounded onto the right endpoint")
-        return y, 1.0 / (hi - lo)
-    if isinstance(spec, MPInduced):
-        sample = mp_first_return(spec.a, x, spec.max_steps)
-        # expansion bound along the excursion: 2^(tau-1) from the affine leg
-        # times the derivative of the intermittent branch (>= 1)
-        return sample.fx, 2.0 ** max(sample.tau - 1, 0)
-    raise TypeError(f"unknown map spec {type(spec).__name__}")
-
-
-def iterate(spec: MapSpec, x0: float, n: int, burn_in: int = 0, seed: int = 0) -> OrbitBuffer:
+def iterate(spec: IntervalMap, x0: float, n: int, burn_in: int = 0, seed: int = 0) -> OrbitBuffer:
     """Forward orbit of n points starting at x0 (after burn_in discarded
     steps), recording the capped expansion bound as a noise floor.
 
     Landing exactly on a partition endpoint raises ResampleSignal so the
-    caller can redraw the initial point.
+    caller can redraw the initial point; a map without a floating step
+    raises InvalidSystemError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = float(x0)
     growth = 1.0
     for _ in range(burn_in):
-        x, _ = _step(spec, x)
+        x, _ = spec.step(x)
     pts = np.empty(n, dtype=np.float64)
     pts[0] = x
     for i in range(1, n):
-        x, g = _step(spec, x)
+        x, g = spec.step(x)
         growth = min(growth * g, GROWTH_CAP)
         pts[i] = x
     return OrbitBuffer(pts, spec, seed, "floating", noise_floor=EPS64 * growth)
@@ -358,19 +401,6 @@ def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0) -> OrbitBuffer:
 def gauss_inverse_cdf(u: float) -> float:
     """Inverse of the distribution function log2(1 + x): u -> 2^u - 1."""
     return 2.0**u - 1.0
-
-
-def sample_initial(spec: MapSpec, rng: np.random.Generator) -> float:
-    """Draw an initial point from the map's sampling measure.
-
-    Continued-fraction map: inverse-CDF draw of the classical invariant
-    density. Others: Lebesgue-uniform on the domain.
-    """
-    if isinstance(spec, GaussMap):
-        return gauss_inverse_cdf(float(rng.random()))
-    if isinstance(spec, MPInduced):
-        return float(rng.random()) * 0.5
-    return float(rng.random())
 
 
 def mp_first_return(a: float, x: float, max_steps: int = 1_000_000) -> FirstReturnSample:

@@ -17,22 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PrecisionFloorError, ResampleSignal, UnresolvedReturn
-from .intervalmaps import (
-    EPS64,
-    GROWTH_CAP,
-    GaussMap,
-    KDoubling,
-    MapSpec,
-    MPInduced,
-    OrbitBuffer,
-    PiecewiseAffine,
-    affine_orbit,
-    doubling_orbit_exact,
-    iterate,
-    min_window_digits,
-    mp_first_return,
-    sample_initial,
-)
+from .intervalmaps import EPS64, GROWTH_CAP, IntervalMap, KDoubling, OrbitBuffer
 from .rng import derive_seed, make_rng
 from .tables import CurveRow, check_curve
 
@@ -45,7 +30,6 @@ __all__ = [
     "curve_min_n",
     "short_return_measure",
     "proximity_curve",
-    "orbit_for_cell",
     "FLOOR_REJECT_FACTOR",
 ]
 
@@ -299,14 +283,16 @@ def _short_return_kdoubling(k: int, n_iter: int, eps: float, samples: int,
     return float(np.mean(np.abs(m - shifted) <= thresh))
 
 
-def short_return_measure(spec: MapSpec, n_iter: int, eps: float, samples: int,
+def short_return_measure(spec: IntervalMap, n_iter: int, eps: float, samples: int,
                          seed: int = 0) -> ShortReturnEstimate:
     """Monte-Carlo mass of {x : |x - T^n x| <= eps} under the sampling
     measure, with a binomial standard error.
 
     Multiplication maps are evaluated in exact integer arithmetic; floating
     maps reject eps below the rejection threshold of the worst-case noise
-    floor.
+    floor, and step each point n_iter times, dropping the points whose steps
+    leave the tractable domain. A map without a floating step raises
+    InvalidSystemError.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -324,51 +310,23 @@ def short_return_measure(spec: MapSpec, n_iter: int, eps: float, samples: int,
             raise PrecisionFloorError(
                 f"eps={eps} below the floating precision floor {FLOOR_REJECT_FACTOR * worst_floor}"
             )
-        rng = make_rng(seed)
-        x0 = np.array([sample_initial(spec, rng) for _ in range(samples)])
-        x = x0.copy()
-        for _ in range(n_iter):
-            x = _vector_step(spec, x)
+        x0 = spec.sample(make_rng(seed), samples)
+        x = np.array([_image(spec, x, n_iter) for x in x0.tolist()])
         good = np.isfinite(x)
         p_hat = float(np.mean(np.abs(x0[good] - x[good]) <= eps))
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
     return ShortReturnEstimate(p_hat, stderr, samples, n_iter, eps)
 
 
-def _vector_step(spec: MapSpec, x: np.ndarray) -> np.ndarray:
-    """Vectorized map application; points that leave the tractable domain
-    become NaN and are dropped by the caller. Multiplication maps never get
-    here: short_return_measure evaluates them exactly."""
-    if isinstance(spec, GaussMap):
-        out = np.full_like(x, np.nan)
-        ok = x > 0.0
-        inv = 1.0 / np.where(ok, x, 1.0)
-        out[ok] = (inv - np.floor(inv))[ok]
-        return out
-    if isinstance(spec, PiecewiseAffine):
-        bp = np.asarray(spec.breakpoints)
-        out = np.full_like(x, np.nan)
-        ok = (x >= bp[-1]) & (x < 1.0)
-        # branch j has bp[j] > x >= bp[j+1] (0-based): searchsorted on the
-        # ascending reversed array
-        asc = bp[::-1]
-        idx = np.searchsorted(asc, x, side="right")  # count of asc entries <= x
-        j0 = len(bp) - idx  # 0-based upper breakpoint position
-        j0 = np.clip(j0, 1, len(bp) - 1)
-        hi = bp[j0 - 1]
-        lo = bp[j0]
-        y = (x - lo) / (hi - lo)
-        out[ok] = y[ok]
-        return out
-    if isinstance(spec, MPInduced):
-        out = np.empty_like(x)
-        for t in range(len(x)):
-            try:
-                out[t] = mp_first_return(spec.a, float(x[t]), spec.max_steps).fx
-            except (ResampleSignal, UnresolvedReturn, ValueError):
-                out[t] = np.nan
-        return out
-    raise TypeError(f"unknown map spec {type(spec).__name__}")
+def _image(spec: IntervalMap, x: float, n_iter: int) -> float:
+    """T^n_iter x by the map's step, or NaN once a step leaves the tractable
+    domain."""
+    try:
+        for _ in range(n_iter):
+            x, _ = spec.step(x)
+    except (ResampleSignal, UnresolvedReturn):
+        return math.nan
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -376,39 +334,10 @@ def _vector_step(spec: MapSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def orbit_for_cell(spec: MapSpec, n: int, cell_seed: int, burn_in: int = 0) -> OrbitBuffer:
-    """The n-point orbit of one experiment cell, determined by its seed.
-
-    Multiplication maps give exact orbits; affine maps the stationary
-    itinerary reconstruction; other maps a floating orbit from a drawn
-    initial point, redrawn (and flagged resampled) up to 32 times when it
-    hits a partition endpoint.
-    """
-    if isinstance(spec, KDoubling):
-        return doubling_orbit_exact(spec.k, n, min_window_digits(spec.k, n), seed=cell_seed)
-    if isinstance(spec, PiecewiseAffine):
-        # forward float iteration of affine branches sheds mantissa bits;
-        # the stationary itinerary reconstruction is the stable generator
-        return affine_orbit(spec, n, seed=cell_seed)
-    rng = make_rng(cell_seed)
-    resampled = False
-    for _ in range(32):
-        x0 = sample_initial(spec, rng)
-        try:
-            orb = iterate(spec, x0, n, burn_in=burn_in, seed=cell_seed)
-        except ResampleSignal:
-            resampled = True
-            continue
-        if resampled:
-            return OrbitBuffer(orb.points, orb.map, orb.seed, orb.precision,
-                               noise_floor=orb.noise_floor, resampled=True)
-        return orb
-    raise ResampleSignal("exceeded 32 resampling attempts")
-
-
-def proximity_curve(spec: MapSpec, n_grid, replicates: int, variant: str = "all",
+def proximity_curve(spec: IntervalMap, n_grid, replicates: int, variant: str = "all",
                     seed: int = 0, burn_in: int | None = None) -> list[CurveRow]:
-    """m_n across a grid of n with independent replicates.
+    """m_n across a grid of n with independent replicates, each on the
+    cell's orbit `spec.orbit` (burn_in None: the map's default).
 
     value = -log m_n / log n (the quantity with a dimension-law limit),
     aux = -log m_n. Zero distances (exact duplicates) and readings at the
@@ -416,13 +345,11 @@ def proximity_curve(spec: MapSpec, n_grid, replicates: int, variant: str = "all"
     resampled cells keep their value with flag "resampled".
     """
     n_grid = check_curve(n_grid, replicates, curve_min_n(variant))
-    if burn_in is None:
-        burn_in = 1000 if isinstance(spec, MPInduced) else 0
     rows = []
     for n in n_grid:
         for rep in range(replicates):
             cell_seed = derive_seed(seed, "proximity_curve", n, rep)
-            orb = orbit_for_cell(spec, n, cell_seed, burn_in)
+            orb = spec.orbit(n, cell_seed, burn_in)
             res = closest_pair(orb, variant)
             if res.value > 0.0:
                 aux = -math.log(res.value)

@@ -31,7 +31,6 @@ from orbitrecur import (
     proximity_curve,
     psi_mixing_table,
     renyi_entropy_exact,
-    sample_initial,
     short_return_measure,
     sigma_bounds_check,
     stationary_distribution,
@@ -111,8 +110,7 @@ def test_criterion_4_doubling_and_affine_proximity_law():
 
 
 def test_criterion_5_gauss_dimension_and_proximity():
-    rng = make_rng(99)
-    pts = np.array([sample_initial(GaussMap(), rng) for _ in range(10**5)])
+    pts = GaussMap().sample(make_rng(99), 10**5)
     d2 = d2_estimate(correlation_integral(pts))
     rows = proximity_curve(GaussMap(), [10**3, 10**4, 10**5], 5, "all", seed=2026)
     fit = exponent_fit(rows, target=2.0, min_grid_points=3)

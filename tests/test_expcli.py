@@ -15,6 +15,24 @@ SMALL_MATCH, SMALL_PROX, SMALL_D2, SMALL_H2, SMALL_DIAG, SMALL_RETURNS = (
 
 SMALL_D2_ORBIT = (SMALL_D2.replace("type = gauss", "type = kdoubling\nk = 2")
                   .replace("samples = 4000", "samples = 20000\nmode = orbit"))
+SMALL_PROX_GAUSS = SMALL_PROX.replace("type = kdoubling\nk = 2", "type = gauss")
+SMALL_D2_ORBIT_GAUSS = SMALL_D2.replace("samples = 4000", "samples = 20000\nmode = orbit")
+
+# the config of each RECORD_SHA256 entry: the small configs, plus the
+# floating maps on every path that samples or iterates them
+PINNED_CONFIGS = {
+    **ALL_SMALL,
+    "d2_orbit": SMALL_D2_ORBIT,
+    "proximity_gauss": SMALL_PROX_GAUSS,
+    "proximity_gauss_far": SMALL_PROX_GAUSS.replace("min_grid_points", "variant = far\nmin_grid_points"),
+    "proximity_mp_induced": SMALL_PROX.replace("type = kdoubling\nk = 2", "type = mp_induced"),
+    "proximity_affine": SMALL_PROX.replace("type = kdoubling\nk = 2", "type = affine"),
+    "d2_mp_induced": SMALL_D2.replace("type = gauss", "type = mp_induced"),
+    "d2_affine": SMALL_D2.replace("type = gauss", "type = affine"),
+    "d2_orbit_gauss": SMALL_D2_ORBIT_GAUSS,
+    # orbits discard MPInduced's 1000-step default burn-in
+    "d2_orbit_mp_induced": SMALL_D2_ORBIT_GAUSS.replace("type = gauss", "type = mp_induced"),
+}
 
 # sha256 of (results.csv, manifest.json, report.json) for each small config:
 # a refactor of the runner must leave every record byte-identical
@@ -53,6 +71,46 @@ RECORD_SHA256 = {
         "483edd5a186f820b9d786fe3b3284b4e1e717dd7a40d57b588475cfd7e4bcf4d",
         "058e8e1d7b625ccf601603f9a011e5428a13c12ef4cc5feec8d6a42871efd2da",
         "376b1ba8bd22d1881a432c2412e2d9dedaa32bf22d76bd25e09ed3eba02eda15",
+    ),
+    "proximity_gauss": (
+        "07e9dd07719a0ad16bbeddde97921c2bc2fe0a0188385542d9560a61f5872978",
+        "d62fc4cefa44c2c8cfe4c383cc9346ae4e3e8e0072508c0025f9fecd9471d34e",
+        "93fdc197c59b7e9f7bb130b1cc62152a51414bf06ba4426aea0c39ab049c8757",
+    ),
+    "proximity_gauss_far": (
+        "04273d2f170080697eb1cce3ef7ef14f48abfcbaa873949a49b1ba9189833b4c",
+        "d72f8bcedf046296c1bd145e80dddba60804f413b6c3b0c394072cf67b9d3280",
+        "640d7000d1a8ce327ea942acf967a1de62fd2ffb0cd20e88ed6f39b996fb74b0",
+    ),
+    "proximity_mp_induced": (
+        "49c7a0c944ce9e08c885b913f6fb58e1631dafbeda4c5289d57abf6fda0e286e",
+        "b6fad0719d1fd10d74de3a6173d23da08b2cdabf7c33eae6d51f529915c1fabd",
+        "12a63f80fa42e442356d3592066d37cea07fba1c2d35a0baef98395800905e01",
+    ),
+    "proximity_affine": (
+        "a5851f63c5b455a6d82cd09c5f387d733f0d39c77f45a683904b5887f92dbc22",
+        "84ee01c83b685df0809086fbdebb1e69ee4c2fdc812b0d89a7bff840f25392dc",
+        "0fbeede9ea1a95ae003d23be496890bf2ee8fc957042b188d1259416a40abcd2",
+    ),
+    "d2_mp_induced": (
+        "c2dadb486251a9be2f81438cf6c45790af7b56e91fa627725d903187eb769f24",
+        "917ae618be0792ea4f6bae6127f3871d04244b33ad5e74a6cbba4844ff495160",
+        "140cc6dec48c7d3baee78c8e4b4c96f13d023e455e57aa3e2e66a85e1384b49c",
+    ),
+    "d2_affine": (
+        "a4a27958e195fe8554a366cb2e139bbcf0ca10bfacf030f6ebb4d44aa2b218ec",
+        "a416bc2957979404e4b577598bd68b67119061d6d7349b4bb5162d70ef43400d",
+        "4c4b5bc06ec9c0d83c7460c8b8b8b167285d5502b23c120e61dbdb9fdb9d8932",
+    ),
+    "d2_orbit_gauss": (
+        "06066c631514f5e708c1d38867379215e0720a057aa70e0b495f0edca95d7d70",
+        "5fd621f9571f971bf95234b42183c3eaba9499ae1af25d6472dc7cf5d610d040",
+        "e2e74b0416102c75a2a1f143ac7d01ea59c0f61c38e01c5b38be40dea684d493",
+    ),
+    "d2_orbit_mp_induced": (
+        "a541412590e89422100d412e3aa8e7bedefdcccad149f682bbeb0064146c9305",
+        "e2c03379bb1c1a76e38bd3ea82c88be57668364a15743e869a8bb7a0759895d4",
+        "c650f0f4662cbefb1a425ab3afa68e6a1057f64b0e7fc9addc1f0c1eee1c44f4",
     ),
 }
 
@@ -117,10 +175,18 @@ class TestConfigParsing:
         SMALL_RETURNS.replace("r = 3\nk_list = 1, 2, 4, 6", "r = 20\nk_list = 2, 13")
         .replace("0.5, 0.5", "0.2, 0.3, 0.5"),
         SMALL_RETURNS.replace("weights = 0.5, 0.5", "weights = 0.6, 0.5"),
+        SMALL_D2_ORBIT_GAUSS.replace("mode = orbit", "mode = orbit\nburn_in = -3"),
+        SMALL_PROX.replace("min_grid_points", "burn_in = 10\nmin_grid_points"),
+        SMALL_PROX.replace("type = kdoubling\nk = 2", "type = affine")
+        .replace("min_grid_points", "burn_in = 10\nmin_grid_points"),
+        SMALL_D2.replace("samples = 4000", "samples = 4000\nburn_in = 10"),
+        SMALL_MATCH.replace("replicates = 3", "replicates = 3\nburn_in = 10"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
-            "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1"])
+            "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1",
+            "burn_in_negative", "burn_in_kdoubling", "burn_in_affine", "burn_in_d2_iid",
+            "burn_in_match_curve"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
@@ -182,7 +248,7 @@ class TestRunAndVerify:
 
     @pytest.mark.parametrize("name", sorted(RECORD_SHA256))
     def test_record_bytes_pinned(self, tmp_path, name):
-        text = SMALL_D2_ORBIT if name == "d2_orbit" else ALL_SMALL[name]
+        text = PINNED_CONFIGS[name]
         expcli.run(expcli.parse_config_text(text), tmp_path)
         digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                         for f in ("results.csv", "manifest.json", "report.json"))
@@ -251,7 +317,7 @@ class TestRunAndVerify:
     def test_resume_from_pinned_cells(self, tmp_path, monkeypatch, name):
         # the pinned results.csv rows, grouped as the cell plan groups them, are
         # the cell files that every earlier version with these pins wrote
-        text = SMALL_D2_ORBIT if name == "d2_orbit" else ALL_SMALL[name]
+        text = PINNED_CONFIGS[name]
         cfg = expcli.parse_config_text(text)
         expcli.run(cfg, tmp_path / "first")
         assert self.record_sha256(tmp_path / "first") == RECORD_SHA256[name]
@@ -587,6 +653,18 @@ class TestD2OrbitMode:
         rec = expcli.run(cfg, tmp_path / "out")
         # doubling-map orbits are Lebesgue typical: dimension estimate near 1
         assert abs(rec.report["slope"] - 1.0) < 0.2
+
+    def test_burn_in_reaches_the_orbit(self, tmp_path):
+        text = PINNED_CONFIGS["d2_orbit_mp_induced"].replace("replicates = 2", "replicates = 1")
+
+        def row(burn_in):
+            cfg_text = text if burn_in is None else text.replace(
+                "mode = orbit", f"mode = orbit\nburn_in = {burn_in}")
+            return expcli.run(expcli.parse_config_text(cfg_text), tmp_path / str(burn_in)).rows
+
+        default = row(None)
+        assert row(1000) == default  # MPInduced.burn_in
+        assert row(0) != default and row(5000) != default
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import pytest
 
 from orbitrecur import (
     GaussMap,
+    IntervalMap,
     KDoubling,
     MPInduced,
     PiecewiseAffine,
@@ -13,23 +14,38 @@ from orbitrecur import (
     gauss_inverse_cdf,
     iterate,
     mp_first_return,
-    sample_initial,
 )
-from orbitrecur.errors import InvalidSystemError, ResampleSignal, TailHit, UnresolvedReturn
-from orbitrecur.intervalmaps import _affine_branch, _step, affine_orbit, min_window_digits
+from orbitrecur.errors import InvalidSystemError, ResampleSignal, UnresolvedReturn
+from orbitrecur.intervalmaps import affine_orbit, min_window_digits
 from orbitrecur.rng import make_rng
+
+
+def affine_branch(spec: PiecewiseAffine, x: float) -> int:
+    """1-based branch j with a_{j+1} <= x < a_j, by searchsorted on the
+    ascending breakpoints."""
+    bp = spec.breakpoints
+    return len(bp) - int(np.searchsorted(bp[::-1], x, side="right"))
+
+
+def affine_step(spec: PiecewiseAffine, x: float) -> float:
+    """One forward step of an affine map: the oracle that affine_orbit's
+    inverse-branch reconstruction is checked against."""
+    j = affine_branch(spec, x)
+    hi, lo = spec.breakpoints[j - 1], spec.breakpoints[j]
+    return (x - lo) / (hi - lo)
 
 
 def branch_digit(spec, x: float) -> int:
     """The branch of the map's natural partition that x lies in: the affine
-    branch, the induced return time, or the integer part that one step of a
-    multiplication or the Gauss map drops."""
+    branch, the induced return time, the integer part of k x, or the integer
+    part that one step of the Gauss map drops."""
     if isinstance(spec, PiecewiseAffine):
-        return _affine_branch(spec, x)
+        return affine_branch(spec, x)
     if isinstance(spec, MPInduced):
         return mp_first_return(spec.a, x, spec.max_steps).tau
-    lifted = spec.k * x if isinstance(spec, KDoubling) else 1.0 / x
-    return round(lifted - _step(spec, x)[0])
+    if isinstance(spec, KDoubling):
+        return math.floor(spec.k * x)
+    return round(1.0 / x - spec.step(x)[0])
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -91,17 +107,6 @@ class TestIterate:
         orb = iterate(GaussMap(), phi, 12)
         assert max(abs(p - phi) for p in orb.points) < 1e-11
 
-    def test_kdoubling_float_agrees_with_exact_windows(self):
-        exact = doubling_orbit_exact(2, 40, 50, seed=3, enforce_floor=False)
-        orb = iterate(KDoubling(2), float(exact.points[0]), 20)
-        for i in range(20):
-            assert abs(orb.points[i] - exact.points[i]) < 1e-9
-
-    def test_affine_branch_image(self):
-        aff = PiecewiseAffine.dyadic(40)
-        orb = iterate(aff, 0.3, 2)
-        assert orb.points[1] == pytest.approx(0.2, abs=1e-15)
-
     def test_noise_floor_recorded(self):
         orb = iterate(GaussMap(), 0.7071067811865476, 100)
         assert orb.precision == "floating" and 0.0 < orb.noise_floor <= 2.0**-44
@@ -110,10 +115,10 @@ class TestIterate:
         with pytest.raises(ResampleSignal):
             iterate(GaussMap(), 0.5, 3)  # 1/0.5 lands exactly on 0
 
-    def test_affine_tail_hit(self):
-        aff = PiecewiseAffine.dyadic(8)
-        with pytest.raises(TailHit):
-            iterate(aff, float(2.0**-9), 2)
+    def test_map_without_step_raises(self):
+        # exact and reconstructed orbits are never iterated in floating point
+        with pytest.raises(InvalidSystemError, match="KDoubling"):
+            iterate(KDoubling(2), 0.3, 2)
 
 
 class TestSampleInitial:
@@ -125,15 +130,24 @@ class TestSampleInitial:
         assert gauss_inverse_cdf(0.5) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
 
     def test_gauss_samples_match_density(self):
-        rng = make_rng(19)
-        xs = np.array([sample_initial(GaussMap(), rng) for _ in range(10**5)])
+        xs = GaussMap().sample(make_rng(19), 10**5)
         D = ks_statistic(xs, lambda x: np.log2(1.0 + x))
         assert D < 0.01
 
     def test_uniform_for_other_maps(self):
-        rng = make_rng(20)
-        xs = np.array([sample_initial(KDoubling(2), rng) for _ in range(10**5)])
+        xs = KDoubling(2).sample(make_rng(20), 10**5)
         assert ks_statistic(xs, lambda x: x) < KS_1PCT / math.sqrt(10**5)
+
+    def test_gauss_sample_is_per_draw_inverse_cdf(self):
+        # one draw of 10^5 points, bit for bit the 10^5 scalar draws
+        rng = make_rng(21)
+        per_draw = [gauss_inverse_cdf(float(rng.random())) for _ in range(10**5)]
+        assert GaussMap().sample(make_rng(21), 10**5).tolist() == per_draw
+
+    def test_mp_induced_samples_left_half(self):
+        rng = make_rng(22)
+        per_draw = [float(rng.random()) * 0.5 for _ in range(1000)]
+        assert MPInduced().sample(make_rng(22), 1000).tolist() == per_draw
 
 
 class TestInvariance:
@@ -141,30 +155,28 @@ class TestInvariance:
         aff = PiecewiseAffine.dyadic(40)
         rng = make_rng(23)
         xs = rng.random(10**5)
-        pushed = np.array([_step(aff, float(x))[0] for x in xs])
+        pushed = np.array([affine_step(aff, float(x)) for x in xs])
         assert ks_statistic(pushed, lambda x: x) < KS_1PCT / math.sqrt(10**5)
 
     def test_gauss_invariance(self):
-        rng = make_rng(29)
-        xs = np.array([sample_initial(GaussMap(), rng) for _ in range(10**5)])
-        pushed = np.array([_step(GaussMap(), float(x))[0] for x in xs])
+        xs = GaussMap().sample(make_rng(29), 10**5)
+        pushed = np.array([GaussMap().step(x)[0] for x in xs.tolist()])
         D = ks_statistic(pushed, lambda x: np.log2(1.0 + x))
         assert D < KS_1PCT / math.sqrt(10**5)
 
-    @pytest.mark.parametrize("spec", [KDoubling(2), KDoubling(3), GaussMap(),
-                                      PiecewiseAffine.dyadic(30), MPInduced(0.5)])
+    @pytest.mark.parametrize("spec", [GaussMap(), MPInduced(0.5)], ids=["gauss", "mp_induced"])
     def test_same_branch_expansion(self, spec):
         rng = make_rng(31)
         checked = 0
         while checked < 200:
-            x = sample_initial(spec, rng)
+            x = float(spec.sample(rng, 1)[0])
             h = 1e-9
             y = x + h
             try:
                 if branch_digit(spec, x) != branch_digit(spec, y):
                     continue
-                fx, _ = _step(spec, x)
-                fy, _ = _step(spec, y)
+                fx, _ = spec.step(x)
+                fy, _ = spec.step(y)
             except (ResampleSignal, UnresolvedReturn):
                 continue
             assert abs(fx - fy) / h >= 1.0 - 1e-6
@@ -222,18 +234,18 @@ class TestPartitionIndex:
         assert branch_digit(KDoubling(2), 0.7) == 1
 
     def test_affine_branch(self):
-        assert _affine_branch(PiecewiseAffine.dyadic(40), 0.3) == 2
+        aff = PiecewiseAffine.dyadic(40)
+        assert affine_branch(aff, 0.3) == 2
+        assert affine_step(aff, 0.3) == pytest.approx(0.2, abs=1e-15)
 
     def test_mp_induced_return_time(self):
         assert mp_first_return(0.5, 0.4).tau == 3
 
     def test_endpoint_signals(self):
         with pytest.raises(ResampleSignal):
-            _step(GaussMap(), 0.0)
+            GaussMap().step(0.0)
         with pytest.raises(ResampleSignal):
-            _affine_branch(PiecewiseAffine.dyadic(10), 1.0)
-        with pytest.raises(TailHit):
-            _affine_branch(PiecewiseAffine.dyadic(10), 1e-12)
+            GaussMap().step(1.5)
 
 
 class TestAffineOrbit:
@@ -247,7 +259,7 @@ class TestAffineOrbit:
         orb = affine_orbit(aff, 3000, seed=9)
         worst = 0.0
         for t in range(2999):
-            y, _ = _step(aff, float(orb.points[t]))
+            y = affine_step(aff, float(orb.points[t]))
             worst = max(worst, abs(y - orb.points[t + 1]))
         assert worst < 4.0 * 2.0**-52
 
@@ -255,6 +267,63 @@ class TestAffineOrbit:
         a = affine_orbit(PiecewiseAffine.dyadic(40), 500, seed=13)
         b = affine_orbit(PiecewiseAffine.dyadic(40), 500, seed=13)
         assert np.array_equal(a.points, b.points)
+
+
+class HalfBlocked(IntervalMap):
+    """A test map whose step signals an endpoint on [0, 1/2)."""
+
+    def step(self, x):
+        if x < 0.5:
+            raise ResampleSignal("blocked half")
+        return x, 1.0
+
+
+class TestOrbit:
+    """`orbit(n, seed, burn_in)`, the n-point orbit of one experiment cell."""
+
+    def test_kdoubling_exact_windows(self):
+        w = min_window_digits(2, 500)
+        assert KDoubling(2).orbit(500, 7).windows == doubling_orbit_exact(2, 500, w, seed=7).windows
+
+    def test_affine_reconstruction(self):
+        aff = PiecewiseAffine.dyadic(40)
+        assert np.array_equal(aff.orbit(500, 13).points, affine_orbit(aff, 500, seed=13).points)
+
+    def test_floating_orbit_iterates_a_drawn_point(self):
+        spec = GaussMap()
+        x0 = spec.sample(make_rng(5), 1)[0]
+        orb = spec.orbit(300, 5)
+        assert np.array_equal(orb.points, iterate(spec, x0, 300, seed=5).points)
+        assert not orb.resampled
+
+    def test_mp_induced_burn_in_default(self):
+        spec = MPInduced()
+        x0 = spec.sample(make_rng(5), 1)[0]
+        assert np.array_equal(spec.orbit(200, 5).points,
+                              iterate(spec, x0, 200, burn_in=1000).points)
+        assert np.array_equal(spec.orbit(200, 5, burn_in=0).points, iterate(spec, x0, 200).points)
+
+    def test_resampled_until_a_point_iterates(self):
+        draws = make_rng(1).random(32)
+        first = int(np.argmax(draws >= 0.5))
+        assert first > 0  # seed 1 needs a redraw
+        orb = HalfBlocked().orbit(4, 1)
+        assert orb.resampled and orb.points.tolist() == [draws[first]] * 4
+
+    def test_resampling_gives_up(self):
+        class Blocked(IntervalMap):
+            def step(self, x):
+                raise ResampleSignal("blocked")
+
+        with pytest.raises(ResampleSignal, match="32"):
+            Blocked().orbit(3, 0)
+
+    @pytest.mark.parametrize("spec,burn_in", [(KDoubling(2), 0), (PiecewiseAffine.dyadic(10), 5),
+                                              (GaussMap(), -1)],
+                             ids=["kdoubling", "affine", "negative"])
+    def test_burn_in_rejected(self, spec, burn_in):
+        with pytest.raises(InvalidSystemError, match="burn_in"):
+            spec.orbit(10, 0, burn_in)
 
 
 class TestSpecValidation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitrecur import (
     GaussMap,
     KDoubling,
+    MPInduced,
     PiecewiseAffine,
     alpha_of,
     closest_pair,
@@ -18,7 +19,7 @@ from orbitrecur import (
     short_return_measure,
 )
 from orbitrecur import proximity
-from orbitrecur.errors import PrecisionFloorError
+from orbitrecur.errors import InvalidSystemError, PrecisionFloorError
 from orbitrecur.intervalmaps import min_window_digits
 from orbitrecur.proximity import FLOOR_REJECT_FACTOR
 from orbitrecur.rng import make_rng
@@ -293,6 +294,14 @@ class TestShortReturns:
     def test_gauss_short_return_sane(self):
         est = short_return_measure(GaussMap(), 2, 1e-3, 200_000, seed=9)
         assert 0.0 < est.value < 0.05
+
+    def test_mp_induced_short_return_sane(self):
+        est = short_return_measure(MPInduced(), 1, 1e-2, 20_000, seed=4)
+        assert 0.0 < est.value < 0.2
+
+    def test_map_without_step_raises(self):
+        with pytest.raises(InvalidSystemError, match="PiecewiseAffine"):
+            short_return_measure(PiecewiseAffine.dyadic(40), 2, 1e-3, 1000)
 
 
 class TestProximityCurve:
