@@ -1,9 +1,13 @@
 """Longest self-match statistic M_n and return-time-set measures.
 
 M_n is the length of the longest block occurring at two distinct start
-positions among the first n symbols. It is found by binary search on the
-block length, each length tested with Karp-Miller-Rosenberg block names; an
-O(n^2) brute force with the identical contract serves as the testing oracle.
+positions among the first n symbols. It is found by a galloping, then
+bisecting, search on the block length, each length tested with
+Karp-Miller-Rosenberg block names. Symbols in [0, 2^32) are their own
+level-1 names. A length with more windows than possible names repeats by
+pigeonhole and is not sorted; a sorted length keeps only the candidate
+starts whose block repeats, and later lengths sort those alone. An O(n^2)
+brute force with the identical contract serves as the testing oracle.
 Return-set measures mu(S_k(r)) are computed exactly for Bernoulli/Markov
 measures and empirically by sampling.
 """
@@ -57,9 +61,15 @@ class MatchResult:
 
 
 def _as_symbols(seq) -> np.ndarray:
+    """The symbols as int64. ValueError unless they are integers in the
+    int64 range: a cast would truncate floats and wrap large uint64 values."""
     if isinstance(seq, SymbolSequence):
         return seq.symbols
-    return np.asarray(seq, dtype=np.int64)
+    arr = np.asarray(seq)
+    if arr.size and (arr.dtype.kind not in "iu"
+                     or (arr.dtype == np.uint64 and int(arr.max()) >= 1 << 63)):
+        raise ValueError(f"symbols must be integers in the int64 range, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 # Largest name bound whose pair names a * bound + b (a, b < bound) fit in uint64.
@@ -73,23 +83,52 @@ def _dense_names(names: np.ndarray) -> tuple[np.ndarray, int]:
     return inv.astype(np.uint64), len(uniq)
 
 
-def _has_repeat(names: np.ndarray) -> bool:
-    srt = np.sort(names)
-    return bool(np.any(srt[1:] == srt[:-1]))
+def _repeated(keys: np.ndarray, key_bound: int) -> np.ndarray:
+    """Indices, in increasing order, of the keys that occur more than once.
+
+    keys are uint64 below key_bound. When every index fits in the bits that
+    key_bound leaves free, one sort of (key << bits) | index groups equal
+    keys; otherwise an argsort does.
+    """
+    m = len(keys)
+    bits = max(m - 1, 1).bit_length()
+    if key_bound << bits <= 1 << 64:
+        order = keys << np.uint64(bits)
+        order |= np.arange(m, dtype=np.uint64)
+        order.sort()
+        srt = order >> np.uint64(bits)
+        order &= np.uint64((1 << bits) - 1)
+    else:
+        order = np.argsort(keys)
+        srt = keys[order]
+    pair = np.flatnonzero(srt[1:] == srt[:-1])
+    hit = np.zeros(m, dtype=bool)
+    hit[order[pair]] = True
+    hit[order[pair + 1]] = True
+    return np.flatnonzero(hit)
 
 
 def longest_self_match(seq, n: int | None = None) -> MatchResult:
-    """M_n by binary search on the block length, restricted to start
-    positions below n.
+    """M_n by a search on the block length, restricted to start positions
+    below n.
 
     A k-block repeats among the starts below n only if every shorter block
     does, so the lengths are searched: k = 1, 2, 4, ... until one fails, then
-    bisection between the last two. A length k is tested by naming every
-    k-window that starts below n and lies inside the data, and looking for
-    two equal names. Names follow Karp-Miller-Rosenberg doubling: the level
-    of width w names every w-block, the level of width 2w names the pair
-    (name at p, name at p + w), and for w <= k < 2w the k-block at p is named
-    by the pair (name at p, name at p + k - w).
+    bisection between the last two. A length k is tested on the k-windows
+    that start below n and lie inside the data, by looking for two equal
+    names. Names follow Karp-Miller-Rosenberg doubling: symbols in [0, 2^32)
+    are their own level-1 names (other symbols are ranked densely), the level
+    of width 2w names the pair (name at p, name at p + w), and for
+    w < k <= 2w the k-block at p is named by the pair (name at p, name at
+    p + k - w). A level whose names may reach 2^32 is ranked densely before
+    it is paired, so pair names fit in 64 bits.
+
+    Only names that can still repeat are sorted. A length with more windows
+    than possible names repeats by pigeonhole and is not sorted. A sorted
+    length keeps as candidates only the starts whose block repeats; every
+    longer repeat starts at a candidate, because its prefix repeats too, so
+    each later sorted test looks at the candidates alone and narrows them.
+    The witness is the first candidate at M_n and its first equal partner.
 
     Matched blocks may run into the generated buffer but never past the end
     of the data (containment rule). Witness tie-break: smallest i, then
@@ -103,43 +142,66 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
         raise ValueError(f"n={n} exceeds generated length {L}")
     if n < 2:
         raise ValueError("need n >= 2")
-    # names are uint64 and lie below `bound`; a level is renamed by dense rank
-    # before pairing whenever bound > _NAME_BOUND_MAX, so pair names never wrap
-    names, bound = _dense_names(s)
-    if not _has_repeat(names[:n]):
+    # names are uint64 and lie below `bound`
+    top = int(s.max())
+    if s.min() >= 0 and top < _NAME_BOUND_MAX:
+        names, bound = s.view(np.uint64), top + 1
+    else:
+        names, bound = _dense_names(s)
+    width = 1
+    # candidates: the starts below n whose `found`-block repeats (None: every
+    # start, before any length is sorted)
+    starts, found = None, 0
+
+    def block_names(k: int, at) -> tuple[np.ndarray, int]:
+        # names and name bound of the k-blocks, width <= k <= 2 * width,
+        # starting at `at`: a slice of starts or an array of them
+        if k == width:
+            return names[at], bound
+        return names[at] * bound + names[k - width :][at], bound * bound
+
+    def narrow(k: int) -> bool:
+        # sort the k-block names at the candidates; keep those that repeat
+        nonlocal starts, found
+        m = min(n, L - k + 1)
+        at = slice(m) if starts is None else starts[: np.searchsorted(starts, m)]
+        rep = _repeated(*block_names(k, at))
+        if not rep.size:
+            return False
+        starts, found = (rep if starts is None else at[rep]), k
+        return True
+
+    def repeats(k: int) -> bool:
+        # pigeonhole first: more windows than names forces a repeat
+        return min(n, L - k + 1) > (bound if k == width else bound * bound) or narrow(k)
+
+    if not repeats(1):
         return MatchResult(0, 0, 1, (), False)
     # a lo-block repeats, no (hi + 1)-block does; names holds the level of
     # width `width` at every start p <= L - width
-    width, lo, hi = 1, 1, L - 1
+    lo, hi = 1, L - 1
     while 2 * width <= hi:
         if bound > _NAME_BOUND_MAX:
             names, bound = _dense_names(names)
-        wider = names[: L - 2 * width + 1] * bound + names[width:]
-        if not _has_repeat(wider[:n]):
+        if not repeats(2 * width):
             hi = 2 * width - 1
-            del wider  # the bisection needs only the narrower level
             break
-        names, bound, width = wider, bound * bound, 2 * width
+        names = names[: L - 2 * width + 1] * bound + names[width:]
+        bound, width = bound * bound, 2 * width
         lo = width
     if bound > _NAME_BOUND_MAX:
         names, bound = _dense_names(names)
-
-    def window_names(k: int) -> np.ndarray:
-        # names of the k-windows starting below n, for width <= k < 2 * width
-        m = min(n, L - k + 1)
-        return names[:m] * bound + names[k - width : k - width + m]
-
     while lo < hi:
         k = (lo + hi + 1) // 2
-        if _has_repeat(window_names(k)):
+        if repeats(k):
             lo = k
         else:
             hi = k - 1
-    keys = window_names(lo)
-    srt = np.sort(keys)
-    repeated = srt[1:][srt[1:] == srt[:-1]]
-    i = int(np.flatnonzero(np.isin(keys, repeated))[0])
-    j = i + 1 + int(np.flatnonzero(keys[i + 1 :] == keys[i])[0])
+    if found != lo:
+        narrow(lo)
+    keys, _ = block_names(lo, starts)
+    i = int(starts[0])
+    j = int(starts[1 + np.flatnonzero(keys[1:] == keys[0])[0]])
     word = tuple(int(x) for x in s[i : i + lo])
     return MatchResult(lo, i, j, word, bool(j + lo > n))
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from orbitrecur import (
 from orbitrecur import matcher
 from orbitrecur.errors import EnumerationBudgetError
 from orbitrecur.rng import make_rng
-from orbitrecur.symbolic import admissible_words, stationary_distribution
+from orbitrecur.symbolic import admissible_words, sample_sequence, stationary_distribution
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])
@@ -109,12 +110,73 @@ class TestLongestSelfMatch:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_property_against_bruteforce(self, data):
+        # copies of earlier stretches, periodic where they overlap, make long
+        # repeats: the search then passes lengths by pigeonhole, narrows its
+        # candidates over several sorted lengths and takes its witness at any
+        # bisection step; wide symbol values take the dense-rank path
         alpha = data.draw(st.integers(1, 4), label="alphabet")
-        n = data.draw(st.integers(2, 120), label="n")
-        buffer = data.draw(st.integers(0, 30), label="buffer")
-        seq = data.draw(st.lists(st.integers(0, alpha - 1), min_size=n + buffer,
-                                 max_size=n + buffer), label="seq")
+        # one letter costs the brute force about L^3 / 6 steps
+        n = data.draw(st.integers(2, 300 if alpha > 1 else 60), label="n")
+        buffer = data.draw(st.integers(0, 40), label="buffer")
+        L = n + buffer
+        seq = data.draw(st.lists(st.integers(0, alpha - 1), min_size=L, max_size=L), label="seq")
+        for _ in range(data.draw(st.integers(0, 2), label="copies")):
+            a = data.draw(st.integers(0, L - 1), label="source")
+            b = data.draw(st.integers(a, L - 1), label="target")
+            for t in range(data.draw(st.integers(0, L - b), label="length")):
+                seq[b + t] = seq[a + t]
+        values = data.draw(st.sampled_from([
+            None, [2**32 - 1, 0, 5, 9], [-(2**63), 2**32, 7, 2**63 - 1],
+        ]), label="values")
+        if values:
+            seq = [values[x] for x in seq]
         assert longest_self_match(seq, n) == longest_self_match_bruteforce(seq, n)
+
+    @pytest.mark.parametrize("impl", [longest_self_match, longest_self_match_bruteforce])
+    def test_float_symbols_rejected(self, impl):
+        # a cast to int64 would read four distinct symbols as four zeros
+        with pytest.raises(ValueError, match="integers"):
+            impl([0.2, 0.7, 0.9, 0.1], 4)
+
+    @pytest.mark.parametrize("impl", [longest_self_match, longest_self_match_bruteforce])
+    @pytest.mark.parametrize("seq", [
+        np.array([2**63 + 5, 1, 2**63 + 5, 1], dtype=np.uint64),
+        [2**64, 1, 2**64, 1],
+    ], ids=["uint64", "python_int"])
+    def test_symbols_outside_int64_rejected(self, impl, seq):
+        # a cast to int64 would wrap 2^63 + 5 to a negative symbol
+        with pytest.raises(ValueError, match="int64"):
+            impl(seq, 4)
+
+    def test_lengths_with_more_windows_than_names_not_sorted(self, monkeypatch):
+        # binary, n = 300: lengths 1-8 have more windows than names; 16 is
+        # the first sorted length, and later ones sort its candidates only
+        calls = []
+        repeated = matcher._repeated
+
+        def spy(keys, key_bound):
+            calls.append((len(keys), key_bound))
+            return repeated(keys, key_bound)
+
+        monkeypatch.setattr(matcher, "_repeated", spy)
+        seq = make_rng(12).integers(0, 2, size=320)
+        fast = longest_self_match(seq, 300)
+        assert fast == longest_self_match_bruteforce(seq, 300)
+        assert calls[0] == (300, 2**16)
+        assert all(bound >= 2**16 and m < 300 for m, bound in calls[1:])
+
+    def test_working_set_bounded(self):
+        # the first sorted length holds four 8-byte arrays of the data's
+        # length (a level, its keys, the packed keys and their indices); a
+        # fifth is the margin, and one more full-size array would pass it
+        seq = sample_sequence(GOLDEN, None, 200_000, 100, seed=3)
+        tracemalloc.start()
+        try:
+            longest_self_match(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * len(seq.symbols)
 
 
 def _periodic(period, length):
@@ -123,7 +185,8 @@ def _periodic(period, length):
 
 class TestRenamedBlockNames:
     """Long repeats whose block names outgrow 64 bits, so that levels past
-    the symbols are renamed by dense rank before they are paired."""
+    the symbols are renamed by dense rank before they are paired; symbols
+    in [0, 2^32) are their own names and are not ranked."""
 
     @pytest.fixture
     def renames(self, monkeypatch):
@@ -146,16 +209,47 @@ class TestRenamedBlockNames:
     def test_long_repeats_match_bruteforce(self, renames, seq, n_share):
         n = max(2, int(n_share * len(seq)))
         fast = longest_self_match(seq, n)
-        assert len(renames) > 1, "only the symbols were ranked"
+        assert len(renames) >= 1, "no level past the symbols was ranked"
         assert fast == longest_self_match_bruteforce(seq, n)
         assert fast.m_n > 64
 
+    @pytest.mark.parametrize("seq,ranked", [
+        (list(make_rng(6).integers(0, 3, size=300)), False),
+        ([0, 2**32 - 1, 5, 2**32 - 1, 0], False),
+        ([0, -1, 2, 0, -1, 3], True),
+        ([0, 2**32, 5, 0, 2**32, 6], True),
+    ], ids=["ternary", "below_2^32", "negative", "2^32"])
+    def test_symbols_ranked_only_outside_raw_range(self, renames, seq, ranked):
+        fast = longest_self_match(seq, len(seq) - 1)
+        assert fast == longest_self_match_bruteforce(seq, len(seq) - 1)
+        assert renames == ([len(seq)] if ranked else [])
+
     def test_constant_sequence(self):
-        # one name throughout: the name bound stays 1 at every level
+        # one name throughout: once a level is ranked densely its bound is 1,
+        # so every longer length repeats by pigeonhole and the witness is
+        # narrowed from the candidates of the last sorted length
         for L, n in ((200, 2), (200, 150), (257, 257)):
             res = longest_self_match([3] * L, n)
             assert (res.m_n, res.witness_i, res.witness_j) == (L - 1, 0, 1)
             assert res.crossed_boundary == (1 + L - 1 > n)
+
+
+class TestRepeatedKeys:
+    """matcher._repeated on both sides of its packing rule: one sort of
+    (key << bits) | index while key_bound << bits <= 2^64, an argsort past it."""
+
+    @pytest.mark.parametrize("key_bound", [1 << 54, 1 << 64], ids=["packed", "argsort"])
+    def test_keys_near_the_bound(self, key_bound):
+        # 1000 indices take 10 bits, so keys below 2^54 pack into exactly 64
+        # bits; keys below 2^64 cannot be packed
+        offsets = make_rng(21).integers(0, 600, size=1000).astype(np.uint64)
+        keys = np.uint64(key_bound - 1) - offsets
+        counts = Counter(keys.tolist())
+        expected = [i for i, key in enumerate(keys.tolist()) if counts[key] > 1]
+        assert 0 < len(expected) < len(keys)
+        assert matcher._repeated(keys, key_bound).tolist() == expected
+        assert matcher._repeated(keys[:1], key_bound).tolist() == []
+        assert matcher._repeated(keys[:0], key_bound).tolist() == []
 
 
 class TestMatchCurve:
