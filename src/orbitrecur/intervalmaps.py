@@ -5,12 +5,14 @@ orbit of an experiment cell: mod-1 multiplication by k (exact base-k window
 arithmetic), countable full-branch piecewise affine maps truncated at a
 finite branch count, the continued-fraction map 1/x mod 1 with its classical
 invariant density, and the first-return map of an intermittent map to
-[0, 1/2). Multiplication orbits are exact dyadic rationals; the others are
-64-bit floating orbits carrying a recorded noise floor.
+[0, 1/2). Every orbit is one OrbitBuffer, its points as sort keys:
+multiplication orbits are exact base-k rationals held in int64 limbs; the
+others are one float64 key with a recorded noise floor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -85,13 +87,10 @@ class IntervalMap:
         rng = make_rng(seed)
         for attempt in range(32):
             try:
-                orb = iterate(self, self.sample(rng, 1)[0], n, burn_in=burn_in, seed=seed)
+                orb = iterate(self, self.sample(rng, 1)[0], n, burn_in=burn_in)
             except ResampleSignal:
                 continue
-            if attempt:
-                return OrbitBuffer(orb.points, self, seed, orb.precision,
-                                   noise_floor=orb.noise_floor, resampled=True)
-            return orb
+            return dataclasses.replace(orb, resampled=True) if attempt else orb
         raise ResampleSignal("exceeded 32 resampling attempts")
 
 
@@ -196,65 +195,59 @@ class MPInduced(IntervalMap):
         return sample.fx, 2.0 ** max(sample.tau - 1, 0)
 
 
+@dataclass(frozen=True, eq=False)
 class OrbitBuffer:
-    """n orbit points with precision metadata; read-only.
+    """n orbit points as sort keys: comparing key tuples compares the points.
 
-    Floating orbits hold float64 points and a noise floor of machine epsilon
-    times the accumulated expansion factor, capped.
-
-    Exact base-k orbits ("exact_dyadic") hold point i, the W-digit window
-    starting at digit i, as C int64 limbs: limb c is the base-k value of
-    digits [i + cL, i + cL + L) with L the largest count whose k^L stays
-    below 2^63, the last limb narrower. Comparing limb tuples compares the
-    points exactly; `proximity.closest_pair` works on the limbs. The window
-    integers `windows` and the float `points` (window / k^W) are derived on
-    first access and cached.
+    `keys` hold the points most significant first, each a read-only array
+    (frozen in place, never copied). A floating orbit has one float64 key,
+    no `radices`, and a noise floor of machine epsilon times the accumulated
+    expansion factor, capped. An exact base-k orbit holds point i, the
+    W-digit window starting at digit i, as int64 limbs: limb c is the base-k
+    value of digits [i + cL, i + cL + L) with L the largest count whose k^L
+    stays below 2^63, the last limb narrower, and `radices[c]` is k^(digits
+    of limb c), so k^W is their product. The window integers `windows` and
+    the float `points` (window / k^W) of an exact orbit are derived on first
+    access and cached.
     """
 
-    def __init__(self, points, map: IntervalMap, seed: int, precision: str,
-                 noise_floor: float = 0.0, resampled: bool = False,
-                 limbs: tuple[np.ndarray, ...] = (), window_bits: int = 0, base: int = 2):
-        self.__dict__.update(map=map, seed=seed, precision=precision,
-                             noise_floor=noise_floor, resampled=resampled,
-                             limbs=tuple(limbs), window_bits=window_bits, base=base)
-        if points is not None:
-            pts = np.array(points, dtype=np.float64)
-            pts.setflags(write=False)
-            self.__dict__["points"] = pts
+    keys: tuple[np.ndarray, ...]
+    radices: tuple[int, ...] = ()
+    noise_floor: float = 0.0
+    resampled: bool = False
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    def __post_init__(self):
+        for key in self.keys:
+            key.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.limbs[0]) if self.limbs else len(self.points)
-
-    @property
-    def limb_radices(self) -> tuple[int, ...]:
-        """k^(digits of limb c) for each limb."""
-        return tuple(self.base**w for w in _limb_widths(self.base, self.window_bits))
+        return len(self.keys[0])
 
     @functools.cached_property
     def windows(self) -> tuple[int, ...] | None:
         """Window integers of an exact orbit (None for floating orbits)."""
-        if not self.limbs:
+        if not self.radices:
             return None
-        acc = self.limbs[0].tolist()
-        for limb, radix in zip(self.limbs[1:], self.limb_radices[1:]):
+        acc = self.keys[0].tolist()
+        for limb, radix in zip(self.keys[1:], self.radices[1:]):
             acc = [a * radix + b for a, b in zip(acc, limb.tolist())]
         return tuple(acc)
 
     @functools.cached_property
     def points(self) -> np.ndarray:
-        """Float points of an exact orbit: each window over float(k^W)."""
-        denom = float(self.base**self.window_bits)
+        """The float points: the key of a floating orbit, or each window of
+        an exact orbit over float(k^W)."""
+        if not self.radices:
+            return self.keys[0]
+        denom = float(math.prod(self.radices))
         pts = np.array([w / denom for w in self.windows], dtype=np.float64)
         pts.setflags(write=False)
         return pts
 
     def exact_distance(self, i: int, j: int) -> Fraction:
         if self.windows is None:
-            raise ValueError("exact distances need an exact_dyadic orbit")
-        return Fraction(abs(self.windows[i] - self.windows[j]), self.base**self.window_bits)
+            raise ValueError("exact distances need an exact orbit")
+        return Fraction(abs(self.windows[i] - self.windows[j]), math.prod(self.radices))
 
 
 @dataclass(frozen=True)
@@ -282,7 +275,7 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     enforce_floor=False admits windows too narrow for the n^-2 distance
     scale; only for hand-sized demonstrations.
     """
-    spec = KDoubling(k)
+    KDoubling(k)  # InvalidSystemError unless the digits fit int64 limbs
     if n < 1:
         raise ValueError("n must be >= 1")
     floor = min_window_digits(k, n)
@@ -321,11 +314,9 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
         for t in range(start + packed, start + width):
             limb *= k
             limb += digit_arr[t : t + n]
-        limb.setflags(write=False)
         limbs.append(limb)
         start += width
-    return OrbitBuffer(None, spec, seed, "exact_dyadic",
-                       limbs=tuple(limbs), window_bits=W, base=k)
+    return OrbitBuffer(tuple(limbs), tuple(k**width for width in widths))
 
 
 def _limb_widths(k: int, window_bits: int) -> list[int]:
@@ -337,7 +328,7 @@ def _limb_widths(k: int, window_bits: int) -> list[int]:
     return [min(L, window_bits - c) for c in range(0, window_bits, L)]
 
 
-def iterate(spec: IntervalMap, x0: float, n: int, burn_in: int = 0, seed: int = 0) -> OrbitBuffer:
+def iterate(spec: IntervalMap, x0: float, n: int, burn_in: int = 0) -> OrbitBuffer:
     """Forward orbit of n points starting at x0 (after burn_in discarded
     steps), recording the capped expansion bound as a noise floor.
 
@@ -357,7 +348,7 @@ def iterate(spec: IntervalMap, x0: float, n: int, burn_in: int = 0, seed: int = 
         x, g = spec.step(x)
         growth = min(growth * g, GROWTH_CAP)
         pts[i] = x
-    return OrbitBuffer(pts, spec, seed, "floating", noise_floor=EPS64 * growth)
+    return OrbitBuffer((pts,), noise_floor=EPS64 * growth)
 
 
 def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0) -> OrbitBuffer:
@@ -394,8 +385,7 @@ def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0) -> OrbitBuffer:
     x = np.full(n, 0.5)
     for d in range(depth - 1, -1, -1):
         x = lo[d : d + n] + x * w[d : d + n]
-    return OrbitBuffer(x, spec, seed, "floating", noise_floor=2.0 * EPS64,
-                       resampled=resampled)
+    return OrbitBuffer((x,), noise_floor=2.0 * EPS64, resampled=resampled)
 
 
 def gauss_inverse_cdf(u: float) -> float:

@@ -260,7 +260,6 @@ def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates:
                     flag="ok",
                 )
             )
-    rows.sort(key=lambda r: (r.n, r.replicate))
     return rows
 
 

@@ -3,9 +3,10 @@
 m_n is the minimum |x_i - x_j| over pairs of distinct iterates among the
 first n orbit points. Variants restrict the index gap: "near" keeps
 |i - j| <= alpha(n) with alpha(n) = (log n)^2, "far" keeps the complement,
-"split" keeps i <= floor(n/3), j >= ceil(2n/3). Exact dyadic orbits give
-exact distances; floating orbits carry a noise floor and readings within 2^6
-of it are flagged.
+"split" keeps i <= floor(n/3), j >= ceil(2n/3). Every orbit arrives as
+one OrbitBuffer of sort keys: exact base-k orbits give exact distances;
+floating orbits carry a noise floor and readings within 2^6 of it are
+flagged.
 """
 
 from __future__ import annotations
@@ -67,34 +68,18 @@ def curve_min_n(variant: str) -> int:
     return 3 if variant == "far" else _variant_minlen(variant)
 
 
-def _orbit_values(orbit) -> tuple[list, float, int]:
-    """(comparable values, noise_floor, n); integers for exact orbits."""
+def _as_orbit(orbit) -> OrbitBuffer:
+    """orbit itself, or a sequence of points as a floating orbit with no
+    noise floor."""
     if isinstance(orbit, OrbitBuffer):
-        if orbit.limbs:
-            return list(orbit.windows), 0.0, len(orbit)
-        return orbit.points.tolist(), orbit.noise_floor, len(orbit.points)
-    vals = [float(v) for v in orbit]
-    return vals, 0.0, len(vals)
+        return orbit
+    return OrbitBuffer((np.array([float(v) for v in orbit], dtype=np.float64),))
 
 
-def _orbit_keys(orbit) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], float]:
-    """(keys, radices, noise_floor): the points as limb arrays, most
-    significant first, with each limb's radix; one float64 key, and no
-    radices, for floating orbits."""
-    if isinstance(orbit, OrbitBuffer):
-        if orbit.limbs:
-            return orbit.limbs, orbit.limb_radices, 0.0
-        return (orbit.points,), (), orbit.noise_floor
-    return (np.array([float(v) for v in orbit], dtype=np.float64),), (), 0.0
-
-
-def _to_result(orbit, gap, i: int, j: int, variant: str, floor: float) -> ProximityResult:
-    exact = None
-    if isinstance(orbit, OrbitBuffer) and orbit.limbs:
-        exact = Fraction(int(gap), orbit.base**orbit.window_bits)
-        value = float(exact)
-    else:
-        value = float(gap)
+def _to_result(orbit: OrbitBuffer, gap, i: int, j: int, variant: str) -> ProximityResult:
+    exact = Fraction(int(gap), math.prod(orbit.radices)) if orbit.radices else None
+    value = float(gap if exact is None else exact)
+    floor = orbit.noise_floor
     below = floor > 0.0 and value < FLOOR_REJECT_FACTOR * floor
     return ProximityResult(value, i, j, variant, below, exact)
 
@@ -188,16 +173,18 @@ def _offset_scan(keys, radices, perm, offsets, admissible=None, stop=False):
 def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> ProximityResult:
     """Minimum distance between two iterates under the variant's index rule.
 
-    Every variant runs one offset scan over the points' limbs: "all" pairs
-    the neighbours of the value-sorted orbit; "near" pairs index offsets 1
-    to alpha directly; "far" and "split" pair ever larger rank offsets of
-    the sorted orbit, keep the pairs their index rule admits, and stop once
-    a whole offset lies beyond the best admissible gap. Exact orbits are
-    compared limb by limb (see OrbitBuffer), so every distance stays exact.
-    Brute force remains the arbiter in tests.
+    `orbit` is an OrbitBuffer, or any sequence of points (a floating orbit
+    with no noise floor). Every variant runs one offset scan over the
+    orbit's sort keys: "all" pairs the neighbours of the value-sorted orbit;
+    "near" pairs index offsets 1 to alpha directly; "far" and "split" pair
+    ever larger rank offsets of the sorted orbit, keep the pairs their index
+    rule admits, and stop once a whole offset lies beyond the best
+    admissible gap. Exact orbits are compared limb by limb (see
+    OrbitBuffer), so every distance stays exact. Brute force remains the
+    arbiter in tests.
     """
-    keys, radices, floor = _orbit_keys(orbit)
-    n = len(keys[0])
+    orbit = _as_orbit(orbit)
+    keys, radices, n = orbit.keys, orbit.radices, len(orbit)
     if n < _variant_minlen(variant):
         raise ValueError(f"variant {variant!r} needs at least {_variant_minlen(variant)} points")
     if alpha is None:
@@ -221,35 +208,35 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
     if got is None:
         raise ValueError(f"no admissible pair for variant {variant!r}")
     gap, i, j = got
-    return _to_result(orbit, gap, i, j, variant, floor)
+    return _to_result(orbit, gap, i, j, variant)
 
 
 def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = None) -> ProximityResult:
-    """O(n^2) oracle with the identical contract."""
-    vals, floor, n = _orbit_values(orbit)
+    """O(n^2) oracle with the identical contract: the gaps of all pairs the
+    variant admits, taken from the float points or the exact windows, in
+    (i, j) order, so that the first least gap is the smallest pair on ties."""
+    orbit = _as_orbit(orbit)
+    n = len(orbit)
     if n < _variant_minlen(variant):
         raise ValueError(f"variant {variant!r} needs at least {_variant_minlen(variant)} points")
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
-    lo_cut = n // 3
-    hi_cut = math.ceil(2 * n / 3)
-    best = None
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if variant == "near" and j - i > alpha:
-                continue
-            if variant == "far" and j - i <= alpha:
-                continue
-            if variant == "split" and not (i <= lo_cut and j >= hi_cut):
-                continue
-            gap = abs(vals[i] - vals[j])
-            key = (gap, i, j)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    i, j = np.triu_indices(n, 1)
+    if variant == "near":
+        keep = j - i <= alpha
+    elif variant == "far":
+        keep = j - i > alpha
+    elif variant == "split":
+        keep = (i <= n // 3) & (j >= math.ceil(2 * n / 3))
+    else:
+        keep = np.ones(len(i), dtype=bool)
+    i, j = i[keep], j[keep]
+    if i.size == 0:
         raise ValueError(f"no admissible pair for variant {variant!r}")
-    gap, i, j = best
-    return _to_result(orbit, gap, i, j, variant, floor)
+    values = orbit.points if orbit.windows is None else np.array(orbit.windows, dtype=object)
+    gaps = np.abs(values[i] - values[j])
+    t = int(np.argmin(gaps))
+    return _to_result(orbit, gaps[t], int(i[t]), int(j[t]), variant)
 
 
 # ---------------------------------------------------------------------------
@@ -364,5 +351,4 @@ def proximity_curve(spec: IntervalMap, n_grid, replicates: int, variant: str = "
                 flag = "resampled"
             rows.append(CurveRow(n=n, replicate=rep, seed=cell_seed, value=value,
                                  aux=aux, flag=flag))
-    rows.sort(key=lambda r: (r.n, r.replicate))
     return rows

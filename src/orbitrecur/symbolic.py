@@ -469,8 +469,6 @@ class SymbolSequence:
 
     symbols: np.ndarray
     n: int
-    seed: int
-    measure: MeasureSpec
 
     def __post_init__(self):
         sym = self.symbols
@@ -573,7 +571,7 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     out[1 : 1 + full] = blocks[starts, np.arange(len(starts))].ravel()
     out[1 + full :] = tail[state, 0]
     out.setflags(write=False)
-    return SymbolSequence(out, n, seed, m)
+    return SymbolSequence(out, n)
 
 
 def sample_sequences_batch(m: MeasureSpec, count: int, length: int, seed: int) -> np.ndarray:

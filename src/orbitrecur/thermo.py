@@ -186,7 +186,9 @@ def renyi_entropy_exact(m: MeasureSpec) -> EntropyResult:
         Q = m.P**2
         lam_q, _, _, _ = _perron(Q, tol=1e-13)
         h2 = -math.log(lam_q)
-        ts = m.system
+        # the chain's support: m.system may admit pairs where P = 0, on
+        # which the potential log P is -inf
+        ts = TransitionSystem((m.P > 0).astype(np.uint8))
         phi = _log_potential(m)
         p1 = gurevich_pressure(ts, phi).value
         p2 = gurevich_pressure(ts, 2.0 * phi).value

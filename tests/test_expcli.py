@@ -197,6 +197,19 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["match_curve", "h2"])
+    def test_markov_admitting_pairs_it_never_takes(self, tmp_path, capsys, kind):
+        # admissible allows 1 -> 1, where the chain has P = 0
+        system = "[system]\ntype = markov\ntransition = 0.5, 0.5; 1, 0\n"
+        text = ALL_SMALL[kind].split("[system]")[0] + system + "admissible = 1, 1; 1, 1\n"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        h2 = report["h2"] if kind == "match_curve" else report["target"]
+        assert abs(h2 - 0.44568) < 1e-5
+        assert expcli.verify(tmp_path / "out")[0] in (0, 1)  # a complete, consistent record
+
     def test_markov_without_stationary_solves(self):
         cfg = expcli.parse_config_text(SMALL_H2)
         m = expcli.measure_from_section(cfg.system)
@@ -218,6 +231,14 @@ potential = 0, -0.5; 0.25, 0
         cfg = expcli.parse_config_text(text)
         m = expcli.measure_from_section(cfg.system)
         assert m.as_markov().pi.sum() == pytest.approx(1.0)
+
+
+def value_edited(lines):
+    """CSV lines with 0.5 added to the value of the first row, its aux kept."""
+    rec = lines[0].split(",")
+    col = expcli.CSV_HEADER.index("value")
+    rec[col] = repr(float(rec[col]) + 0.5)
+    return [",".join(rec)] + lines[1:]
 
 
 class TestRunAndVerify:
@@ -288,8 +309,9 @@ class TestRunAndVerify:
         lambda lines: lines[:2] + [lines[2][:30]],
         lambda lines: [lines[0].replace(",ok", "x,ok")] + lines[1:],
         lambda lines: [lines[0].replace(",ok", ",resampled")] + lines[1:],
+        value_edited,
     ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number",
-            "flag_not_written"])
+            "flag_not_written", "value_edited"])
     def test_damaged_cell_file_recomputed(self, tmp_path, monkeypatch, damage):
         cfg = expcli.parse_config_text(SMALL_MATCH)
         expcli.run(cfg, tmp_path)
@@ -301,6 +323,18 @@ class TestRunAndVerify:
         expcli.run(cfg, tmp_path)
         assert computed == [200]
         assert self.record_sha256(tmp_path) == RECORD_SHA256["match_curve"]
+        assert expcli.verify(tmp_path)[0] == 0
+
+    def test_diagnostics_cell_value_edited_recomputed(self, tmp_path, monkeypatch):
+        # a row's value must be its check's margin, in a cell file as in results.csv
+        cfg = expcli.parse_config_text(SMALL_DIAG)
+        expcli.run(cfg, tmp_path)
+        path = tmp_path / "cells" / "group-000000000000.csv"
+        path.write_text("\n".join(value_edited(path.read_text().splitlines())) + "\n")
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path)
+        assert computed == [0]
+        assert self.record_sha256(tmp_path) == RECORD_SHA256["diagnostics"]
         assert expcli.verify(tmp_path)[0] == 0
 
     def test_computed_group_that_fails_its_plan_raises(self, tmp_path, monkeypatch):
@@ -556,14 +590,15 @@ class TestRunAndVerify:
 
         monkeypatch.setattr(diagnostics, "psi_mixing_table", counted)
         cfg = expcli.parse_config_text(SMALL_DIAG)
+        # each read of the rows checks their values against sigma_bounds
         expcli.run(cfg, tmp_path)
-        assert calls == [cfg.k_max] * 2  # the cell, then the report
+        assert calls == [cfg.k_max] * 3  # the cell, its read-back, then the report
         del calls[:]
-        expcli.run(cfg, tmp_path)  # a resume reuses the cell
-        assert calls == [cfg.k_max]
+        expcli.run(cfg, tmp_path)  # a resume reads the cell, then reports
+        assert calls == [cfg.k_max] * 2
         del calls[:]
-        assert expcli.verify(tmp_path)[0] == 0
-        assert calls == [cfg.k_max]
+        assert expcli.verify(tmp_path)[0] == 0  # reads results.csv, then the report
+        assert calls == [cfg.k_max] * 2
         assert self.record_sha256(tmp_path) == RECORD_SHA256["diagnostics"]
 
     def test_run_derives_each_seed_twice_at_most(self, tmp_path, monkeypatch):

@@ -88,14 +88,14 @@ class TestDoublingOrbitExact:
 
     def test_window_slide_consistency(self):
         # window i+1 is the doubling image of window i: same digits shifted
-        orb = doubling_orbit_exact(3, 50, min_window_digits(3, 50), seed=6)
-        W = orb.window_bits
+        W = min_window_digits(3, 50)
+        orb = doubling_orbit_exact(3, 50, W, seed=6)
         for i in range(49):
             assert orb.windows[i + 1] // 3 == orb.windows[i] % 3 ** (W - 1)
 
     def test_coding_matches_digits(self):
-        orb = doubling_orbit_exact(2, 200, min_window_digits(2, 200), seed=8)
-        W = orb.window_bits
+        W = min_window_digits(2, 200)
+        orb = doubling_orbit_exact(2, 200, W, seed=8)
         for i in range(200):
             lead = orb.windows[i] >> (W - 1)
             assert branch_digit(KDoubling(2), orb.points[i]) == lead
@@ -109,7 +109,7 @@ class TestIterate:
 
     def test_noise_floor_recorded(self):
         orb = iterate(GaussMap(), 0.7071067811865476, 100)
-        assert orb.precision == "floating" and 0.0 < orb.noise_floor <= 2.0**-44
+        assert orb.radices == () and 0.0 < orb.noise_floor <= 2.0**-44
 
     def test_gauss_zero_terminates(self):
         with pytest.raises(ResampleSignal):
@@ -293,7 +293,7 @@ class TestOrbit:
         spec = GaussMap()
         x0 = spec.sample(make_rng(5), 1)[0]
         orb = spec.orbit(300, 5)
-        assert np.array_equal(orb.points, iterate(spec, x0, 300, seed=5).points)
+        assert np.array_equal(orb.points, iterate(spec, x0, 300).points)
         assert not orb.resampled
 
     def test_mp_induced_burn_in_default(self):

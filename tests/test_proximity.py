@@ -155,8 +155,8 @@ class TestLimbKernel:
         # k = 2 packs 62 digits a limb, k = 7 packs 22
         for k, W, widths in ((2, 96, (62, 34)), (2, 62, (62,)), (7, 50, (22, 22, 6))):
             orb = doubling_orbit_exact(k, 10, W, seed=1, enforce_floor=False)
-            assert orb.limb_radices == tuple(k**w for w in widths)
-            assert all(limb.dtype == np.int64 for limb in orb.limbs)
+            assert orb.radices == tuple(k**w for w in widths)
+            assert all(limb.dtype == np.int64 for limb in orb.keys)
             # the seeded draw is the one the Python-int construction used
             digits = make_rng(1).integers(0, k, size=10 + W).tolist()
             assert orb.windows == python_int_orbit(k, W, digits, 10)[0]
@@ -263,8 +263,8 @@ class TestVariantAlgebra:
 class TestDyadicCrossCheck:
     def test_match_length_bounds_distance(self):
         # two windows sharing their first b digits are closer than 2^(1-b)
-        orb = doubling_orbit_exact(2, 400, min_window_digits(2, 400), seed=17)
-        W = orb.window_bits
+        W = min_window_digits(2, 400)
+        orb = doubling_orbit_exact(2, 400, W, seed=17)
         digits = [w >> (W - 1) for w in orb.windows]  # leading digit per point
         res = longest_self_match(digits, 390)
         i, j = res.witness_i, res.witness_j
@@ -326,7 +326,7 @@ class TestProximityCurve:
         from orbitrecur.intervalmaps import OrbitBuffer
 
         pts = np.array([0.1, 0.1 + 1e-15, 0.5, 0.9])
-        orb = OrbitBuffer(pts, GaussMap(), 0, "floating", noise_floor=1e-13)
+        orb = OrbitBuffer((pts,), noise_floor=1e-13)
         res = closest_pair(orb, "all")
         assert res.below_floor
         assert res.value < FLOOR_REJECT_FACTOR * 1e-13

@@ -252,7 +252,7 @@ class TestSampling:
         for given in (np.array([0, 1, 1, 0], dtype=np.int64), [0, 1, 1, 0],
                       np.array([0, 1, 1, 0], dtype=np.int32),
                       np.array([9, 0, 1, 1, 0], dtype=np.int64)[1:]):
-            seq = symbolic.SymbolSequence(given, 4, 0, m)
+            seq = symbolic.SymbolSequence(given, 4)
             assert seq.symbols is not given and not seq.symbols.flags.writeable
             if isinstance(given, np.ndarray):
                 assert given.flags.writeable
@@ -260,7 +260,7 @@ class TestSampling:
             assert seq.symbols.tolist() == [0, 1, 1, 0]
         frozen = np.array([0, 1, 1, 0], dtype=np.int64)
         frozen.setflags(write=False)
-        assert symbolic.SymbolSequence(frozen, 4, 0, m).symbols is frozen
+        assert symbolic.SymbolSequence(frozen, 4).symbols is frozen
         for measure in (m, golden_markov()):
             sym = sample_sequence(measure, None, 50, 5, seed=4).symbols
             assert sym.flags.owndata and not sym.flags.writeable

@@ -99,6 +99,14 @@ class TestRenyiEntropy:
         root = (0.25 + math.sqrt(0.0625 + 1.0)) / 2.0
         assert abs(renyi_entropy_exact(GOLDEN).h2 + math.log(root)) < 1e-10
 
+    def test_admissible_pairs_outside_the_support(self):
+        # the full shift admits 1 -> 1, which the chain never takes (P = 0)
+        P = [[0.5, 0.5], [1.0, 0.0]]
+        wide = MarkovMeasure(stationary_distribution(P), P, full_shift(2))
+        res = renyi_entropy_exact(wide)
+        assert res == renyi_entropy_exact(MarkovMeasure(stationary_distribution(P), P))
+        assert abs(res.h2 - 0.44568) < 1e-5
+
     def test_gibbs_routes_agree(self):
         ts = TransitionSystem([[0, 1], [1, 1]])
         phi = np.where(np.asarray([[0, 1], [1, 1]]) == 1, [[0.0, 0.4], [-0.2, 0.1]], -np.inf)
