@@ -4,8 +4,9 @@ Configs are plain-text key/value files with section headers (INI syntax);
 matrices are semicolon-separated rows of comma-separated decimals. Every run
 writes results.csv (fixed schema), manifest.json (config echo, code version,
 per-cell seeds) and report.json (fits, targets, pass/fail). Reruns of the
-same config are byte-identical; cells are persisted individually so partial
-runs resume.
+same config are byte-identical. results.csv is also the resume state: a
+rerun reuses each group of rows found at its place in it, so partial runs
+resume.
 
 Exit codes: 0 pass, 1 fail, 2 config error, 3 incomplete record.
 """
@@ -21,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -92,12 +93,8 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         sys_part = ";".join(f"{k}={v}" for k, v in sorted(self.system.items()))
-        fields = (
-            self.kind, sys_part, self.n_grid, self.replicates, self.master_seed,
-            self.tolerance, self.variant, self.samples, self.block_len, self.r,
-            self.k_max, self.k_list, self.mode, self.burn_in, self.min_grid_points,
-        )
-        return repr(fields)
+        return repr(tuple(sys_part if f.name == "system" else getattr(self, f.name)
+                          for f in fields(self) if f.name != "raw_text"))
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -115,6 +112,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x.strip()) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}: {exc}") from None
+
+
+# the parser of each [experiment] key, by the type of its ExperimentConfig field
+_PARSERS = {"int": int, "int | None": int, "float | None": float, "str": str.strip,
+            "tuple[int, ...]": _parse_int_list}
+_EXPERIMENT_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)
+                    if f.name not in ("system", "raw_text")}
+
+# the [system] keys each type reads, besides type
+_SYSTEM_KEYS = {
+    "bernoulli": {"weights"}, "markov": {"transition", "stationary", "admissible"},
+    "gibbs2block": {"admissible", "potential"}, "kdoubling": {"k"},
+    "affine": {"breakpoints", "truncation"}, "gauss": set(), "mp_induced": {"a"},
+}
 
 
 def measure_from_section(section: dict[str, str]) -> MeasureSpec:
@@ -176,33 +187,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config: {exc}") from None
     if "experiment" not in parser or "system" not in parser:
         raise ConfigError("config needs [experiment] and [system] sections")
-    exp = parser["experiment"]
-    kind = exp.get("kind", "").strip()
+    values = {}
+    for key, text_value in parser["experiment"].items():
+        if key not in _EXPERIMENT_KEYS:
+            raise ConfigError(f"unknown [experiment] key {key!r}")
+        try:
+            values[key] = _EXPERIMENT_KEYS[key](text_value)
+        except ValueError as exc:
+            raise ConfigError(f"bad experiment field {key}: {exc}") from None
+    kind = values.get("kind", "")
     if kind not in KINDS:
         raise ConfigError(f"experiment.kind must be one of {KINDS}, got {kind!r}")
-    if "master_seed" not in exp:
+    if "master_seed" not in values:
         raise ConfigError("experiment.master_seed is required (no wall-clock seeding)")
-    try:
-        cfg = ExperimentConfig(
-            kind=kind,
-            system=dict(parser["system"]),
-            n_grid=_parse_int_list(exp.get("n_grid", "")),
-            replicates=exp.getint("replicates", 1),
-            master_seed=exp.getint("master_seed"),
-            tolerance=exp.getfloat("tolerance") if "tolerance" in exp else None,
-            variant=exp.get("variant", "all").strip(),
-            samples=exp.getint("samples", 0),
-            block_len=exp.getint("block_len", 0),
-            r=exp.getint("r", 0),
-            k_max=exp.getint("k_max", 0),
-            k_list=_parse_int_list(exp.get("k_list", "")),
-            mode=exp.get("mode", "exact").strip(),
-            burn_in=exp.getint("burn_in") if "burn_in" in exp else None,
-            min_grid_points=exp.getint("min_grid_points", 4),
-            raw_text=text,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad experiment field: {exc}") from None
+    system = dict(parser["system"])
+    system_type = system.get("type", "").strip().lower()
+    unknown = sorted(set(system) - {"type"} - _SYSTEM_KEYS.get(system_type, set()))
+    if system_type in _SYSTEM_KEYS and unknown:
+        raise ConfigError(f"unknown [system] key(s) {unknown} for type {system_type}")
+    cfg = ExperimentConfig(system=system, raw_text=text, **values)
     _validate_config(cfg)
     return cfg
 
@@ -282,9 +285,9 @@ class ExperimentRecord:
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, int, int, int]]:
     """The cell plan: (group, n, replicate, seed) of every cell, in row
-    order. A group is a unit of work with its own cell file; the seed is
-    derive_seed of the cell, or 0 for cells that draw nothing (diagnostics,
-    exact returns)."""
+    order. A group is a unit of work that run computes or reuses whole; the
+    seed is derive_seed of the cell, or 0 for cells that draw nothing
+    (diagnostics, exact returns)."""
     if cfg.kind in ("match_curve", "proximity_curve"):
         return [(n, n, rep, derive_seed(cfg.master_seed, cfg.kind, n, rep))
                 for n in cfg.n_grid for rep in range(cfg.replicates)]
@@ -332,8 +335,7 @@ def _run_group(cfg: ExperimentConfig, key: int,
 
 
 def _rows_text(cfg: ExperimentConfig, rows: list[CurveRow]) -> str:
-    """The CSV lines of rows, as results.csv (after its header) and the
-    cell files hold them."""
+    """The CSV lines of rows, as results.csv holds them after its header."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(
         [cfg.digest(), cfg.kind, r.n, r.replicate, r.seed, repr(float(r.value)),
@@ -379,54 +381,51 @@ def _diagnostics_checks(cfg: ExperimentConfig, rows: list[CurveRow]) -> list[Bou
             for row, (name, rhs) in zip(rows, bounds + [(psi.name, psi.rhs)])]
 
 
-def _read_group(cells_dir: Path, cfg: ExperimentConfig, key: int,
-                cells: list[tuple[int, int, int]]) -> list[CurveRow] | None:
-    """Rows of a group's cell file, or None when the file does not hold
-    exactly the group's planned cells as this config writes them (the group
-    is then pending)."""
-    try:
-        rows = _read_rows(cfg, (cells_dir / f"group-{key:012d}.csv").read_text(), cells)
-    except (OSError, ValueError):  # missing, or not text
-        return None
-    return rows if rows is not None and len(rows) == len(cells) else None
-
-
 def run(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRecord:
     """Execute the experiment and persist results.csv / manifest.json /
-    report.json under out_dir.
+    report.json, and timing.json (wall time, cells computed and reused),
+    under out_dir.
 
-    Work groups write one temp file per cell under out_dir/cells; a rerun
-    reuses a cell file only if it holds exactly its group's planned cells as
-    this config writes them, so partial runs resume, and recomputes any
-    other (another config's, cut short or damaged). Pending groups are
-    computed in this process in plan order, and results.csv is merged in
-    the order of the cell plan.
+    results.csv is also the resume state: a group is reused only if the
+    lines at its place in the cell plan hold exactly its planned cells as
+    this config writes them. Pending groups are computed in this process in
+    plan order, and results.csv is rewritten after each, so an interrupted
+    run resumes.
     """
     out = Path(out_dir)
-    cells_dir = out / "cells"
     try:
-        cells_dir.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file in the way
-        raise ConfigError(f"cannot make the output directory {cells_dir}: {exc}") from None
+        raise ConfigError(f"cannot make the output directory {out}: {exc}") from None
     t0 = time.time()
+    header = ",".join(CSV_HEADER) + "\n"
+    try:  # the rows after the header line
+        lines = (out / "results.csv").read_text().splitlines(keepends=True)[1:]
+    except (OSError, ValueError):  # missing, or not text
+        lines = []
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for group, n, replicate, seed in _cells(cfg):
         groups.setdefault(group, []).append((n, replicate, seed))
-    found = {key: _read_group(cells_dir, cfg, key, cells) for key, cells in groups.items()}
-    pending = [key for key, rows in found.items() if rows is None]
-    for key in pending:
-        _write(cells_dir / f"group-{key:012d}.csv", _rows_text(cfg, _run_group(cfg, key, groups[key])))
-        found[key] = _read_group(cells_dir, cfg, key, groups[key])
-        if found[key] is None:
-            raise RuntimeError(f"cells/group-{key:012d}.csv: just computed, yet not its planned cells")
-    rows = [row for group_rows in found.values() for row in group_rows]
+    rows: list[CurveRow] = []
+    computed = 0
+    for key, cells in groups.items():
+        text = "".join(lines[len(rows):len(rows) + len(cells)])
+        group_rows = _read_rows(cfg, text, cells) if text else None
+        if group_rows is None or len(group_rows) != len(cells):
+            group_rows = _read_rows(cfg, _rows_text(cfg, _run_group(cfg, key, cells)), cells)
+            if group_rows is None or len(group_rows) != len(cells):
+                raise RuntimeError(f"group {key}: just computed, yet not its planned cells")
+            computed += len(cells)
+            _write(out / "results.csv", header + _rows_text(cfg, rows + group_rows))
+        rows += group_rows
     wall = time.time() - t0
 
     report = _report(cfg, rows)
-    _write(out / "results.csv", ",".join(CSV_HEADER) + "\n" + _rows_text(cfg, rows))
+    _write(out / "results.csv", header + _rows_text(cfg, rows))
     _write(out / "manifest.json", json.dumps(_manifest(cfg), indent=2, sort_keys=True) + "\n")
     _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write(out / "timing.json", json.dumps({"wall_time_s": wall}) + "\n")
+    _write(out / "timing.json", json.dumps({"wall_time_s": wall, "cells_computed": computed,
+                                            "cells_reused": len(rows) - computed}) + "\n")
     return ExperimentRecord(rows, report, out)
 
 

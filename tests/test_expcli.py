@@ -215,6 +215,42 @@ class TestConfigParsing:
         m = expcli.measure_from_section(cfg.system)
         assert m.pi[1] == pytest.approx(2 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("text,key", [
+        (expcli.EXAMPLE_CONFIGS["h2"].replace("[system]", "replicate = 7\n\n[system]"), "replicate"),
+        (SMALL_MATCH.replace("master_seed = 77", "master_seed = 77\nseed = 5"), "seed"),
+        (SMALL_D2.replace("[system]", "raw_text = x\n\n[system]"), "raw_text"),
+        (SMALL_D2.replace("[system]", "system = gauss\n\n[system]"), "system"),
+    ], ids=["replicate", "seed", "raw_text", "system"])
+    def test_unknown_experiment_key_rejected(self, tmp_path, capsys, text, key):
+        # a misspelled key would otherwise leave its field at the default
+        with pytest.raises(ConfigError, match=f"unknown \\[experiment\\] key '{key}'"):
+            expcli.parse_config_text(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        (SMALL_PROX.replace("k = 2", "base = 3"), "base"),
+        (SMALL_PROX.replace("type = kdoubling\nk = 2", "type = mp_induced\nalpha = 0.3"), "alpha"),
+        (SMALL_D2.replace("type = gauss", "type = gauss\nk = 2"), "k"),
+        (SMALL_D2.replace("type = gauss", "type = affine\ntruncate = 8"), "truncate"),
+        (SMALL_H2 + "admisible = 1, 1; 1, 1\n", "admisible"),
+        (SMALL_MATCH + "transition = 0, 1; 0.5, 0.5\n", "transition"),
+        (SMALL_H2.replace("type = markov\ntransition = 0, 1; 0.5, 0.5",
+                          "type = gibbs2block\nadmissible = 0, 1; 1, 1\npotential = 0, 0; 0, 0\n"
+                          "weights = 0.5, 0.5"), "weights"),
+    ], ids=["kdoubling_base", "mp_induced_alpha", "gauss_k", "affine_truncate", "markov_admisible",
+            "bernoulli_transition", "gibbs2block_weights"])
+    def test_unknown_system_key_rejected(self, tmp_path, capsys, text, key):
+        # a key its type does not read would otherwise leave the default in force
+        with pytest.raises(ConfigError, match=f"unknown \\[system\\] key\\(s\\) \\['{key}'\\]"):
+            expcli.parse_config_text(text)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_gibbs_section(self):
         text = """\
 [experiment]
@@ -275,16 +311,6 @@ class TestRunAndVerify:
                         for f in ("results.csv", "manifest.json", "report.json"))
         assert digests == RECORD_SHA256[name]
 
-    def test_cell_resume_reproduces_rows(self, tmp_path):
-        cfg = expcli.parse_config_text(SMALL_MATCH)
-        expcli.run(cfg, tmp_path / "out")
-        first = (tmp_path / "out" / "results.csv").read_bytes()
-        # delete one cell group and rerun: the row must come back identical
-        removed = tmp_path / "out" / "cells" / "group-000000000200.csv"
-        removed.unlink()
-        expcli.run(cfg, tmp_path / "out")
-        assert (tmp_path / "out" / "results.csv").read_bytes() == first
-
     @staticmethod
     def record_sha256(out):
         return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
@@ -302,35 +328,61 @@ class TestRunAndVerify:
         monkeypatch.setattr(expcli, "_run_group", counted)
         return computed
 
-    @pytest.mark.parametrize("damage", [
-        lambda lines: lines[:2],
-        lambda lines: lines[:2] + lines[1:],
-        lambda lines: lines[:1] + [""] + lines[1:],
-        lambda lines: lines[:2] + [lines[2][:30]],
-        lambda lines: [lines[0].replace(",ok", "x,ok")] + lines[1:],
-        lambda lines: [lines[0].replace(",ok", ",resampled")] + lines[1:],
-        value_edited,
-    ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number",
-            "flag_not_written", "value_edited"])
-    def test_damaged_cell_file_recomputed(self, tmp_path, monkeypatch, damage):
+    def test_cell_resume_reproduces_rows(self, tmp_path, monkeypatch):
+        # a run stopped in its second group leaves the first in results.csv;
+        # the rerun computes only the rest and lands on the pin
         cfg = expcli.parse_config_text(SMALL_MATCH)
-        expcli.run(cfg, tmp_path)
-        path = tmp_path / "cells" / "group-000000000200.csv"
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3  # the replicates of n = 200
-        path.write_text("\n".join(damage(lines)) + "\n")
+        real = expcli._run_group
+
+        def stopped(cfg, key, cells):
+            if key == 200:
+                raise RuntimeError("stopped")
+            return real(cfg, key, cells)
+
+        monkeypatch.setattr(expcli, "_run_group", stopped)
+        with pytest.raises(RuntimeError, match="stopped"):
+            expcli.run(cfg, tmp_path)
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 3
+        monkeypatch.undo()
         computed = self.count_groups(monkeypatch)
         expcli.run(cfg, tmp_path)
-        assert computed == [200]
+        assert computed == [200, 800]
+        assert self.record_sha256(tmp_path) == RECORD_SHA256["match_curve"]
+        assert expcli.verify(tmp_path)[0] == 0
+
+    # a dropped, duplicated or blank line also moves group 800's lines off
+    # their place in the plan, so that group is recomputed too
+    @pytest.mark.parametrize("damage,recomputed", [
+        (lambda lines: lines[:2], [200, 800]),
+        (lambda lines: lines[:2] + lines[1:], [200, 800]),
+        (lambda lines: lines[:1] + [""] + lines[1:], [200, 800]),
+        (lambda lines: lines[:2] + [lines[2][:30]], [200]),
+        (lambda lines: [lines[0].replace(",ok", "x,ok")] + lines[1:], [200]),
+        (lambda lines: [lines[0].replace(",ok", ",resampled")] + lines[1:], [200]),
+        (value_edited, [200]),
+    ], ids=["row_dropped", "row_duplicated", "blank_line", "row_cut_short", "unparsable_number",
+            "flag_not_written", "value_edited"])
+    def test_damaged_cell_file_recomputed(self, tmp_path, monkeypatch, damage, recomputed):
+        cfg = expcli.parse_config_text(SMALL_MATCH)
+        expcli.run(cfg, tmp_path)
+        path = tmp_path / "results.csv"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + 9
+        # lines 4-6 are the replicates of n = 200
+        path.write_text("\n".join(lines[:4] + damage(lines[4:7]) + lines[7:]) + "\n")
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path)
+        assert computed == recomputed
         assert self.record_sha256(tmp_path) == RECORD_SHA256["match_curve"]
         assert expcli.verify(tmp_path)[0] == 0
 
     def test_diagnostics_cell_value_edited_recomputed(self, tmp_path, monkeypatch):
-        # a row's value must be its check's margin, in a cell file as in results.csv
+        # a row's value must be its check's margin, on resume as in verify
         cfg = expcli.parse_config_text(SMALL_DIAG)
         expcli.run(cfg, tmp_path)
-        path = tmp_path / "cells" / "group-000000000000.csv"
-        path.write_text("\n".join(value_edited(path.read_text().splitlines())) + "\n")
+        path = tmp_path / "results.csv"
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + value_edited(lines)) + "\n")
         computed = self.count_groups(monkeypatch)
         expcli.run(cfg, tmp_path)
         assert computed == [0]
@@ -344,27 +396,61 @@ class TestRunAndVerify:
             return [dataclasses.replace(row, seed=row.seed + 1) for row in real(cfg, key, cells)]
 
         monkeypatch.setattr(expcli, "_run_group", wrong_seed)
-        with pytest.raises(RuntimeError, match="group-000000000050"):
+        with pytest.raises(RuntimeError, match="group 50: just computed"):
             expcli.run(expcli.parse_config_text(SMALL_MATCH), tmp_path)
 
     @pytest.mark.parametrize("name", sorted(RECORD_SHA256))
     def test_resume_from_pinned_cells(self, tmp_path, monkeypatch, name):
-        # the pinned results.csv rows, grouped as the cell plan groups them, are
-        # the cell files that every earlier version with these pins wrote
+        # a directory that holds only the pinned results.csv, as every earlier
+        # version with these pins wrote it, resumes without computing a cell
         text = PINNED_CONFIGS[name]
         cfg = expcli.parse_config_text(text)
         expcli.run(cfg, tmp_path / "first")
         assert self.record_sha256(tmp_path / "first") == RECORD_SHA256[name]
-        lines = (tmp_path / "first" / "results.csv").read_text().splitlines(keepends=True)[1:]
-        cells = tmp_path / "resume" / "cells"
-        cells.mkdir(parents=True)
-        for (group, *_), line in zip(expcli._cells(cfg), lines):
-            with open(cells / f"group-{group:012d}.csv", "a") as fh:
-                fh.write(line)
+        (tmp_path / "resume").mkdir()
+        (tmp_path / "resume" / "results.csv").write_bytes(
+            (tmp_path / "first" / "results.csv").read_bytes())
         computed = self.count_groups(monkeypatch)
         expcli.run(cfg, tmp_path / "resume")
         assert computed == []
         assert self.record_sha256(tmp_path / "resume") == RECORD_SHA256[name]
+
+    def test_cell_files_neither_written_nor_read(self, tmp_path, monkeypatch):
+        cfg = expcli.parse_config_text(SMALL_MATCH)
+        expcli.run(cfg, tmp_path / "fresh")
+        assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == [
+            "manifest.json", "report.json", "results.csv", "timing.json"]
+        # the per-group cell files of an earlier version are ignored and kept
+        lines = (tmp_path / "fresh" / "results.csv").read_text().splitlines(keepends=True)[1:]
+        cells = tmp_path / "old" / "cells"
+        cells.mkdir(parents=True)
+        for (group, *_), line in zip(expcli._cells(cfg), lines):
+            with open(cells / f"group-{group:012d}.csv", "a") as fh:
+                fh.write(line)
+        left = {p.name: p.read_bytes() for p in cells.iterdir()}
+        computed = self.count_groups(monkeypatch)
+        expcli.run(cfg, tmp_path / "old")
+        assert computed == [50, 200, 800]
+        assert self.record_sha256(tmp_path / "old") == RECORD_SHA256["match_curve"]
+        assert {p.name: p.read_bytes() for p in cells.iterdir()} == left
+
+    def test_timing_counts_cells_computed_and_reused(self, tmp_path):
+        # run facts that differ between a run and its resume stay out of report.json
+        cfg = expcli.parse_config_text(SMALL_MATCH)
+
+        def counts():
+            timing = json.loads((tmp_path / "timing.json").read_text())
+            assert timing.keys() == {"wall_time_s", "cells_computed", "cells_reused"}
+            return timing["cells_computed"], timing["cells_reused"]
+
+        expcli.run(cfg, tmp_path)
+        assert counts() == (9, 0)
+        expcli.run(cfg, tmp_path)
+        assert counts() == (0, 9)
+        self.edit_row(tmp_path / "results.csv", 4, value="0.123")  # a row of n = 200
+        expcli.run(cfg, tmp_path)
+        assert counts() == (3, 6)
+        assert self.record_sha256(tmp_path) == RECORD_SHA256["match_curve"]
 
     def test_rerun_with_other_seed_rewrites_cells(self, tmp_path):
         # cell files written under another config's digest are not reused
@@ -592,9 +678,9 @@ class TestRunAndVerify:
         cfg = expcli.parse_config_text(SMALL_DIAG)
         # each read of the rows checks their values against sigma_bounds
         expcli.run(cfg, tmp_path)
-        assert calls == [cfg.k_max] * 3  # the cell, its read-back, then the report
+        assert calls == [cfg.k_max] * 3  # the cell, the check of its rows, then the report
         del calls[:]
-        expcli.run(cfg, tmp_path)  # a resume reads the cell, then reports
+        expcli.run(cfg, tmp_path)  # a resume reads the rows, then reports
         assert calls == [cfg.k_max] * 2
         del calls[:]
         assert expcli.verify(tmp_path)[0] == 0  # reads results.csv, then the report
@@ -667,11 +753,12 @@ class TestCli:
         cfg_path.write_text("not a config at all")
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("out,regular_file", [("afile/x", "afile"), ("out", "out/cells")],
-                             ids=["out_under_a_file", "cells_a_file"])
-    def test_unwritable_out_is_run_error(self, tmp_path, capsys, out, regular_file):
-        (tmp_path / regular_file).parent.mkdir(exist_ok=True)
-        (tmp_path / regular_file).write_text("")
+    @pytest.mark.parametrize("out,in_the_way,make", [
+        ("afile/x", "afile", lambda path: path.write_text("")),
+        ("out", "out/results.csv", lambda path: path.mkdir(parents=True)),
+    ], ids=["out_under_a_file", "results_csv_a_directory"])
+    def test_unwritable_out_is_run_error(self, tmp_path, capsys, out, in_the_way, make):
+        make(tmp_path / in_the_way)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SMALL_RETURNS)
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / out)]) == 2
