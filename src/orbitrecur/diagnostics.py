@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcher import return_set_measure
-from .symbolic import BernoulliMeasure, MarkovMeasure, MeasureSpec
+from .symbolic import MarkovMeasure, MeasureSpec
 from .thermo import psi_mixing_table, z_partition_sum
 
 __all__ = [
@@ -55,8 +55,6 @@ def quasi_bernoulli_constant(m: MeasureSpec, max_len: int = 6) -> float:
         raise ValueError("max_len must be >= 1")
     mk = m.as_markov()
     d = mk.alphabet_size
-    if isinstance(m, BernoulliMeasure):
-        return 1.0
     # symbols that occur as the last letter of a positive-measure word of
     # length <= max_len: reachable from the support of pi in < max_len steps
     reach = mk.pi > 0
@@ -93,7 +91,7 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, fl
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     B = quasi_bernoulli_constant(m)
-    psi, _ = psi_mixing_table(m.as_markov(), max(k_max, 2))
+    psi, _ = psi_mixing_table(m, max(k_max, 2))
     bounds = []
     for k in range(1, k_max + 1):
         if k <= r // 2:

@@ -399,10 +399,14 @@ def run(cfg: ExperimentConfig, out_dir: str | Path) -> ExperimentRecord:
         raise ConfigError(f"cannot make the output directory {out}: {exc}") from None
     t0 = time.time()
     header = ",".join(CSV_HEADER) + "\n"
-    try:  # the rows after the header line
-        lines = (out / "results.csv").read_text().splitlines(keepends=True)[1:]
+    try:
+        text = (out / "results.csv").read_text()
     except (OSError, ValueError):  # missing, or not text
-        lines = []
+        text = header
+    # written back unchanged, so an unwritable results.csv fails the run
+    # before any group is computed
+    _write(out / "results.csv", text)
+    lines = text.splitlines(keepends=True)[1:]  # the rows after the header line
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for group, n, replicate, seed in _cells(cfg):
         groups.setdefault(group, []).append((n, replicate, seed))
@@ -488,13 +492,17 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
 
 def _write(path: Path, text: str) -> None:
     """Write text to path through a temp file, so no reader sees it half
-    written; an OSError (say, a directory in the way) is a ConfigError
-    naming the path."""
+    written; an OSError (say, a directory in the way) removes the temp file
+    and is a ConfigError naming the path."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
         tmp.replace(path)
     except OSError as exc:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:  # say, a directory in the temp file's place
+            pass
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 

@@ -1,8 +1,11 @@
 """Finite-alphabet topological Markov shifts and shift-invariant measures.
 
-Provides transition systems (0/1 matrices), admissible words, exact cylinder
-measures for Bernoulli / Markov / 2-block-potential Gibbs specifications, and
-reproducible typical-sequence sampling. Everything here is immutable after
+Provides transition systems (0/1 matrices), admissible words, the one measure
+interface `MeasureSpec`, exact cylinder measures and reproducible
+typical-sequence sampling. The Bernoulli, Markov and 2-block-potential Gibbs
+specifications are each one stationary Markov chain, built once at
+construction and read through `as_markov()`: cylinder masses, sampling and
+degeneracy all come from that chain. Everything here is immutable after
 construction and safe to share across threads.
 """
 
@@ -176,32 +179,36 @@ def admissible_words(ts: TransitionSystem, length: int) -> Iterator[tuple[int, .
 
 
 class MeasureSpec:
-    """Common interface of the three measure specifications."""
+    """The one measure interface: every spec is read through the stationary
+    Markov chain it builds once at construction."""
 
     system: TransitionSystem
+    _chain: "MarkovMeasure"
 
     @property
     def alphabet_size(self) -> int:
         return self.system.alphabet_size
 
     def as_markov(self) -> "MarkovMeasure":
-        raise NotImplementedError
-
-    def word_measure(self, symbols: Sequence[int]) -> float:
-        raise NotImplementedError
+        return self._chain
 
     @property
     def degenerate(self) -> bool:
-        """True when some state carries zero mass or is unreachable."""
-        raise NotImplementedError
+        """True when some state carries zero mass or the chain's support is
+        not strongly connected."""
+        mk = self.as_markov()
+        if np.any(mk.pi == 0.0):
+            return True
+        return not validate_system(TransitionSystem((mk.P > 0).astype(np.uint8))).strongly_connected
 
 
 @dataclass(frozen=True, eq=False)
 class BernoulliMeasure(MeasureSpec):
-    """Product measure with weights p_i; zero weights mark dead symbols."""
+    """Product measure with weights p_i on the full shift; zero weights mark
+    dead symbols. Its chain has pi = p and every row of P equal to p."""
 
     weights: np.ndarray
-    system: TransitionSystem = field(default=None)  # type: ignore[assignment]
+    system: TransitionSystem = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -214,27 +221,8 @@ class BernoulliMeasure(MeasureSpec):
         if not np.any(w > 0):
             raise InvalidSystemError("at least one weight must be positive")
         object.__setattr__(self, "weights", _frozen_array(w, np.float64))
-        if self.system is None:
-            object.__setattr__(self, "system", full_shift(len(w)))
-        elif self.system.alphabet_size != len(w):
-            raise IncompatibleMeasureError("weights length does not match alphabet")
-        elif not np.all(self.system.admissible == 1):
-            raise IncompatibleMeasureError("Bernoulli measures live on the full shift")
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(np.any(self.weights == 0.0))
-
-    def as_markov(self) -> "MarkovMeasure":
-        d = len(self.weights)
-        P = np.tile(self.weights, (d, 1))
-        return MarkovMeasure(self.weights.copy(), P, self.system)
-
-    def word_measure(self, symbols: Sequence[int]) -> float:
-        m = 1.0
-        for s in symbols:
-            m *= float(self.weights[s])
-        return m
+        object.__setattr__(self, "system", full_shift(len(w)))
+        object.__setattr__(self, "_chain", MarkovMeasure(w, np.tile(w, (len(w), 1)), self.system))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,26 +258,8 @@ class MarkovMeasure(MeasureSpec):
             if np.any((P > 0) & (self.system.admissible == 0)):
                 raise IncompatibleMeasureError("P puts mass on inadmissible transitions")
 
-    @property
-    def degenerate(self) -> bool:
-        if np.any(self.pi == 0.0):
-            return True
-        return not validate_system(TransitionSystem((self.P > 0).astype(np.uint8))).strongly_connected
-
     def as_markov(self) -> "MarkovMeasure":
         return self
-
-    def word_measure(self, symbols: Sequence[int]) -> float:
-        it = iter(symbols)
-        try:
-            prev = next(it)
-        except StopIteration:
-            raise ValueError("empty word") from None
-        m = float(self.pi[prev])
-        for s in it:
-            m *= float(self.P[prev, s])
-            prev = s
-        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +267,7 @@ class GibbsMeasure(MeasureSpec):
     """Gibbs measure of a 2-block potential phi(a, b), finite exactly on
     admissible pairs.
 
-    Cylinder masses are evaluated through the normalized transfer matrix:
+    Its chain is built through the normalized transfer matrix:
     M_ab = A_ab exp(phi(a,b)) with Perron data (lam, r, l) induces the chain
     P_ab = M_ab r_b / (lam r_a), pi = l*r / <l, r>. Being a 2-block table the
     potential has var_k = 0 for k >= 2, so local Hoelderness is automatic.
@@ -319,17 +289,14 @@ class GibbsMeasure(MeasureSpec):
         if not diag.strongly_connected:
             raise InvalidSystemError("Gibbs measures require a strongly connected system")
         object.__setattr__(self, "potential", _frozen_array(phi, np.float64))
-        object.__setattr__(self, "_induced", _induced_chain(self.system, phi))
-
-    @property
-    def degenerate(self) -> bool:
-        return False
-
-    def as_markov(self) -> "MarkovMeasure":
-        return self._induced  # type: ignore[attr-defined]
-
-    def word_measure(self, symbols: Sequence[int]) -> float:
-        return self.as_markov().word_measure(symbols)
+        M = np.where(A == 1, np.exp(phi), 0.0)
+        lam, r, l, _ = _perron(M)
+        P = M * r[None, :] / (lam * r[:, None])
+        P = P / P.sum(axis=1, keepdims=True)  # remove last-digit drift
+        pi = l * r
+        pi = pi / pi.sum()
+        pi = _stationary_power(P, pi)  # polish to the 1e-10 contract
+        object.__setattr__(self, "_chain", MarkovMeasure(pi, P, self.system))
 
 
 def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
@@ -357,18 +324,6 @@ def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
     raise ConvergenceError(f"Perron power iteration did not reach tol={tol} in {max_iter} steps")
 
 
-def _induced_chain(ts: TransitionSystem, phi: np.ndarray) -> MarkovMeasure:
-    A = ts.admissible
-    M = np.where(A == 1, np.exp(phi), 0.0)
-    lam, r, l, _ = _perron(M)
-    P = M * r[None, :] / (lam * r[:, None])
-    P = P / P.sum(axis=1, keepdims=True)  # remove last-digit drift
-    pi = l * r
-    pi = pi / pi.sum()
-    pi = _stationary_power(P, pi)  # polish to the 1e-10 contract
-    return MarkovMeasure(pi, P, ts)
-
-
 # ---------------------------------------------------------------------------
 # Cylinder measures and stationary vectors
 # ---------------------------------------------------------------------------
@@ -384,7 +339,11 @@ def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
         raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
     if not all(m.system.allows(a, b) for a, b in zip(sym, sym[1:])):
         return 0.0
-    return m.word_measure(sym)
+    mk = m.as_markov()
+    mass = float(mk.pi[sym[0]])
+    for a, b in zip(sym, sym[1:]):
+        mass *= float(mk.P[a, b])
+    return mass
 
 
 def _stationary_power(P: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -486,16 +445,6 @@ class SymbolSequence:
         return len(self.symbols)
 
 
-def _check_compatible(m: MeasureSpec, ts: TransitionSystem | None) -> None:
-    if ts is None:
-        return
-    if ts.alphabet_size != m.alphabet_size:
-        raise IncompatibleMeasureError("measure and transition system alphabet sizes differ")
-    mk = m.as_markov()
-    if np.any((mk.P > 0) & (ts.admissible == 0)):
-        raise IncompatibleMeasureError("measure puts mass on transitions the system forbids")
-
-
 _BLOCK = 256  # draws per block that sample_sequence walks from every state
 
 
@@ -550,9 +499,11 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
         raise ValueError("n must be >= 1")
     if buffer < 0:
         raise ValueError("buffer must be >= 0")
-    _check_compatible(m, ts)
+    mk = m.as_markov()
+    if ts is not None:
+        MarkovMeasure(mk.pi, mk.P, ts)  # raises IncompatibleMeasureError
     total = n + buffer
-    cum_pi, cum_P = _cumulative(m.as_markov())
+    cum_pi, cum_P = _cumulative(mk)
     u = make_rng(seed).random(total)
     state = int(np.searchsorted(cum_pi, u[0], side="right"))
     # walk every block of draws, and the shorter tail, from every state at

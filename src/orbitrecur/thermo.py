@@ -1,9 +1,11 @@
 """Exact thermodynamic quantities for finite-alphabet systems.
 
 Partition sums Z_n(t), Gurevich pressure of 2-block potentials, Renyi entropy
-(three routes: closed form, squared-transition spectral radius, pressure
-formula) and exact psi-mixing coefficients of Markov measures. These are the
-oracles the empirical estimators are tested against.
+and exact psi-mixing coefficients. Every measure spec is read through the one
+measure interface, the stationary Markov chain it builds (`as_markov`): the
+entropy routes (squared-transition spectral radius, pressure formula, and the
+Bernoulli closed form) and the psi table all come from that chain. These are
+the oracles the empirical estimators are tested against.
 """
 
 from __future__ import annotations
@@ -164,51 +166,41 @@ def gurevich_pressure(ts: TransitionSystem, potential,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _log_potential(m: MarkovMeasure) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(m.P > 0, np.log(np.where(m.P > 0, m.P, 1.0)), -np.inf)
-
-
 def renyi_entropy_exact(m: MeasureSpec) -> EntropyResult:
-    """Exact Renyi entropy of the measure.
+    """Exact Renyi entropy of the measure, from the chain it builds.
 
-    Bernoulli: -log sum p_i^2 (collision form). Markov: -log of the Perron
-    root of Q, Q_ij = P_ij^2 (from Z_n(1) = (pi*pi)^T Q^(n-1) 1). 2-block
-    Gibbs: pressure formula 2 P(phi) - P(2 phi). Whenever two routes apply
-    they are compared to 1e-10.
+    Every spec gets two routes: -log of the Perron root of Q, Q_ij = P_ij^2
+    (from Z_n(1) = (pi*pi)^T Q^(n-1) 1), and the pressure formula
+    2 P(phi) - P(2 phi), with phi = log P on the chain's support or the Gibbs
+    potential. Bernoulli adds the collision form -log sum p_i^2. All routes
+    are compared to 1e-10. Bernoulli returns the closed form, Gibbs the
+    pressure formula and Markov the Q route.
     """
     if m.degenerate:
         raise DegenerateMeasureError("measure has an unreachable or zero-mass state")
+    mk = m.as_markov()
+    lam_q, _, _, _ = _perron(mk.P**2, tol=1e-13)
+    h2 = {"q_matrix": -math.log(lam_q)}
+    method = "q_matrix"
     if isinstance(m, BernoulliMeasure):
-        h2 = -math.log(float(np.sum(m.weights**2)))
-        return EntropyResult(h2, h2 / 2.0, "closed_form")
-    if isinstance(m, MarkovMeasure):
-        Q = m.P**2
-        lam_q, _, _, _ = _perron(Q, tol=1e-13)
-        h2 = -math.log(lam_q)
+        method = "closed_form"
+        h2[method] = -math.log(float(np.sum(m.weights**2)))
+    if isinstance(m, GibbsMeasure):
+        ts, phi, method = m.system, m.potential, "pressure_formula"
+    else:
         # the chain's support: m.system may admit pairs where P = 0, on
         # which the potential log P is -inf
-        ts = TransitionSystem((m.P > 0).astype(np.uint8))
-        phi = _log_potential(m)
-        p1 = gurevich_pressure(ts, phi).value
-        p2 = gurevich_pressure(ts, 2.0 * phi).value
-        h2_pressure = 2.0 * p1 - p2
-        if abs(h2 - h2_pressure) > 1e-10:
+        ts = TransitionSystem((mk.P > 0).astype(np.uint8))
+        with np.errstate(divide="ignore"):
+            phi = np.log(mk.P)
+    p1 = gurevich_pressure(ts, phi).value
+    h2["pressure_formula"] = 2.0 * p1 - gurevich_pressure(ts, 2.0 * phi).value
+    for route, value in h2.items():
+        if abs(value - h2["q_matrix"]) > 1e-10:
             raise CrossCheckError(
-                f"entropy routes disagree: q_matrix {h2!r} vs pressure {h2_pressure!r}"
+                f"entropy routes disagree: q_matrix {h2['q_matrix']!r} vs {route} {value!r}"
             )
-        return EntropyResult(h2, h2 / 2.0, "q_matrix")
-    if isinstance(m, GibbsMeasure):
-        phi = m.potential
-        p1 = gurevich_pressure(m.system, phi).value
-        p2 = gurevich_pressure(m.system, 2.0 * phi).value
-        h2 = 2.0 * p1 - p2
-        induced = m.as_markov()
-        lam_q, _, _, _ = _perron(induced.P**2, tol=1e-13)
-        if abs(h2 - (-math.log(lam_q))) > 1e-10:
-            raise CrossCheckError("pressure formula disagrees with induced q_matrix route")
-        return EntropyResult(h2, h2 / 2.0, "pressure_formula")
-    raise TypeError(f"unsupported measure {type(m).__name__}")
+    return EntropyResult(h2[method], h2[method] / 2.0, method)
 
 
 def z_partition_sum_log(m: MeasureSpec, n: int, t: float) -> float:
@@ -319,16 +311,15 @@ def _psi_from_power(Pk1: list[list[Fraction]], pi: list[Fraction]) -> Fraction:
 def psi_mixing_table(m: MeasureSpec, k_max: int) -> tuple[list[float], list[float]]:
     """psi(k) for k = 0..k_max and its monotone envelope sup_{j>=k} psi(j).
 
-    For a Markov measure the supremum over cylinder pairs of the mixing ratio
-    deviation equals max_ab |(P^(k+1))_ab / pi_b - 1|; computed in exact
+    Read from the measure's chain (pi, P): the supremum over cylinder pairs
+    of the mixing ratio deviation equals max_ab |(P^(k+1))_ab / pi_b - 1|,
+    so a Bernoulli table is exactly 0. Computed in exact
     rational arithmetic (float inputs are binary rationals). The envelope is
     taken over the computed range only.
     """
-    if not isinstance(m, MarkovMeasure):
-        raise TypeError("psi-mixing coefficients require a Markov measure")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    P, pi = _exact_chain(m)
+    P, pi = _exact_chain(m.as_markov())
     power = [row[:] for row in P]  # P^(k+1), starting at k = 0
     psi = []
     for k in range(k_max + 1):

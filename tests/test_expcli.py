@@ -32,6 +32,12 @@ PINNED_CONFIGS = {
     "d2_orbit_gauss": SMALL_D2_ORBIT_GAUSS,
     # orbits discard MPInduced's 1000-step default burn-in
     "d2_orbit_mp_induced": SMALL_D2_ORBIT_GAUSS.replace("type = gauss", "type = mp_induced"),
+    # the two measure specs that are not a Markov chain as written
+    "match_curve_gibbs": SMALL_MATCH.replace(
+        "type = bernoulli\nweights = 0.5, 0.5",
+        "type = gibbs2block\nadmissible = 1, 1; 1, 0\npotential = 0.3, -0.2; 0.1, 0"),
+    "diagnostics_bernoulli": SMALL_DIAG.replace("k_max = 8", "k_max = 10").replace(
+        "type = markov\ntransition = 0, 1; 0.5, 0.5", "type = bernoulli\nweights = 0.2, 0.3, 0.5"),
 }
 
 # sha256 of (results.csv, manifest.json, report.json) for each small config:
@@ -111,6 +117,16 @@ RECORD_SHA256 = {
         "a541412590e89422100d412e3aa8e7bedefdcccad149f682bbeb0064146c9305",
         "e2c03379bb1c1a76e38bd3ea82c88be57668364a15743e869a8bb7a0759895d4",
         "c650f0f4662cbefb1a425ab3afa68e6a1057f64b0e7fc9addc1f0c1eee1c44f4",
+    ),
+    "match_curve_gibbs": (
+        "419da973c60190e47a242dd020078a6a22de90a97bddf0e37beea35c1661de6b",
+        "82321a32d796cd96ce59290c59d4d05581e30564418a628fa6c1071ebcc81909",
+        "4414272d48beb22a4327a3e12343033a62f4efed22766c98d058f87192758464",
+    ),
+    "diagnostics_bernoulli": (
+        "36e0f222085fe3da8db2611236762bb68d1f19d16e4da88e7c8ac1d9185ea51b",
+        "5bb9afb1fc847a7d489c9f7a7c4ffb26544af148f6f518e4fe36614198560e4a",
+        "33ad5c6b0d251fd0f7c411e7088abf2111a25bf753dec88e8c8409b262a1e513",
     ),
 }
 
@@ -764,6 +780,33 @@ class TestCli:
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run error") and str(tmp_path / out) in err
+
+    def test_unwritable_results_csv_fails_before_any_group(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "out" / "results.csv").mkdir(parents=True)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SMALL_RETURNS)
+        computed = TestRunAndVerify.count_groups(monkeypatch)
+        assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert computed == []
+        assert list((tmp_path / "out").glob("*.tmp")) == []
+        assert capsys.readouterr().err.startswith("run error")
+
+    def test_run_leaves_a_resumable_results_csv_as_it_was(self, tmp_path, monkeypatch):
+        # the early write-back of results.csv keeps its bytes
+        cfg = expcli.parse_config_text(SMALL_MATCH)
+        expcli.run(cfg, tmp_path)
+        path = tmp_path / "results.csv"
+        before = path.read_bytes()
+
+        def stopped(cfg, key, cells):
+            raise RuntimeError("stopped")
+
+        TestRunAndVerify.edit_row(path, 4, value="0.123")  # a row of n = 200
+        edited = path.read_bytes()
+        monkeypatch.setattr(expcli, "_run_group", stopped)
+        with pytest.raises(RuntimeError, match="stopped"):
+            expcli.run(cfg, tmp_path)
+        assert path.read_bytes() == edited != before
 
     def test_verify_missing_record(self, tmp_path, capsys):
         assert expcli.main(["verify", str(tmp_path / "nothing")]) == 3

@@ -125,7 +125,7 @@ class TestCylinderMeasure:
     ])
     def test_exponential_decay_bernoulli(self, measure, rho):
         # max cylinder mass of product measures decays exactly like (max p)^k;
-        # masses[w] is the left-to-right product word_measure forms
+        # masses[w] is the left-to-right product cylinder_measure forms
         p = measure.weights
         masses = p.copy()
         for k in range(1, 13):

@@ -18,7 +18,13 @@ from orbitrecur import (
     z_decay_check,
     z_partition_sum,
 )
-from orbitrecur.errors import ConvergenceError, DegenerateMeasureError, OrbitRecurError
+from orbitrecur import thermo
+from orbitrecur.errors import (
+    ConvergenceError,
+    CrossCheckError,
+    DegenerateMeasureError,
+    OrbitRecurError,
+)
 from orbitrecur.symbolic import _perron, admissible_words
 from orbitrecur.thermo import _pressure_periodic, transfer_matrix
 
@@ -115,6 +121,20 @@ class TestRenyiEntropy:
         induced = renyi_entropy_exact(g.as_markov())
         assert abs(res.h2 - induced.h2) < 1e-9
 
+    def test_bernoulli_closed_form_checked_against_q_route(self, monkeypatch):
+        # a Perron root off by 1e-8 on the Q matrix, the first root taken
+        calls = []
+        real = thermo._perron
+
+        def off_on_first_call(M, *args, **kwargs):
+            lam, r, l, iters = real(M, *args, **kwargs)
+            calls.append(M)
+            return (lam * (1 + 1e-8) if len(calls) == 1 else lam), r, l, iters
+
+        monkeypatch.setattr(thermo, "_perron", off_on_first_call)
+        with pytest.raises(CrossCheckError, match="vs closed_form"):
+            renyi_entropy_exact(BernoulliMeasure([0.2, 0.3, 0.5]))
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMeasureError):
             renyi_entropy_exact(BernoulliMeasure([1.0, 0.0]))
@@ -184,9 +204,14 @@ class TestPsiMixing:
             assert psi[k] * 2.0**k == 1.0
         assert all(a >= b for a, b in zip(env, env[1:]))
 
-    def test_non_markov_rejected(self):
-        with pytest.raises(TypeError):
-            psi_mixing_table(BernoulliMeasure([0.5, 0.5]), 1)
+    def test_bernoulli_and_gibbs_read_through_their_chain(self):
+        b = BernoulliMeasure([0.2, 0.3, 0.5])
+        assert psi_mixing_table(b, 6) == psi_mixing_table(b.as_markov(), 6) == ([0.0] * 7, [0.0] * 7)
+        ts = TransitionSystem([[0, 1], [1, 1]])
+        g = GibbsMeasure(np.where(ts.admissible == 1, [[0.0, 0.4], [-0.2, 0.1]], -np.inf), ts)
+        psi, env = psi_mixing_table(g, 6)
+        assert (psi, env) == psi_mixing_table(g.as_markov(), 6)
+        assert psi[1] > 0.0
 
     @pytest.mark.parametrize("measure", [
         GOLDEN,
