@@ -8,7 +8,7 @@ same config are byte-identical. results.csv is also the resume state: a
 rerun reuses each group of rows found at its place in it, so partial runs
 resume.
 
-Exit codes: 0 pass, 1 fail, 2 config error, 3 incomplete record.
+Exit codes: 0 pass, 1 fail, 2 config error, 3 incomplete record or no verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -59,7 +60,12 @@ from .thermo import renyi_entropy_exact, z_decay_check
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "run", "verify",
            "measure_from_section", "map_from_section", "main", "EXAMPLE_CONFIGS"]
 
-KINDS = ("match_curve", "proximity_curve", "d2", "h2", "diagnostics", "returns")
+# the [experiment] keys each kind reads, besides kind and master_seed
+_CURVE_KEYS = {"n_grid", "replicates", "tolerance", "min_grid_points"}
+KINDS = {"match_curve": _CURVE_KEYS, "proximity_curve": _CURVE_KEYS | {"variant", "burn_in"},
+         "d2": {"samples", "replicates", "tolerance", "mode", "burn_in"},
+         "h2": {"samples", "block_len", "replicates", "tolerance"},
+         "diagnostics": {"r", "k_max"}, "returns": {"r", "k_list", "mode", "samples"}}
 
 CSV_HEADER = ["experiment", "kind", "n", "replicate", "seed", "value", "aux", "flag"]
 
@@ -95,6 +101,13 @@ class ExperimentConfig:
         sys_part = ";".join(f"{k}={v}" for k, v in sorted(self.system.items()))
         return repr(tuple(sys_part if f.name == "system" else getattr(self, f.name)
                           for f in fields(self) if f.name != "raw_text"))
+
+    @cached_property
+    def spec(self):
+        """The interval map of an orbit kind, else the measure: built once."""
+        if self.kind in ("proximity_curve", "d2"):
+            return map_from_section(self.system)
+        return measure_from_section(self.system)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -187,17 +200,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config: {exc}") from None
     if "experiment" not in parser or "system" not in parser:
         raise ConfigError("config needs [experiment] and [system] sections")
+    kind = parser["experiment"].get("kind", "")
+    if kind not in KINDS:
+        raise ConfigError(f"experiment.kind must be one of {tuple(KINDS)}, got {kind!r}")
     values = {}
     for key, text_value in parser["experiment"].items():
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown [experiment] key {key!r}")
+        if key not in KINDS[kind] | {"kind", "master_seed"}:
+            raise ConfigError(f"unknown [experiment] key {key!r} for kind {kind}")
         try:
             values[key] = _EXPERIMENT_KEYS[key](text_value)
         except ValueError as exc:
             raise ConfigError(f"bad experiment field {key}: {exc}") from None
-    kind = values.get("kind", "")
-    if kind not in KINDS:
-        raise ConfigError(f"experiment.kind must be one of {KINDS}, got {kind!r}")
     if "master_seed" not in values:
         raise ConfigError("experiment.master_seed is required (no wall-clock seeding)")
     system = dict(parser["system"])
@@ -213,8 +226,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     """Reject a config that run could not compute, reading each limit from
     the library that holds it."""
-    if cfg.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    if cfg.replicates < 1 or cfg.samples < 0:
+        raise ConfigError("replicates must be >= 1 and samples >= 0")
     if cfg.kind == "d2" and cfg.mode not in ("exact", "iid", "orbit"):
         raise ConfigError("d2 mode must be iid (default) or orbit")
     if cfg.kind == "diagnostics" and (cfg.r < 2 or cfg.k_max < 1):
@@ -224,10 +237,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("returns needs r >= 1 and a k_list without repeated values")
         if cfg.mode not in ("exact", "empirical"):
             raise ConfigError("returns mode must be exact or empirical")
+        if cfg.samples and cfg.mode == "exact":
+            raise ConfigError("samples applies to returns only with mode = empirical")
     iterates = cfg.kind == "proximity_curve" or (cfg.kind == "d2" and cfg.mode == "orbit")
     if cfg.burn_in is not None and not iterates:
-        raise ConfigError("burn_in applies only to proximity_curve and d2 with mode = orbit")
-    system = _system(cfg)  # fail on malformed system sections at parse time, not mid-run
+        raise ConfigError("burn_in applies to d2 only with mode = orbit")
+    system = cfg.spec  # fail on malformed system sections at parse time, not mid-run
     try:
         if iterates:
             system.resolve_burn_in(cfg.burn_in)
@@ -254,13 +269,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 check_enumeration(system.alphabet_size, max(enumerated))
     except (ValueError, OrbitRecurError) as exc:
         raise ConfigError(f"{cfg.kind}: {exc}") from None
-
-
-def _system(cfg: ExperimentConfig):
-    """The interval map of an orbit kind, else the measure."""
-    if cfg.kind in ("proximity_curve", "d2"):
-        return map_from_section(cfg.system)
-    return measure_from_section(cfg.system)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -305,7 +313,7 @@ def _run_group(cfg: ExperimentConfig, key: int,
                cells: list[tuple[int, int, int]]) -> list[CurveRow]:
     """All rows of one work group, deterministic in (config, key); cells are
     its planned (n, replicate, seed)."""
-    system = _system(cfg)
+    system = cfg.spec
     if cfg.kind == "match_curve":
         return match_curve(system, None, [key], cfg.replicates, cfg.master_seed)
     if cfg.kind == "proximity_curve":
@@ -329,7 +337,7 @@ def _run_group(cfg: ExperimentConfig, key: int,
         value, aux = est.h2, est.stderr
     else:  # returns
         est = return_set_measure(system, cfg.r, n, cfg.mode,
-                                 samples=max(cfg.samples, 100_000), seed=seed)
+                                 samples=cfg.samples or 100_000, seed=seed)
         value, aux = est.value, est.stderr
     return [CurveRow(n=n, replicate=replicate, seed=seed, value=value, aux=aux, flag="ok")]
 
@@ -359,7 +367,7 @@ def _read_rows(cfg: ExperimentConfig, text: str,
         return None
     if _rows_text(cfg, rows) != text or [(r.n, r.replicate, r.seed) for r in rows] != cells[:len(rows)]:
         return None
-    floating = cfg.kind == "proximity_curve" and not isinstance(_system(cfg), KDoubling)
+    floating = cfg.kind == "proximity_curve" and not isinstance(cfg.spec, KDoubling)
     if not all(r.flag == "floor" if not math.isfinite(r.value) else floating or r.flag == "ok"
                for r in rows):
         return None
@@ -376,7 +384,7 @@ def _read_rows(cfg: ExperimentConfig, text: str,
 def _diagnostics_checks(cfg: ExperimentConfig, rows: list[CurveRow]) -> list[BoundCheck]:
     """The check of each diagnostics row: its aux, the check's lhs, against
     the bound that sigma_bounds gives (no mass is enumerated)."""
-    bounds, psi = sigma_bounds(_system(cfg), cfg.r, cfg.k_max)
+    bounds, psi = sigma_bounds(cfg.spec, cfg.r, cfg.k_max)
     return [BoundCheck(name, row.aux, rhs)
             for row, (name, rhs) in zip(rows, bounds + [(psi.name, psi.rhs)])]
 
@@ -459,7 +467,7 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
     diagnostics row's aux is its check's lhs, so nothing is enumerated)."""
     meta: dict[str, Any] = {"target": None}
     if cfg.kind in ("match_curve", "h2"):
-        h2 = renyi_entropy_exact(_system(cfg)).h2
+        h2 = renyi_entropy_exact(cfg.spec).h2
         meta = ({"target": 2.0 / h2, "h2": h2} if cfg.kind == "match_curve" else {"target": h2})
         meta["target_provenance"] = "renyi_entropy_exact"
     elif cfg.kind == "proximity_curve":
@@ -479,13 +487,12 @@ def _row_fields(cfg: ExperimentConfig, rows: list[CurveRow]) -> dict[str, Any]:
     if cfg.kind == "returns":
         return {**meta, "checks": [{"r": cfg.r, "k": r.n, "value": r.value, "stderr": r.aux,
                                     "mode": cfg.mode} for r in rows]}
-    m = _system(cfg)
     checks = _diagnostics_checks(cfg, rows)
-    decay = z_decay_check(m, max(cfg.k_max, 2))
+    decay = z_decay_check(cfg.spec, max(cfg.k_max, 2))
     all_pass = all(c.passed for c in checks)
     return {**meta, "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
                                 "pass": c.passed} for c in checks],
-            "quasi_bernoulli_B": quasi_bernoulli_constant(m),
+            "quasi_bernoulli_B": quasi_bernoulli_constant(cfg.spec),
             "z_decay_ratio_band": [decay.ratio_inf, decay.ratio_sup],
             "all_pass": all_pass, "pass": all_pass}
 
@@ -531,15 +538,15 @@ def _record_file(out: Path, name: str):
     return record
 
 
-def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, str]:
-    """Compare the recorded slope against the target within tolerance.
+def verify(out_dir: str | Path) -> tuple[int, str]:
+    """Return the verdict that run wrote: report.json's pass.
 
     Returns (exit_code, message): 0 pass, 1 fail, 3 incomplete (more than
-    half of the expected cells missing). Each record file must equal what
-    its config writes: manifest.json is _manifest(cfg), results.csv the
-    header plus the planned rows or a prefix of them, and report.json
-    _report(cfg, rows). A file that does not raises IncompleteRecordError
-    naming it (exit 3).
+    half of the expected cells missing, or no pass key). Each record file
+    must equal what its config writes: manifest.json is _manifest(cfg),
+    results.csv the header plus the planned rows or a prefix of them, and
+    report.json _report(cfg, rows). A file that does not raises
+    IncompleteRecordError naming it (exit 3).
     """
     report, manifest, csv_text = (_record_file(Path(out_dir), name)
                                   for name in ("report.json", "manifest.json", "results.csv"))
@@ -559,19 +566,15 @@ def verify(out_dir: str | Path, tolerance: float | None = None) -> tuple[int, st
     if not rows or len(rows) < len(plan) / 2.0:
         return 3, f"incomplete: {len(rows)} of {len(plan)} cells present"
     _check_keys("report.json", report, _report(cfg, rows), "its config and results.csv")
-    if report.get("kind") == "diagnostics":
-        ok = bool(report.get("pass"))
-        return (0 if ok else 1), ("diagnostics all-pass" if ok else "diagnostics bound failed")
-    tol = tolerance if tolerance is not None else report.get("tolerance")
-    target = report.get("target")
-    slope = report.get("slope")
     if "fit_refused" in report:
         return 3, f"fit refused: {report['fit_refused']}"
-    if tol is None or target is None or slope is None:
+    if "pass" not in report:
         return 3, "record has no (slope, target, tolerance) triple to verify"
-    ok = abs(slope - target) <= tol
-    msg = f"slope {slope:.6g} vs target {target:.6g} (tol {tol:g}): {'pass' if ok else 'FAIL'}"
-    return (0 if ok else 1), msg
+    ok = report["pass"]
+    if cfg.kind == "diagnostics":
+        return (0 if ok else 1), ("diagnostics all-pass" if ok else "diagnostics bound failed")
+    return (0 if ok else 1), (f"slope {report['slope']:.6g} vs target {report['target']:.6g} "
+                              f"(tol {cfg.tolerance:g}): {'pass' if ok else 'FAIL'}")
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +668,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", required=True, help="output directory")
     p_ver = sub.add_parser("verify", help="verify a completed run against its target")
     p_ver.add_argument("out_dir", help="directory holding results.csv/report.json")
-    p_ver.add_argument("--tolerance", type=float, default=None)
     sub.add_parser("list-kinds", help="list experiment kinds")
     p_ex = sub.add_parser("print-example-config", help="print a canonical config")
     p_ex.add_argument("kind", choices=sorted(EXAMPLE_CONFIGS))
@@ -695,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "verify":
         try:
-            code, msg = verify(args.out_dir, args.tolerance)
+            code, msg = verify(args.out_dir)
         except IncompleteRecordError as exc:
             print(f"incomplete: {exc}", file=sys.stderr)
             return 3

@@ -38,6 +38,8 @@ PINNED_CONFIGS = {
         "type = gibbs2block\nadmissible = 1, 1; 1, 0\npotential = 0.3, -0.2; 0.1, 0"),
     "diagnostics_bernoulli": SMALL_DIAG.replace("k_max = 8", "k_max = 10").replace(
         "type = markov\ntransition = 0, 1; 0.5, 0.5", "type = bernoulli\nweights = 0.2, 0.3, 0.5"),
+    # sampled return masses, at the default path count
+    "returns_empirical": SMALL_RETURNS.replace("mode = exact", "mode = empirical"),
 }
 
 # sha256 of (results.csv, manifest.json, report.json) for each small config:
@@ -128,6 +130,11 @@ RECORD_SHA256 = {
         "5bb9afb1fc847a7d489c9f7a7c4ffb26544af148f6f518e4fe36614198560e4a",
         "33ad5c6b0d251fd0f7c411e7088abf2111a25bf753dec88e8c8409b262a1e513",
     ),
+    "returns_empirical": (
+        "7748983d97630f3dcd5e3d939f5c30834e4d9ba4036db274b840c974f7400d58",
+        "b5ea386e6d74a499e861771aa15ee696b03c03b1c0b582152f1dd441ff9ecacf",
+        "4e12cf2132347d63b8a267d2e0b3515d6fc88ae36e7e0427798e7661c1364dc5",
+    ),
 }
 
 
@@ -197,12 +204,15 @@ class TestConfigParsing:
         .replace("min_grid_points", "burn_in = 10\nmin_grid_points"),
         SMALL_D2.replace("samples = 4000", "samples = 4000\nburn_in = 10"),
         SMALL_MATCH.replace("replicates = 3", "replicates = 3\nburn_in = 10"),
+        # exact returns sample no paths
+        SMALL_RETURNS.replace("mode = exact", "mode = exact\nsamples = 2000"),
+        SMALL_RETURNS.replace("mode = exact", "mode = empirical\nsamples = -5"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
             "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1",
             "burn_in_negative", "burn_in_kdoubling", "burn_in_affine", "burn_in_d2_iid",
-            "burn_in_match_curve"])
+            "burn_in_match_curve", "returns_exact_samples", "returns_negative_samples"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
@@ -236,15 +246,42 @@ class TestConfigParsing:
         (SMALL_MATCH.replace("master_seed = 77", "master_seed = 77\nseed = 5"), "seed"),
         (SMALL_D2.replace("[system]", "raw_text = x\n\n[system]"), "raw_text"),
         (SMALL_D2.replace("[system]", "system = gauss\n\n[system]"), "system"),
-    ], ids=["replicate", "seed", "raw_text", "system"])
+        # keys of other kinds: each would change only the digest
+        (SMALL_D2.replace("[system]", "variant = far\nk_list = 3\nblock_len = 7\n"
+                          "min_grid_points = 9\n\n[system]"), "variant"),
+        (SMALL_MATCH.replace("[system]", "samples = 5\nmode = orbit\nr = 3\n\n[system]"), "samples"),
+        (SMALL_DIAG.replace("[system]", "tolerance = 0.1\n\n[system]"), "tolerance"),
+        (SMALL_DIAG.replace("[system]", "replicates = 2\n\n[system]"), "replicates"),
+        (SMALL_RETURNS.replace("[system]", "tolerance = 0.1\n\n[system]"), "tolerance"),
+    ], ids=["replicate", "seed", "raw_text", "system", "d2_curve_keys", "match_sample_keys",
+            "diagnostics_tolerance", "diagnostics_replicates", "returns_tolerance"])
     def test_unknown_experiment_key_rejected(self, tmp_path, capsys, text, key):
-        # a misspelled key would otherwise leave its field at the default
+        # a misspelled key, or one its kind does not read, would otherwise
+        # leave the run as it was under another digest
         with pytest.raises(ConfigError, match=f"unknown \\[experiment\\] key '{key}'"):
             expcli.parse_config_text(text)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(text)
         assert expcli.main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_field_is_read_by_some_kind(self):
+        read = set().union(*expcli.KINDS.values()) | {"kind", "master_seed"}
+        assert read == {f.name for f in dataclasses.fields(expcli.ExperimentConfig)} - {"system", "raw_text"}
+
+    @pytest.mark.parametrize("kind", sorted(ALL_SMALL))
+    def test_one_system_build_per_config(self, tmp_path, monkeypatch, kind):
+        builds = []
+        for name in ("measure_from_section", "map_from_section"):
+            real = getattr(expcli, name)
+            monkeypatch.setattr(expcli, name, lambda section, real=real: builds.append(1) or real(section))
+        cfg = expcli.parse_config_text(ALL_SMALL[kind])
+        expcli.run(cfg, tmp_path)
+        expcli.run(cfg, tmp_path)  # a resume
+        assert len(builds) == 1
+        expcli.verify(tmp_path)
+        assert len(builds) == 2
 
     @pytest.mark.parametrize("text,key", [
         (SMALL_PROX.replace("k = 2", "base = 3"), "base"),
@@ -482,8 +519,26 @@ class TestRunAndVerify:
         expcli.run(cfg, tmp_path / "out")
         code, msg = expcli.verify(tmp_path / "out")
         assert code == 0, msg
-        code, msg = expcli.verify(tmp_path / "out", tolerance=1e-6)
-        assert code == 1
+        tight = expcli.parse_config_text(SMALL_PROX.replace("tolerance = 1.5", "tolerance = 0.000001"))
+        expcli.run(tight, tmp_path / "tight")
+        code, msg = expcli.verify(tmp_path / "tight")
+        assert code == 1, msg
+
+    @pytest.mark.parametrize("kind,tolerance", [(kind, True) for kind in sorted(ALL_SMALL)] + [
+        (kind, False) for kind in ("match_curve", "proximity_curve", "d2", "h2")])
+    def test_verify_returns_the_written_verdict(self, tmp_path, kind, tolerance):
+        text = ALL_SMALL[kind] if tolerance else "".join(
+            line for line in ALL_SMALL[kind].splitlines(keepends=True) if not line.startswith("tolerance"))
+        expcli.run(expcli.parse_config_text(text), tmp_path)
+        verdict = json.loads((tmp_path / "report.json").read_text()).get("pass")
+        assert (verdict is None) == (kind == "returns" or not tolerance)
+        assert expcli.verify(tmp_path)[0] == {True: 0, False: 1, None: 3}[verdict]
+
+    def test_empirical_returns_use_the_set_samples(self, tmp_path):
+        text = PINNED_CONFIGS["returns_empirical"].replace("mode = empirical", "mode = empirical\nsamples = 2000")
+        rows = expcli.run(expcli.parse_config_text(text), tmp_path).rows
+        assert [row.aux for row in rows] == pytest.approx(
+            [math.sqrt(row.value * (1 - row.value) / 2000) for row in rows], rel=1e-12)
 
     def test_verify_incomplete(self, tmp_path):
         cfg = expcli.parse_config_text(SMALL_MATCH)
@@ -752,7 +807,7 @@ class TestCli:
     def test_list_kinds(self, capsys):
         assert expcli.main(["list-kinds"]) == 0
         out = capsys.readouterr().out.split()
-        assert out == list(expcli.KINDS)
+        assert out == ["match_curve", "proximity_curve", "d2", "h2", "diagnostics", "returns"]
 
     def test_print_example_config(self, capsys):
         assert expcli.main(["print-example-config", "returns"]) == 0
@@ -810,6 +865,13 @@ class TestCli:
 
     def test_verify_missing_record(self, tmp_path, capsys):
         assert expcli.main(["verify", str(tmp_path / "nothing")]) == 3
+
+    def test_verify_has_no_tolerance_override(self, tmp_path, capsys):
+        expcli.run(expcli.parse_config_text(SMALL_PROX), tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            expcli.main(["verify", str(tmp_path), "--tolerance", "0.1"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
 
 class TestD2OrbitMode:
