@@ -51,7 +51,6 @@ from .symbolic import (
     BernoulliMeasure,
     GibbsMeasure,
     MarkovMeasure,
-    SymbolSequence,
     SystemDiagnostics,
     TransitionSystem,
     cylinder_measure,

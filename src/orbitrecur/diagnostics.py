@@ -91,7 +91,7 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, fl
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     B = quasi_bernoulli_constant(m)
-    psi, _ = psi_mixing_table(m, max(k_max, 2))
+    psi = psi_mixing_table(m, max(k_max, 2))
     bounds = []
     for k in range(1, k_max + 1):
         if k <= r // 2:

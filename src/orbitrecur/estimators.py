@@ -36,10 +36,8 @@ class SlopeFit:
     """Ordinary least-squares line fit."""
 
     slope: float
-    intercept: float
     stderr: float
     r_squared: float
-    point_count: int
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> SlopeFit:
@@ -58,7 +56,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     ss_tot = float(np.sum((y - ym) ** 2))
     stderr = math.sqrt(max(ss_res, 0.0) / (m - 2) / sxx) if m > 2 else 0.0
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(slope, float(intercept), stderr, r2, m)
+    return SlopeFit(slope, stderr, r2)
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ class CorrelationCurve:
 
     r_grid: np.ndarray
     c_values: np.ndarray
-    sample_count: int
 
     def __post_init__(self):
         for name in ("r_grid", "c_values"):
@@ -79,10 +76,10 @@ class CorrelationCurve:
 CORRELATION_MIN_POINTS = 100  # below this a correlation integral is meaningless
 
 
-def default_r_grid(r_max: float = 1e-1, decades: int = 3, per_decade: int = 24) -> np.ndarray:
-    """Log-spaced radius grid, decreasing, per_decade points per decade."""
-    count = decades * per_decade + 1
-    return r_max * 10.0 ** (-np.arange(count) / per_decade)
+def default_r_grid() -> np.ndarray:
+    """The radius grid of correlation_integral: log-spaced and decreasing,
+    from 0.1 over 3 decades at 24 points per decade (73 radii)."""
+    return 1e-1 * 10.0 ** (-np.arange(3 * 24 + 1) / 24)
 
 
 def correlation_integral(points, r_grid=None,
@@ -108,7 +105,7 @@ def correlation_integral(points, r_grid=None,
         # for each j: count of i < j with x_j - x_i < r
         lo = np.searchsorted(pts, pts - r, side="right")
         c[t] = float(np.sum(idx - lo)) / total_pairs
-    return CorrelationCurve(r_grid, c, n)
+    return CorrelationCurve(r_grid, c)
 
 
 def correlation_points_from_orbit(orbit_points) -> np.ndarray:
@@ -118,10 +115,10 @@ def correlation_points_from_orbit(orbit_points) -> np.ndarray:
     return pts[::alpha_of(len(pts))]
 
 
-def d2_estimate(curve: CorrelationCurve, c_max: float = 0.5) -> SlopeFit:
+def d2_estimate(curve: CorrelationCurve) -> SlopeFit:
     """Least-squares slope of log C against log r over the usable window,
-    which drops the saturated entries (C = 0, C > c_max)."""
-    idx = np.flatnonzero((curve.c_values > 0.0) & (curve.c_values <= c_max))
+    which drops the saturated entries (C = 0, C > 0.5)."""
+    idx = np.flatnonzero((curve.c_values > 0.0) & (curve.c_values <= 0.5))
     if len(idx) < 3:
         raise FitRefusedError(f"only {len(idx)} usable grid points")
     x = np.log(curve.r_grid[idx])
@@ -135,8 +132,6 @@ class CollisionEntropyEstimate:
 
     h2: float
     stderr: float
-    block_len: int
-    samples: int
     collisions: int
     pairs: int
 
@@ -179,22 +174,20 @@ def h2_collision_estimate(m: MeasureSpec, block_len: int, samples: int,
     zeta2 = max(z_hat * (1.0 - z_hat), 0.0)
     var_u = (2.0 * (samples - 2) * zeta1 + zeta2) / pairs
     stderr = math.sqrt(max(var_u, 0.0)) / (block_len * z_hat)
-    return CollisionEntropyEstimate(h2, stderr, block_len, samples, collisions, pairs)
+    return CollisionEntropyEstimate(h2, stderr, collisions, pairs)
 
 
 @dataclass(frozen=True)
 class ExponentFitResult:
-    """Slope fit of the regression ordinate against log n, with its target."""
+    """Slope fit of the regression ordinate against log n."""
 
     fit: SlopeFit
-    target: float | None
-    deviation: float | None
     used_cells: int
     excluded_cells: int
 
 
-def exponent_fit(rows: Sequence[CurveRow], target: float | None = None,
-                 min_grid_points: int = 4, min_replicates: int = 3) -> ExponentFitResult:
+def exponent_fit(rows: Sequence[CurveRow], min_grid_points: int = 4,
+                 min_replicates: int = 3) -> ExponentFitResult:
     """Regress the per-n replicate means of `aux` (M_n or -log m_n) on log n.
 
     Cells flagged "floor" or carrying non-finite aux are excluded; the fit is
@@ -221,6 +214,4 @@ def exponent_fit(rows: Sequence[CurveRow], target: float | None = None,
         raise FitRefusedError(f"{excluded} of {excluded + used} cells excluded (> 50%)")
     if len(xs) < min_grid_points:
         raise FitRefusedError(f"only {len(xs)} usable grid points; need {min_grid_points}")
-    fit = _ols(np.asarray(xs), np.asarray(ys))
-    deviation = None if target is None else abs(fit.slope - target)
-    return ExponentFitResult(fit, target, deviation, used, excluded)
+    return ExponentFitResult(_ols(np.asarray(xs), np.asarray(ys)), used, excluded)

@@ -38,12 +38,11 @@ from .estimators import (
     correlation_integral,
     correlation_points_from_orbit,
     d2_estimate,
-    default_r_grid,
     exponent_fit,
     h2_collision_estimate,
 )
 from .intervalmaps import GaussMap, KDoubling, MPInduced, PiecewiseAffine
-from .matcher import check_enumeration, match_curve, return_set_measure
+from .matcher import check_enumeration, check_return_set, match_curve, return_set_measure
 from .proximity import alpha_of, curve_min_n, proximity_curve
 from .rng import derive_seed, make_rng
 from .symbolic import (
@@ -213,6 +212,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"bad experiment field {key}: {exc}") from None
     if "master_seed" not in values:
         raise ConfigError("experiment.master_seed is required (no wall-clock seeding)")
+    if kind == "d2" and "mode" in values:
+        if values["mode"] not in ("iid", "orbit"):
+            raise ConfigError("d2 mode must be iid (default) or orbit")
+        if values["mode"] == "iid":
+            del values["mode"]  # the default, so iid and an unset mode give one config
     system = dict(parser["system"])
     system_type = system.get("type", "").strip().lower()
     unknown = sorted(set(system) - {"type"} - _SYSTEM_KEYS.get(system_type, set()))
@@ -228,13 +232,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     the library that holds it."""
     if cfg.replicates < 1 or cfg.samples < 0:
         raise ConfigError("replicates must be >= 1 and samples >= 0")
-    if cfg.kind == "d2" and cfg.mode not in ("exact", "iid", "orbit"):
-        raise ConfigError("d2 mode must be iid (default) or orbit")
     if cfg.kind == "diagnostics" and (cfg.r < 2 or cfg.k_max < 1):
         raise ConfigError("diagnostics needs r >= 2 and k_max >= 1")
     if cfg.kind == "returns":
-        if cfg.r < 1 or not cfg.k_list or len(set(cfg.k_list)) < len(cfg.k_list):
-            raise ConfigError("returns needs r >= 1 and a k_list without repeated values")
+        if not cfg.k_list or len(set(cfg.k_list)) < len(cfg.k_list):
+            raise ConfigError("returns needs a non-empty k_list without repeated values")
         if cfg.mode not in ("exact", "empirical"):
             raise ConfigError("returns mode must be exact or empirical")
         if cfg.samples and cfg.mode == "exact":
@@ -262,10 +264,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 raise ValueError(f"{points} correlation points, fewer than {CORRELATION_MIN_POINTS}")
         elif cfg.kind == "diagnostics":
             check_enumeration(system.alphabet_size, min(cfg.k_max, cfg.r - 1))
-        elif cfg.kind == "returns" and cfg.mode == "exact":
-            # only lags below r enumerate words; the largest of them decides
+        elif cfg.kind == "returns":
+            for k in cfg.k_list:
+                check_return_set(cfg.r, k)
+            # only exact lags below r enumerate words; the largest of them decides
             enumerated = [k for k in cfg.k_list if k < cfg.r]
-            if enumerated:
+            if cfg.mode == "exact" and enumerated:
                 check_enumeration(system.alphabet_size, max(enumerated))
     except (ValueError, OrbitRecurError) as exc:
         raise ConfigError(f"{cfg.kind}: {exc}") from None
@@ -330,7 +334,7 @@ def _run_group(cfg: ExperimentConfig, key: int,
             pts = correlation_points_from_orbit(system.orbit(n, seed, cfg.burn_in).points)
         else:
             pts = system.sample(make_rng(seed), n)
-        fit = d2_estimate(correlation_integral(pts, default_r_grid()))
+        fit = d2_estimate(correlation_integral(pts))
         value, aux = fit.slope, fit.stderr
     elif cfg.kind == "h2":
         est = h2_collision_estimate(system, cfg.block_len, n, seed)

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -178,7 +177,6 @@ class MPInduced(IntervalMap):
     sampled Lebesgue on [0, 1/2), and orbits discard 1000 steps by default."""
 
     a: float = 0.5
-    max_steps: int = 1_000_000
     burn_in: ClassVar[int] = 1000
 
     def __post_init__(self):
@@ -189,7 +187,7 @@ class MPInduced(IntervalMap):
         return rng.random(size) * 0.5
 
     def step(self, x: float) -> tuple[float, float]:
-        sample = mp_first_return(self.a, x, self.max_steps)
+        sample = mp_first_return(self.a, x)
         # expansion bound along the excursion: 2^(tau-1) from the affine leg
         # times the derivative of the intermittent branch (>= 1)
         return sample.fx, 2.0 ** max(sample.tau - 1, 0)
@@ -244,17 +242,11 @@ class OrbitBuffer:
         pts.setflags(write=False)
         return pts
 
-    def exact_distance(self, i: int, j: int) -> Fraction:
-        if self.windows is None:
-            raise ValueError("exact distances need an exact orbit")
-        return Fraction(abs(self.windows[i] - self.windows[j]), math.prod(self.radices))
-
 
 @dataclass(frozen=True)
 class FirstReturnSample:
     """One evaluation of the first-return map: F(x) = f^tau(x)."""
 
-    x: float
     fx: float
     tau: int
 
@@ -412,4 +404,4 @@ def mp_first_return(a: float, x: float, max_steps: int = 1_000_000) -> FirstRetu
         tau += 1
         if tau > max_steps:
             raise UnresolvedReturn(f"no return within {max_steps} steps from x={x}")
-    return FirstReturnSample(x, y, tau)
+    return FirstReturnSample(y, tau)

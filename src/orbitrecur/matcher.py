@@ -21,13 +21,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetError
 from .rng import derive_seed
-from .symbolic import (
-    MeasureSpec,
-    SymbolSequence,
-    TransitionSystem,
-    sample_sequence,
-    sample_sequences_batch,
-)
+from .symbolic import MeasureSpec, TransitionSystem, sample_sequence, sample_sequences_batch
 from .tables import CurveRow, check_curve
 from .thermo import renyi_entropy_exact
 
@@ -63,8 +57,6 @@ class MatchResult:
 def _as_symbols(seq) -> np.ndarray:
     """The symbols as int64. ValueError unless they are integers in the
     int64 range: a cast would truncate floats and wrap large uint64 values."""
-    if isinstance(seq, SymbolSequence):
-        return seq.symbols
     arr = np.asarray(seq)
     if arr.size and (arr.dtype.kind not in "iu"
                      or (arr.dtype == np.uint64 and int(arr.max()) >= 1 << 63)):
@@ -110,7 +102,7 @@ def _repeated(keys: np.ndarray, key_bound: int) -> np.ndarray:
 
 def longest_self_match(seq, n: int | None = None) -> MatchResult:
     """M_n by a search on the block length, restricted to start positions
-    below n.
+    below n (default: every symbol of seq).
 
     A k-block repeats among the starts below n only if every shorter block
     does, so the lengths are searched: k = 1, 2, 4, ... until one fails, then
@@ -135,9 +127,9 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     smallest j.
     """
     s = _as_symbols(seq)
-    if n is None:
-        n = seq.n if isinstance(seq, SymbolSequence) else len(s)
     L = len(s)
+    if n is None:
+        n = L
     if n > L:
         raise ValueError(f"n={n} exceeds generated length {L}")
     if n < 2:
@@ -209,9 +201,9 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
 def longest_self_match_bruteforce(seq, n: int | None = None) -> MatchResult:
     """O(n^2 * M) triple-loop oracle with the identical contract."""
     s_arr = _as_symbols(seq)
-    if n is None:
-        n = seq.n if isinstance(seq, SymbolSequence) else len(s_arr)
     L = len(s_arr)
+    if n is None:
+        n = L
     if n > L:
         raise ValueError(f"n={n} exceeds generated length {L}")
     if n < 2:
@@ -275,9 +267,7 @@ class ReturnSetEstimate:
     r: int
     k: int
     value: float
-    method: str  # "exact_markov" | "empirical"
-    sample_count: int = 0
-    stderr: float = 0.0
+    stderr: float = 0.0  # 0 for the exact mass
 
 
 def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
@@ -325,6 +315,12 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
     return float(total[0])
 
 
+def check_return_set(r: int, k: int) -> None:
+    """Raise ValueError unless S_k(r) is defined: r >= 1 and k >= 1."""
+    if r < 1 or k < 1:
+        raise ValueError("need r >= 1 and k >= 1")
+
+
 def check_enumeration(d: int, k: int) -> None:
     """Raise EnumerationBudgetError if the exact mass at lag k < r on d
     symbols would enumerate more than ENUMERATION_CAP k-words."""
@@ -355,11 +351,9 @@ def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
     Empirical mode: frequency of the event over independently sampled paths
     of length r + k.
     """
-    if r < 1 or k < 1:
-        raise ValueError("need r >= 1 and k >= 1")
+    check_return_set(r, k)
     if mode == "exact":
-        value = _exact_return_measure(m, r, k)
-        return ReturnSetEstimate(r, k, value, "exact_markov")
+        return ReturnSetEstimate(r, k, _exact_return_measure(m, r, k))
     if mode == "empirical":
         if samples < 1:
             raise ValueError("samples must be >= 1")
@@ -367,5 +361,5 @@ def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
         ok = np.all(paths[:, k : k + r] == paths[:, :r], axis=1)
         p_hat = float(ok.mean())
         stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-        return ReturnSetEstimate(r, k, p_hat, "empirical", samples, stderr)
+        return ReturnSetEstimate(r, k, p_hat, stderr)
     raise ValueError(f"unknown mode {mode!r}")

@@ -248,9 +248,6 @@ def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = Non
 class ShortReturnEstimate:
     value: float
     stderr: float
-    samples: int
-    n_iter: int
-    eps: float
 
 
 def _short_return_kdoubling(k: int, n_iter: int, eps: float, samples: int,
@@ -288,7 +285,7 @@ def short_return_measure(spec: IntervalMap, n_iter: int, eps: float, samples: in
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if eps >= 1.0:
-        return ShortReturnEstimate(1.0, 0.0, samples, n_iter, eps)
+        return ShortReturnEstimate(1.0, 0.0)
     if isinstance(spec, KDoubling):
         p_hat = _short_return_kdoubling(spec.k, n_iter, eps, samples, seed)
     else:
@@ -302,7 +299,7 @@ def short_return_measure(spec: IntervalMap, n_iter: int, eps: float, samples: in
         good = np.isfinite(x)
         p_hat = float(np.mean(np.abs(x0[good] - x[good]) <= eps))
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return ShortReturnEstimate(p_hat, stderr, samples, n_iter, eps)
+    return ShortReturnEstimate(p_hat, stderr)
 
 
 def _image(spec: IntervalMap, x: float, n_iter: int) -> float:

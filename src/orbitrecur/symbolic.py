@@ -29,7 +29,6 @@ from .rng import make_rng
 __all__ = [
     "TransitionSystem",
     "SystemDiagnostics",
-    "SymbolSequence",
     "MeasureSpec",
     "BernoulliMeasure",
     "MarkovMeasure",
@@ -75,9 +74,6 @@ class TransitionSystem:
     def alphabet_size(self) -> int:
         return self.admissible.shape[0]
 
-    def allows(self, a: int, b: int) -> bool:
-        return bool(self.admissible[a, b])
-
 
 def full_shift(alphabet_size: int) -> TransitionSystem:
     """Full shift on the given alphabet (all transitions admissible)."""
@@ -92,8 +88,6 @@ class SystemDiagnostics:
     strongly_connected: bool
     period: int | None  # gcd of cycle lengths; None when not strongly connected
     mixing: bool  # strongly connected and aperiodic
-    dead_rows: tuple[int, ...]  # symbols with no outgoing edge
-    dead_cols: tuple[int, ...]  # symbols with no incoming edge
 
 
 def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
@@ -133,7 +127,7 @@ def _graph_period(adj: np.ndarray) -> int:
 
 
 def validate_system(ts: TransitionSystem | Sequence) -> SystemDiagnostics:
-    """Strong connectivity, period (gcd of cycle lengths) and dead symbols.
+    """Strong connectivity and period (gcd of cycle lengths).
 
     Rejects non-square or non-0/1 input; mixing means strongly connected
     with period 1.
@@ -142,14 +136,12 @@ def validate_system(ts: TransitionSystem | Sequence) -> SystemDiagnostics:
         ts = TransitionSystem(np.asarray(ts))
     adj = ts.admissible
     d = ts.alphabet_size
-    dead_rows = tuple(int(i) for i in np.flatnonzero(adj.sum(axis=1) == 0))
-    dead_cols = tuple(int(j) for j in np.flatnonzero(adj.sum(axis=0) == 0))
     forward = _reachable(adj, 0)
     backward = _reachable(adj.T, 0)
     connected = bool(forward.all() and backward.all()) and d >= 1
     period = _graph_period(adj) if connected else None
     mixing = connected and period == 1
-    return SystemDiagnostics(d, connected, period, mixing, dead_rows, dead_cols)
+    return SystemDiagnostics(d, connected, period, mixing)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,7 @@ def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
     d = m.alphabet_size
     if any(s < 0 or s >= d for s in sym):
         raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
-    if not all(m.system.allows(a, b) for a, b in zip(sym, sym[1:])):
+    if not all(m.system.admissible[a, b] for a, b in zip(sym, sym[1:])):
         return 0.0
     mk = m.as_markov()
     mass = float(mk.pi[sym[0]])
@@ -417,34 +409,6 @@ def stationary_distribution_exact(P_rows: Sequence[Sequence]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolSequence:
-    """A typical sample path: n statistic symbols plus a generated buffer.
-
-    An int64 array that owns its data and is already read-only is kept as
-    is; anything else is copied and frozen, so a sequence never aliases a
-    caller's writable buffer.
-    """
-
-    symbols: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        sym = self.symbols
-        if not (isinstance(sym, np.ndarray) and sym.dtype == np.int64
-                and sym.flags.owndata and not sym.flags.writeable):
-            object.__setattr__(self, "symbols", _frozen_array(sym, np.int64))
-        if not 1 <= self.n <= len(self.symbols):
-            raise ValueError("declared horizon n must satisfy 1 <= n <= len(symbols)")
-
-    @property
-    def buffer(self) -> int:
-        return len(self.symbols) - self.n
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
 _BLOCK = 256  # draws per block that sample_sequence walks from every state
 
 
@@ -489,8 +453,10 @@ def _walk(cum_P: np.ndarray, start: np.ndarray | int, u: np.ndarray) -> np.ndarr
 
 
 def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
-                    buffer: int = 0, seed: int = 0) -> SymbolSequence:
-    """Sample n + buffer symbols of the stationary chain, reproducibly.
+                    buffer: int = 0, seed: int = 0) -> np.ndarray:
+    """Sample n + buffer symbols of the stationary chain, reproducibly: n
+    statistic symbols and a generated buffer after them, as an int64 array
+    that owns its data and is read-only.
 
     The initial symbol is drawn from pi (weights for Bernoulli), transitions
     from the rows of P. Identical (seed, parameters) give identical output.
@@ -522,7 +488,7 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     out[1 : 1 + full] = blocks[starts, np.arange(len(starts))].ravel()
     out[1 + full :] = tail[state, 0]
     out.setflags(write=False)
-    return SymbolSequence(out, n)
+    return out
 
 
 def sample_sequences_batch(m: MeasureSpec, count: int, length: int, seed: int) -> np.ndarray:

@@ -49,11 +49,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PressureResult:
-    """Log-scale pressure value with the method that produced it."""
+    """Log-scale pressure value, the log of the Perron root."""
 
     value: float
-    method: str  # "spectral_radius" | "periodic_orbit_sum"
-    iterations: int
     flagged: bool = False  # set when the system is not topologically mixing
 
 
@@ -63,7 +61,6 @@ class EntropyResult:
 
     h2: float
     alpha: float
-    method: str  # "closed_form" | "q_matrix" | "pressure_formula"
 
 
 def transfer_matrix(ts: TransitionSystem, potential) -> np.ndarray:
@@ -131,39 +128,30 @@ def _pressure_periodic(M: np.ndarray, start_n: int = 40, tol: float = 1e-10,
         n *= 2
 
 
-def gurevich_pressure(ts: TransitionSystem, potential,
-                      method: str = "spectral_radius") -> PressureResult:
+def gurevich_pressure(ts: TransitionSystem, potential) -> PressureResult:
     """Growth rate of potential-weighted closed-path sums.
 
     For a 2-block potential the n-step sum with fixed start symbol a is
-    (M^n)_aa, so the pressure is log of the Perron root of M. Both the power
-    iteration route and the periodic-orbit (trace) route are computed and must
-    agree within 1e-6. A non-mixing system still yields the
-    spectral radius but the result is flagged.
+    (M^n)_aa, so the pressure is log of the Perron root of M, found by power
+    iteration; that spectral value is returned. On a mixing system the
+    periodic-orbit (trace) route is its cross-check, and the two must agree
+    within 1e-6. A non-mixing system has no such check: its spectral value
+    is returned flagged.
     """
     M = transfer_matrix(ts, potential)
-    diag = validate_system(ts)
-    flagged = not diag.mixing
-    lam, _, _, iters = _perron(M, tol=1e-13, max_iter=100_000)
+    lam, _, _, _ = _perron(M, tol=1e-13)
     if lam <= 0:
         raise InvalidSystemError("transfer matrix has non-positive spectral radius")
     spectral = math.log(lam)
-    if flagged:
-        # closed-path traces vanish along non-multiples of the period, so
-        # only the spectral route is available; result carries the flag
-        if method == "periodic_orbit_sum":
-            raise ValueError("periodic-orbit sums need a topologically mixing system")
-        return PressureResult(spectral, "spectral_radius", iters, True)
-    periodic, n_used = _pressure_periodic(M)
+    if not validate_system(ts).mixing:
+        # closed-path traces vanish along non-multiples of the period
+        return PressureResult(spectral, True)
+    periodic, _ = _pressure_periodic(M)
     if abs(spectral - periodic) > 1e-6:
         raise CrossCheckError(
             f"pressure methods disagree: spectral {spectral!r} vs periodic {periodic!r}"
         )
-    if method == "spectral_radius":
-        return PressureResult(spectral, method, iters, flagged)
-    if method == "periodic_orbit_sum":
-        return PressureResult(periodic, method, n_used, flagged)
-    raise ValueError(f"unknown method {method!r}")
+    return PressureResult(spectral)
 
 
 def renyi_entropy_exact(m: MeasureSpec) -> EntropyResult:
@@ -181,12 +169,12 @@ def renyi_entropy_exact(m: MeasureSpec) -> EntropyResult:
     mk = m.as_markov()
     lam_q, _, _, _ = _perron(mk.P**2, tol=1e-13)
     h2 = {"q_matrix": -math.log(lam_q)}
-    method = "q_matrix"
+    route = "q_matrix"
     if isinstance(m, BernoulliMeasure):
-        method = "closed_form"
-        h2[method] = -math.log(float(np.sum(m.weights**2)))
+        route = "closed_form"
+        h2[route] = -math.log(float(np.sum(m.weights**2)))
     if isinstance(m, GibbsMeasure):
-        ts, phi, method = m.system, m.potential, "pressure_formula"
+        ts, phi, route = m.system, m.potential, "pressure_formula"
     else:
         # the chain's support: m.system may admit pairs where P = 0, on
         # which the potential log P is -inf
@@ -195,12 +183,12 @@ def renyi_entropy_exact(m: MeasureSpec) -> EntropyResult:
             phi = np.log(mk.P)
     p1 = gurevich_pressure(ts, phi).value
     h2["pressure_formula"] = 2.0 * p1 - gurevich_pressure(ts, 2.0 * phi).value
-    for route, value in h2.items():
+    for other, value in h2.items():
         if abs(value - h2["q_matrix"]) > 1e-10:
             raise CrossCheckError(
-                f"entropy routes disagree: q_matrix {h2['q_matrix']!r} vs {route} {value!r}"
+                f"entropy routes disagree: q_matrix {h2['q_matrix']!r} vs {other} {value!r}"
             )
-    return EntropyResult(h2[method], h2[method] / 2.0, method)
+    return EntropyResult(h2[route], h2[route] / 2.0)
 
 
 def z_partition_sum_log(m: MeasureSpec, n: int, t: float) -> float:
@@ -252,7 +240,6 @@ class ZDecayResult:
     """Decay table of Z_k(1) against e^(-2 k alpha)."""
 
     alpha: float
-    rows: tuple[tuple[int, float], ...]  # (k, -log Z_k(1) / (2k))
     ratio_sup: float  # sup_k Z_k(1) e^(2 k alpha)
     ratio_inf: float
 
@@ -263,13 +250,9 @@ def z_decay_check(m: MeasureSpec, k_max: int) -> ZDecayResult:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     alpha = renyi_entropy_exact(m).alpha
-    rows = []
-    ratios = []
-    for k in range(1, k_max + 1):
-        log_z = z_partition_sum_log(m, k, 1.0)
-        rows.append((k, -log_z / (2.0 * k)))
-        ratios.append(math.exp(log_z + 2.0 * k * alpha))
-    return ZDecayResult(alpha, tuple(rows), max(ratios), min(ratios))
+    ratios = [math.exp(z_partition_sum_log(m, k, 1.0) + 2.0 * k * alpha)
+              for k in range(1, k_max + 1)]
+    return ZDecayResult(alpha, max(ratios), min(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +291,13 @@ def _psi_from_power(Pk1: list[list[Fraction]], pi: list[Fraction]) -> Fraction:
     return worst
 
 
-def psi_mixing_table(m: MeasureSpec, k_max: int) -> tuple[list[float], list[float]]:
-    """psi(k) for k = 0..k_max and its monotone envelope sup_{j>=k} psi(j).
+def psi_mixing_table(m: MeasureSpec, k_max: int) -> list[float]:
+    """psi(k) for k = 0..k_max.
 
     Read from the measure's chain (pi, P): the supremum over cylinder pairs
     of the mixing ratio deviation equals max_ab |(P^(k+1))_ab / pi_b - 1|,
     so a Bernoulli table is exactly 0. Computed in exact
-    rational arithmetic (float inputs are binary rationals). The envelope is
-    taken over the computed range only.
+    rational arithmetic (float inputs are binary rationals).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -326,8 +308,5 @@ def psi_mixing_table(m: MeasureSpec, k_max: int) -> tuple[list[float], list[floa
         psi.append(float(_psi_from_power(power, pi)))
         if k < k_max:
             power = _mat_mul(power, P)
-    env = psi[:]
-    for k in range(k_max - 1, -1, -1):
-        env[k] = max(env[k], env[k + 1])
-    return psi, env
+    return psi
 

@@ -105,7 +105,7 @@ class TestSigmaBounds:
         # mu(S_k(r)) <= B^2 Z_r(1) (1 + psi(k-r)) for lags beyond r
         for m in [GOLDEN, UNIFORM]:
             B = quasi_bernoulli_constant(m)
-            psi, _ = psi_mixing_table(m.as_markov(), 8)
+            psi = psi_mixing_table(m.as_markov(), 8)
             for r in (3, 5):
                 z = z_partition_sum(m, r, 1.0)
                 for k in range(r + 1, r + 8):

@@ -207,12 +207,17 @@ class TestConfigParsing:
         # exact returns sample no paths
         SMALL_RETURNS.replace("mode = exact", "mode = exact\nsamples = 2000"),
         SMALL_RETURNS.replace("mode = exact", "mode = empirical\nsamples = -5"),
+        # README lists only iid and orbit for d2
+        SMALL_D2.replace("tolerance = 0.2", "tolerance = 0.2\nmode = exact"),
+        # S_k(r) needs a lag k >= 1
+        SMALL_RETURNS.replace("k_list = 1, 2, 4, 6", "k_list = 0, 2"),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
             "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1",
             "burn_in_negative", "burn_in_kdoubling", "burn_in_affine", "burn_in_d2_iid",
-            "burn_in_match_curve", "returns_exact_samples", "returns_negative_samples"])
+            "burn_in_match_curve", "returns_exact_samples", "returns_negative_samples",
+            "d2_mode_exact", "returns_lag_0"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):
@@ -896,3 +901,14 @@ class TestD2OrbitMode:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             expcli.parse_config_text(SMALL_D2.replace("tolerance = 0.2", "mode = banana"))
+
+    def test_iid_mode_is_the_unset_mode(self, tmp_path):
+        # the default written out is the same config: one digest, one record
+        unset = expcli.parse_config_text(SMALL_D2)
+        iid = expcli.parse_config_text(SMALL_D2.replace("tolerance = 0.2", "tolerance = 0.2\nmode = iid"))
+        assert dataclasses.replace(iid, raw_text="") == dataclasses.replace(unset, raw_text="")
+        assert iid.digest() == unset.digest()
+        for name, cfg in (("unset", unset), ("iid", iid)):
+            expcli.run(cfg, tmp_path / name)
+        assert ((tmp_path / "iid" / "results.csv").read_bytes()
+                == (tmp_path / "unset" / "results.csv").read_bytes())

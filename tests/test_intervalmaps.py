@@ -42,7 +42,7 @@ def branch_digit(spec, x: float) -> int:
     if isinstance(spec, PiecewiseAffine):
         return affine_branch(spec, x)
     if isinstance(spec, MPInduced):
-        return mp_first_return(spec.a, x, spec.max_steps).tau
+        return mp_first_return(spec.a, x).tau
     if isinstance(spec, KDoubling):
         return math.floor(spec.k * x)
     return round(1.0 / x - spec.step(x)[0])
@@ -64,13 +64,13 @@ class TestDoublingOrbitExact:
     def test_alternating_bits_windows(self):
         orb = doubling_orbit_exact(2, 2, 6, digits=[0, 1] * 10, enforce_floor=False)
         assert orb.windows == (0b010101, 0b101010)
-        assert orb.exact_distance(0, 1) == Fraction(21, 64)
+        assert Fraction(abs(orb.windows[0] - orb.windows[1]), 2**6) == Fraction(21, 64)
         assert orb.points[0] == 21 / 64 and orb.points[1] == 42 / 64
 
     def test_constant_zero_bits(self):
         orb = doubling_orbit_exact(2, 5, 8, digits=[0] * 32, enforce_floor=False)
         assert all(w == 0 for w in orb.windows)
-        assert orb.exact_distance(0, 4) == 0
+        assert Fraction(abs(orb.windows[0] - orb.windows[4]), 2**8) == 0
 
     def test_uniform_mean(self):
         orb = doubling_orbit_exact(2, 10**4, min_window_digits(2, 10**4), seed=12)

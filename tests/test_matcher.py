@@ -172,11 +172,11 @@ class TestLongestSelfMatch:
         seq = sample_sequence(GOLDEN, None, 200_000, 100, seed=3)
         tracemalloc.start()
         try:
-            longest_self_match(seq)
+            longest_self_match(seq, 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * len(seq.symbols)
+        assert peak < 5 * 8 * len(seq)
 
 
 def _periodic(period, length):

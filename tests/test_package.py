@@ -35,3 +35,31 @@ def test_every_all_entry_resolves():
                for entry in getattr(module, "__all__", ())
                if not hasattr(module, entry)]
     assert missing == []
+
+
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def test_bench_oracle_imports_resolve():
+    # bench/ sits outside testpaths: an API deletion it relies on fails here
+    imports = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(ORACLE.read_text(), filename=str(ORACLE)))
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "orbitrecur"
+               for alias in node.names]
+    assert imports
+    missing = [(module, name) for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_bench_oracle_sampling_contract():
+    # bench/oracle.py's call: sample_sequence(m, None, n, buffer, seed), then
+    # the brute-force M_n over its first n starts
+    from orbitrecur import longest_self_match, longest_self_match_bruteforce, sample_sequence
+    from orbitrecur.symbolic import MarkovMeasure
+
+    m = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
+    n, buffer = 60, 9
+    seq = sample_sequence(m, None, n, buffer, 5)
+    assert len(seq) == n + buffer and seq.dtype.kind == "i" and not seq.flags.writeable
+    assert longest_self_match_bruteforce(seq, n) == longest_self_match(seq, n)

@@ -269,7 +269,7 @@ class TestDyadicCrossCheck:
         res = longest_self_match(digits, 390)
         i, j = res.witness_i, res.witness_j
         b = min(res.m_n, W)
-        assert float(orb.exact_distance(i, j)) < 2.0 ** (1 - b)
+        assert abs(orb.windows[i] - orb.windows[j]) / 2**W < 2.0 ** (1 - b)
 
 
 class TestShortReturns:

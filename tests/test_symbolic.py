@@ -51,7 +51,6 @@ class TestValidateSystem:
 
     def test_dead_symbols_reported(self):
         diag = validate_system([[1, 0], [1, 0]])
-        assert diag.dead_cols == (1,)
         assert not diag.strongly_connected and diag.period is None
 
     def test_rejects_non_square(self):
@@ -101,7 +100,7 @@ class TestCylinderMeasure:
                 kids = sum(
                     cylinder_measure(measure, w + (b,))
                     for b in range(d)
-                    if measure.system.allows(w[-1], b)
+                    if measure.system.admissible[w[-1], b]
                 )
                 assert abs(kids - parent) <= 1e-12
 
@@ -114,7 +113,7 @@ class TestCylinderMeasure:
                 extended = sum(
                     cylinder_measure(measure, (a,) + w)
                     for a in range(d)
-                    if measure.system.allows(a, w[0])
+                    if measure.system.admissible[a, w[0]]
                 )
                 assert abs(extended - mass) <= 1e-12
 
@@ -209,25 +208,25 @@ class TestMeasureValidation:
 class TestSampling:
     def test_degenerate_weights_constant_sequence(self):
         seq = sample_sequence(BernoulliMeasure([1.0, 0.0]), None, 50, 0, seed=9)
-        assert np.all(seq.symbols == 0)
+        assert np.all(seq == 0)
 
     def test_seed_determinism(self):
         m = golden_markov()
         a = sample_sequence(m, None, 500, 25, seed=1234)
         b = sample_sequence(m, None, 500, 25, seed=1234)
-        assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(a, b)
         c = sample_sequence(m, None, 500, 25, seed=1235)
-        assert not np.array_equal(a.symbols, c.symbols)
+        assert not np.array_equal(a, c)
 
     def test_one_block_frequencies(self):
         m = golden_markov()
         seq = sample_sequence(m, None, 10**6, 0, seed=7)
-        freq = np.bincount(seq.symbols, minlength=2) / len(seq.symbols)
+        freq = np.bincount(seq, minlength=2) / len(seq)
         assert np.max(np.abs(freq - m.pi)) < 3e-3  # CLT scale 3/sqrt(n)
 
     def test_sampled_pairs_admissible(self):
         m = golden_markov()
-        seq = sample_sequence(m, None, 20000, 0, seed=3).symbols
+        seq = sample_sequence(m, None, 20000, 0, seed=3)
         pairs = set(zip(seq[:-1].tolist(), seq[1:].tolist()))
         assert (0, 0) not in pairs
 
@@ -245,25 +244,12 @@ class TestSampling:
 
     def test_buffer_length(self):
         seq = sample_sequence(BernoulliMeasure([0.5, 0.5]), None, 100, 17, seed=0)
-        assert len(seq) == 117 and seq.n == 100 and seq.buffer == 17
+        assert len(seq) == 117
 
-    def test_caller_buffers_copied_frozen_arrays_adopted(self):
-        m = BernoulliMeasure([0.5, 0.5])
-        for given in (np.array([0, 1, 1, 0], dtype=np.int64), [0, 1, 1, 0],
-                      np.array([0, 1, 1, 0], dtype=np.int32),
-                      np.array([9, 0, 1, 1, 0], dtype=np.int64)[1:]):
-            seq = symbolic.SymbolSequence(given, 4)
-            assert seq.symbols is not given and not seq.symbols.flags.writeable
-            if isinstance(given, np.ndarray):
-                assert given.flags.writeable
-                given[0] = 1  # the caller's buffer stays theirs
-            assert seq.symbols.tolist() == [0, 1, 1, 0]
-        frozen = np.array([0, 1, 1, 0], dtype=np.int64)
-        frozen.setflags(write=False)
-        assert symbolic.SymbolSequence(frozen, 4).symbols is frozen
-        for measure in (m, golden_markov()):
-            sym = sample_sequence(measure, None, 50, 5, seed=4).symbols
-            assert sym.flags.owndata and not sym.flags.writeable
+    def test_samples_own_frozen_int64(self):
+        for measure in (BernoulliMeasure([0.5, 0.5]), golden_markov()):
+            sym = sample_sequence(measure, None, 50, 5, seed=4)
+            assert sym.dtype == np.int64 and sym.flags.owndata and not sym.flags.writeable
 
 
 def whole_list_markov_path(m, u):
@@ -322,13 +308,13 @@ class TestChunkedMarkovSampling:
         # the first block, so blocks cover draws 1-7, 8-14, ...
         for total in (1, 2, 7, 8, 9, 14, 15, 16, 50):
             for seed in (0, 31):
-                got = sample_sequence(m, None, total, 0, seed=seed).symbols
+                got = sample_sequence(m, None, total, 0, seed=seed)
                 assert np.array_equal(got, whole_list_markov_sample(m, total, seed)), (d, total)
 
     def test_default_chunks_match_whole_list(self):
         m = golden_markov()
         n, buffer = 512 * symbolic._BLOCK, 3
-        got = sample_sequence(m, None, n, buffer, seed=2026).symbols
+        got = sample_sequence(m, None, n, buffer, seed=2026)
         assert np.array_equal(got, whole_list_markov_sample(m, n + buffer, 2026))
 
     @pytest.mark.parametrize("d", list(SAMPLED))

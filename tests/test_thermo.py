@@ -61,9 +61,9 @@ class TestGurevichPressure:
             m = random_markov(seed, d)
             with np.errstate(divide="ignore"):
                 phi = np.log(m.P)
-            a = gurevich_pressure(m.system, phi, "spectral_radius")
-            b = gurevich_pressure(m.system, phi, "periodic_orbit_sum")
-            assert abs(a.value - b.value) < 1e-8
+            spectral = gurevich_pressure(m.system, phi).value
+            periodic, _ = _pressure_periodic(transfer_matrix(m.system, phi))
+            assert abs(spectral - periodic) < 1e-8
 
     def test_non_mixing_flagged(self):
         res = gurevich_pressure(TransitionSystem([[0, 1], [1, 0]]), np.zeros((2, 2)))
@@ -186,31 +186,28 @@ class TestZDecay:
     def test_golden_band_bounded(self):
         res = z_decay_check(GOLDEN, 40)
         assert res.ratio_sup / res.ratio_inf < 10.0
-        assert res.rows[-1][0] == 40
 
 
 class TestPsiMixing:
     def test_uniform_chain_zero(self):
         m = MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
-        psi, env = psi_mixing_table(m, 10)
-        assert max(psi) == 0.0 and max(env) == 0.0
+        assert max(psi_mixing_table(m, 10)) == 0.0
 
     def test_golden_value_at_one(self):
-        assert psi_mixing_table(GOLDEN, 1)[0][1] == 0.5
+        assert psi_mixing_table(GOLDEN, 1)[1] == 0.5
 
     def test_golden_exact_rate(self):
-        psi, env = psi_mixing_table(GOLDEN, 30)
+        psi = psi_mixing_table(GOLDEN, 30)
         for k in range(31):
             assert psi[k] * 2.0**k == 1.0
-        assert all(a >= b for a, b in zip(env, env[1:]))
 
     def test_bernoulli_and_gibbs_read_through_their_chain(self):
         b = BernoulliMeasure([0.2, 0.3, 0.5])
-        assert psi_mixing_table(b, 6) == psi_mixing_table(b.as_markov(), 6) == ([0.0] * 7, [0.0] * 7)
+        assert psi_mixing_table(b, 6) == psi_mixing_table(b.as_markov(), 6) == [0.0] * 7
         ts = TransitionSystem([[0, 1], [1, 1]])
         g = GibbsMeasure(np.where(ts.admissible == 1, [[0.0, 0.4], [-0.2, 0.1]], -np.inf), ts)
-        psi, env = psi_mixing_table(g, 6)
-        assert (psi, env) == psi_mixing_table(g.as_markov(), 6)
+        psi = psi_mixing_table(g, 6)
+        assert psi == psi_mixing_table(g.as_markov(), 6)
         assert psi[1] > 0.0
 
     @pytest.mark.parametrize("measure", [
@@ -237,7 +234,7 @@ class TestPsiMixing:
                     for gap in itertools.product(range(d), repeat=k):
                         joint += cylinder_measure(measure, e + gap + f)
                     worst = max(worst, abs(joint / (mu_e * mu_f) - 1.0))
-        assert abs(psi_mixing_table(measure, k)[0][k] - worst) < 1e-12
+        assert abs(psi_mixing_table(measure, k)[k] - worst) < 1e-12
 
     def test_entropy_formula_nonnegative(self):
         # 2 P(phi) - P(2 phi) >= 0 across the suite
