@@ -54,7 +54,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - ym) ** 2))
-    stderr = math.sqrt(max(ss_res, 0.0) / (m - 2) / sxx) if m > 2 else 0.0
+    stderr = math.sqrt(max(ss_res, 0.0) / (m - 2) / sxx)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(slope, stderr, r2)
 

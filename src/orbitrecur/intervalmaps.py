@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -276,38 +277,36 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     if window_bits < 1:
         raise ValueError("window_bits must be >= 1")
     W = window_bits
+    # level[i] holds the value of digits [i, i + w), starting at w = 1
     if digits is None:
-        digit_arr = make_rng(seed).integers(0, k, size=n + W)
+        level = make_rng(seed).integers(0, k, size=n + W)
     else:
         digit_list = [int(d) for d in digits]
         if len(digit_list) < n + W:
             raise ValueError(f"need at least n + W = {n + W} digits")
         if any(d < 0 or d >= k for d in digit_list):
             raise ValueError("digits out of range")
-        digit_arr = np.array(digit_list, dtype=np.int64)
+        level = np.array(digit_list, dtype=np.int64)
     widths = _limb_widths(k, W)
-    # Horner passes over shifted slices, g digits at a time: pack[i] holds
-    # the value of digits [i, i + g), so a limb of L digits takes about
-    # L / g + g passes instead of L
-    g = math.isqrt(widths[0])
-    span = n + W - g + 1
-    pack = digit_arr[:span].astype(np.int64)
-    for t in range(1, g):
-        pack *= k
-        pack += digit_arr[t : t + span]
-    limbs = []
-    start = 0
-    for width in widths:
-        limb = np.zeros(n, dtype=np.int64)
-        packed = width - width % g
-        for t in range(start, start + packed, g):
-            limb *= k**g
-            limb += pack[t : t + n]
-        for t in range(start + packed, start + width):
-            limb *= k
-            limb += digit_arr[t : t + n]
-        limbs.append(limb)
-        start += width
+    # Window doubling: level 2w is level w times k^w plus level w shifted by
+    # w, and replaces it. A limb of L digits is read from its most
+    # significant digit on, one piece from each level w in the binary form
+    # of L, smallest first.
+    limbs = [np.zeros(n, dtype=np.int64) for _ in widths]
+    pos = list(itertools.accumulate(widths, initial=0))
+    w = 1
+    while True:
+        for c, width in enumerate(widths):
+            if width & w:
+                limbs[c] *= k**w
+                limbs[c] += level[pos[c] : pos[c] + n]
+                pos[c] += w
+        if 2 * w > widths[0]:
+            break
+        nxt = level[: len(level) - w] * k**w
+        nxt += level[w:]
+        level = nxt
+        w *= 2
     return OrbitBuffer(tuple(limbs), tuple(k**width for width in widths))
 
 

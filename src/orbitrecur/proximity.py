@@ -6,7 +6,9 @@ first n orbit points. Variants restrict the index gap: "near" keeps
 "split" keeps i <= floor(n/3), j >= ceil(2n/3). Every orbit arrives as
 one OrbitBuffer of sort keys: exact base-k orbits give exact distances;
 floating orbits carry a noise floor and readings within 2^6 of it are
-flagged.
+flagged. Every variant is an offset scan over the keys; "all" scans only
+the few points whose leading key ends a least gap of the sorted leading
+keys.
 """
 
 from __future__ import annotations
@@ -136,6 +138,25 @@ def _value_order(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     return order
 
 
+def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Indices, ascending, of the points that can end the closest pair of
+    value neighbours: every point whose leading key ends a row of the
+    sorted leading keys whose gap is within `slack` of the least one.
+
+    With one key the leading gap is the gap, and the slack is 0. Later limbs
+    move a gap by less than one unit of the leading limb, so with several
+    no row beyond the least leading gap + 1 holds the least gap. Two
+    candidates adjacent only among the candidates straddle a point that is
+    not one, so their gap exceeds such a row's: the candidates hold the
+    least gap and all its ties, as neighbours.
+    """
+    v = np.sort(keys[0])
+    d0 = v[1:] - v[:-1]
+    slack = 1 if len(keys) > 1 else 0
+    near = d0 <= d0.min() + slack
+    return np.flatnonzero(np.isin(keys[0], np.concatenate((v[:-1][near], v[1:][near]))))
+
+
 def _offset_scan(keys, radices, perm, offsets, admissible=None, stop=False):
     """Least gap over the pairs (perm[t], perm[t + s]) of each offset s, with
     the smallest (i, j) on ties; None when no pair is admissible.
@@ -175,11 +196,12 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
 
     `orbit` is an OrbitBuffer, or any sequence of points (a floating orbit
     with no noise floor). Every variant runs one offset scan over the
-    orbit's sort keys: "all" pairs the neighbours of the value-sorted orbit;
-    "near" pairs index offsets 1 to alpha directly; "far" and "split" pair
-    ever larger rank offsets of the sorted orbit, keep the pairs their index
-    rule admits, and stop once a whole offset lies beyond the best
-    admissible gap. Exact orbits are compared limb by limb (see
+    orbit's sort keys: "all" pairs the value neighbours among the few
+    points that a sort of the leading key alone leaves as candidates (see
+    _candidates); "near" pairs index offsets 1 to alpha directly; "far" and
+    "split" pair ever larger rank offsets of the sorted orbit, keep the
+    pairs their index rule admits, and stop once a whole offset lies beyond
+    the best admissible gap. Exact orbits are compared limb by limb (see
     OrbitBuffer), so every distance stays exact. Brute force remains the
     arbiter in tests.
     """
@@ -190,7 +212,10 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
     if variant == "all":
-        got = _offset_scan(keys, radices, _value_order(keys), (1,))
+        idx = _candidates(keys)
+        sub = tuple(key[idx] for key in keys)
+        gap, i, j = _offset_scan(sub, radices, _value_order(sub), (1,))
+        got = gap, int(idx[i]), int(idx[j])
     elif variant == "near":
         got = _offset_scan(keys, radices, np.arange(n), range(1, min(alpha, n - 1) + 1))
     elif variant == "far" and alpha >= n - 1:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,93 @@ class TestBruteforceAgreement:
             a = closest_pair(pts, variant, alpha=2)
             b = closest_pair_bruteforce(pts, variant, alpha=2)
             assert (a.value, a.witness_i, a.witness_j) == (b.value, b.witness_i, b.witness_j)
+
+
+def agrees_all(pts):
+    a = closest_pair(pts, "all")
+    b = closest_pair_bruteforce(pts, "all")
+    assert (a.value, a.witness_i, a.witness_j, a.exact) == \
+        (b.value, b.witness_i, b.witness_j, b.exact)
+    return a
+
+
+class TestAllCandidates:
+    """The "all" variant scans only the points that end a least leading-key
+    gap (within one unit for exact orbits of several limbs)."""
+
+    def test_two_points(self):
+        res = agrees_all([0.75, 0.25])
+        assert (res.value, res.witness_i, res.witness_j) == (0.5, 0, 1)
+
+    def test_all_points_equal(self):
+        res = agrees_all([0.375] * 9)
+        assert (res.value, res.witness_i, res.witness_j) == (0.0, 0, 1)
+
+    def test_duplicates_among_near_equal_values(self):
+        rng = make_rng(5)
+        base = np.array([0.25, 0.25 + 2.0**-40, 0.25 - 2.0**-41, 0.5, 0.5 + 2.0**-40])
+        for _ in range(20):
+            agrees_all(rng.choice(base, size=int(rng.integers(2, 40))))
+        agrees_all([0.25, 0.25 + 2.0**-40, 0.5, 0.25 + 2.0**-40, 0.5 + 2.0**-40, 0.5])
+
+    def test_tied_pairs_far_apart(self, monkeypatch):
+        # gaps of exactly 2^-10 at 1/8 and at 1/2, with 0.3 between them: the
+        # candidates (1/8 + 2^-10, 1/2) are neighbours only among themselves
+        d = 2.0**-10
+        seen = []
+        scan = proximity._offset_scan
+
+        def spy(keys, *args, **kwargs):
+            seen.append(keys[0].tolist())
+            return scan(keys, *args, **kwargs)
+
+        monkeypatch.setattr(proximity, "_offset_scan", spy)
+        for pts, witness in (([0.5, 0.3, 0.125 + d, 0.7, 0.5 + d, 0.125], (0, 4)),
+                             ([0.125, 0.3, 0.5 + d, 0.7, 0.125 + d, 0.5], (0, 4)),
+                             ([0.7, 0.125 + d, 0.5, 0.3, 0.125, 0.5 + d], (1, 4))):
+            res = agrees_all(pts)
+            assert (res.value, res.witness_i, res.witness_j) == (d, *witness)
+        assert all(sorted(keys) == [0.125, 0.125 + d, 0.5, 0.5 + d] for keys in seen)
+
+    def test_later_limb_decides(self):
+        # windows 0, 50, 59, 60 as limbs (leading, last digit): the least
+        # leading gap, 0 between 50 and 59, is not the least gap, 1
+        from orbitrecur.intervalmaps import OrbitBuffer
+
+        orb = OrbitBuffer((np.array([0, 5, 5, 6]), np.array([0, 0, 9, 0])), (10, 10))
+        res = agrees_all(orb)
+        assert (res.exact, res.witness_i, res.witness_j) == (Fraction(1, 100), 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.5 + 2.0**-52, 0.5 - 2.0**-53, 0.75]),
+                              st.floats(0.0, 1.0)), min_size=2, max_size=60))
+    def test_against_bruteforce(self, pts):
+        agrees_all(pts)
+
+    def test_scan_sees_few_points(self, monkeypatch):
+        n = 10_000
+        W = min_window_digits(2, n)
+        orb = doubling_orbit_exact(2, n, W, seed=3)
+        unpatched = {v: closest_pair(orb, v) for v in ("far", "split")}
+        sizes = []
+        scan = proximity._offset_scan
+
+        def spy(keys, *args, **kwargs):
+            sizes.append(len(keys[0]))
+            return scan(keys, *args, **kwargs)
+
+        monkeypatch.setattr(proximity, "_offset_scan", spy)
+        res = closest_pair(orb, "all")
+        assert 2 <= sizes[0] <= 8
+        # the least gap between value neighbours, smallest pair on ties, from
+        # the window integers
+        order = sorted(range(n), key=lambda t: (orb.windows[t], t))
+        gap, i, j = min((orb.windows[b] - orb.windows[a], min(a, b), max(a, b))
+                        for a, b in zip(order, order[1:]))
+        assert (res.exact * 2**W, res.witness_i, res.witness_j) == (gap, i, j)
+        for variant, expected in unpatched.items():
+            assert closest_pair(orb, variant) == expected
+        assert sizes[1:] == [n, n]
 
 
 def python_int_orbit(k, W, digits, n):
