@@ -6,9 +6,10 @@ first n orbit points. Variants restrict the index gap: "near" keeps
 "split" keeps i <= floor(n/3), j >= ceil(2n/3). Every orbit arrives as
 one OrbitBuffer of sort keys: exact base-k orbits give exact distances;
 floating orbits carry a noise floor and readings within 2^6 of it are
-flagged. Every variant is an offset scan over the keys; "all" scans only
-the few points whose leading key ends a least gap of the sorted leading
-keys.
+flagged. Every variant is one offset scan along the value order of the
+keys: "near", "far" and "split" stop once a whole offset lies beyond the
+best admissible gap; "all" scans only the few points whose leading key
+ends a least gap of the sorted leading keys.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class ProximityResult:
     value: float
     witness_i: int
     witness_j: int
-    variant: str
     below_floor: bool = False
     exact: Fraction | None = None
 
@@ -59,15 +59,12 @@ def alpha_of(n: int) -> int:
     return max(1, int(math.floor(math.log(n) ** 2 + 0.5)))
 
 
-def _variant_minlen(variant: str) -> int:
+def curve_min_n(variant: str) -> int:
+    """Fewest points a variant needs: 3 for "split", and for "far", as
+    alpha_of(2) = 1; 2 otherwise."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return 3 if variant == "split" else 2
-
-
-def curve_min_n(variant: str) -> int:
-    """Fewest points of a proximity_curve cell; 3 for "far", as alpha_of(2) = 1."""
-    return 3 if variant == "far" else _variant_minlen(variant)
+    return 3 if variant in ("far", "split") else 2
 
 
 def _as_orbit(orbit) -> OrbitBuffer:
@@ -78,12 +75,12 @@ def _as_orbit(orbit) -> OrbitBuffer:
     return OrbitBuffer((np.array([float(v) for v in orbit], dtype=np.float64),))
 
 
-def _to_result(orbit: OrbitBuffer, gap, i: int, j: int, variant: str) -> ProximityResult:
+def _to_result(orbit: OrbitBuffer, gap, i: int, j: int) -> ProximityResult:
     exact = Fraction(int(gap), math.prod(orbit.radices)) if orbit.radices else None
     value = float(gap if exact is None else exact)
     floor = orbit.noise_floor
     below = floor > 0.0 and value < FLOOR_REJECT_FACTOR * floor
-    return ProximityResult(value, i, j, variant, below, exact)
+    return ProximityResult(value, i, j, below, exact)
 
 
 def _carry(diffs: list[np.ndarray], radices) -> None:
@@ -127,17 +124,6 @@ def _join(limbs: list, radices):
     return value
 
 
-def _value_order(keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Indices sorting the points by value, ties by index. A sort on the
-    first limb alone is unique when that limb has no ties; otherwise a
-    stable sort on all limbs decides."""
-    order = np.argsort(keys[0])
-    lead = keys[0][order]
-    if np.any(lead[1:] == lead[:-1]):
-        order = np.lexsort(keys[::-1])
-    return order
-
-
 def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     """Indices, ascending, of the points that can end the closest pair of
     value neighbours: every point whose leading key ends a row of the
@@ -157,21 +143,29 @@ def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.flatnonzero(np.isin(keys[0], np.concatenate((v[:-1][near], v[1:][near]))))
 
 
-def _offset_scan(keys, radices, perm, offsets, admissible=None, stop=False):
-    """Least gap over the pairs (perm[t], perm[t + s]) of each offset s, with
-    the smallest (i, j) on ties; None when no pair is admissible.
+def _offset_scan(keys, radices, offsets, admissible=None):
+    """Least gap over the pairs of points s places apart in the value order
+    (ties by index), for each offset s, with the smallest (i, j) on ties;
+    None when no pair is admissible.
 
     `admissible(i, j)`, given index arrays with i < j, masks the pairs a
-    variant allows. With `stop`, perm must sort the points by value: each
-    pair's gap then grows with s, so the scan ends at the first offset
-    whose least gap over all its pairs exceeds the best admissible one.
+    variant allows. A pair s places apart spans the pairs between, so the
+    least gap of an offset never falls as s grows: the scan ends at the
+    first offset whose least gap over all its pairs exceeds the best
+    admissible one (strictly, so that ties at larger offsets are kept).
     """
+    # a sort on the first limb alone is unique when that limb has no ties;
+    # otherwise a stable sort on all limbs decides
+    perm = np.argsort(keys[0])
+    lead = keys[0][perm]
+    if np.any(lead[1:] == lead[:-1]):
+        perm = np.lexsort(keys[::-1])
     ranked = [key[perm] for key in keys]
     best = None  # (limb values, i, j): one comparison orders gaps, then ties
     for s in offsets:
         gaps = _abs_gaps([r[s:] for r in ranked], [r[:-s] for r in ranked], radices)
         rows = _min_rows(gaps)
-        if stop and best is not None and [g[rows[0]].item() for g in gaps] > best[0]:
+        if best is not None and [g[rows[0]].item() for g in gaps] > best[0]:
             break
         if admissible is not None:
             a, b = perm[:-s], perm[s:]
@@ -195,45 +189,38 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
     """Minimum distance between two iterates under the variant's index rule.
 
     `orbit` is an OrbitBuffer, or any sequence of points (a floating orbit
-    with no noise floor). Every variant runs one offset scan over the
-    orbit's sort keys: "all" pairs the value neighbours among the few
-    points that a sort of the leading key alone leaves as candidates (see
-    _candidates); "near" pairs index offsets 1 to alpha directly; "far" and
-    "split" pair ever larger rank offsets of the sorted orbit, keep the
-    pairs their index rule admits, and stop once a whole offset lies beyond
-    the best admissible gap. Exact orbits are compared limb by limb (see
-    OrbitBuffer), so every distance stays exact. Brute force remains the
-    arbiter in tests.
+    with no noise floor). Every variant runs one offset scan along the value
+    order of the orbit's sort keys: "all" pairs the value neighbours among
+    the few points that a sort of the leading key alone leaves as candidates
+    (see _candidates); "near", "far" and "split" pair ever larger rank
+    offsets of the whole orbit, keep the pairs their index rule admits, and
+    stop once a whole offset lies beyond the best admissible gap. Exact
+    orbits are compared limb by limb (see OrbitBuffer), so every distance
+    stays exact. Brute force remains the arbiter in tests.
     """
     orbit = _as_orbit(orbit)
     keys, radices, n = orbit.keys, orbit.radices, len(orbit)
-    if n < _variant_minlen(variant):
-        raise ValueError(f"variant {variant!r} needs at least {_variant_minlen(variant)} points")
+    if n < curve_min_n(variant):
+        raise ValueError(f"variant {variant!r} needs at least {curve_min_n(variant)} points")
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
     if variant == "all":
         idx = _candidates(keys)
-        sub = tuple(key[idx] for key in keys)
-        gap, i, j = _offset_scan(sub, radices, _value_order(sub), (1,))
+        gap, i, j = _offset_scan(tuple(key[idx] for key in keys), radices, (1,))
         got = gap, int(idx[i]), int(idx[j])
-    elif variant == "near":
-        got = _offset_scan(keys, radices, np.arange(n), range(1, min(alpha, n - 1) + 1))
-    elif variant == "far" and alpha >= n - 1:
-        got = None  # no index gap exceeds alpha
+    elif variant == "near" and alpha < 1 or variant == "far" and alpha >= n - 1:
+        got = None  # no index gap is admitted
     else:
-        if variant == "far":
-            def admissible(i, j):
-                return j - i > alpha
-        else:
-            lo_cut, hi_cut = n // 3, math.ceil(2 * n / 3)
-
-            def admissible(i, j):
-                return (i <= lo_cut) & (j >= hi_cut)
-        got = _offset_scan(keys, radices, _value_order(keys), range(1, n), admissible, stop=True)
+        admissible = {
+            "near": lambda i, j: j - i <= alpha,
+            "far": lambda i, j: j - i > alpha,
+            "split": lambda i, j: (i <= n // 3) & (j >= math.ceil(2 * n / 3)),
+        }[variant]
+        got = _offset_scan(keys, radices, range(1, n), admissible)
     if got is None:
         raise ValueError(f"no admissible pair for variant {variant!r}")
     gap, i, j = got
-    return _to_result(orbit, gap, i, j, variant)
+    return _to_result(orbit, gap, i, j)
 
 
 def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = None) -> ProximityResult:
@@ -242,8 +229,8 @@ def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = Non
     (i, j) order, so that the first least gap is the smallest pair on ties."""
     orbit = _as_orbit(orbit)
     n = len(orbit)
-    if n < _variant_minlen(variant):
-        raise ValueError(f"variant {variant!r} needs at least {_variant_minlen(variant)} points")
+    if n < curve_min_n(variant):
+        raise ValueError(f"variant {variant!r} needs at least {curve_min_n(variant)} points")
     if alpha is None:
         alpha = alpha_of(n) if variant in ("near", "far") else 0
     i, j = np.triu_indices(n, 1)
@@ -261,7 +248,7 @@ def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = Non
     values = orbit.points if orbit.windows is None else np.array(orbit.windows, dtype=object)
     gaps = np.abs(values[i] - values[j])
     t = int(np.argmin(gaps))
-    return _to_result(orbit, gaps[t], int(i[t]), int(j[t]), variant)
+    return _to_result(orbit, gaps[t], int(i[t]), int(j[t]))
 
 
 # ---------------------------------------------------------------------------

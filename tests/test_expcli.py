@@ -25,6 +25,8 @@ PINNED_CONFIGS = {
     "d2_orbit": SMALL_D2_ORBIT,
     "proximity_gauss": SMALL_PROX_GAUSS,
     "proximity_gauss_far": SMALL_PROX_GAUSS.replace("min_grid_points", "variant = far\nmin_grid_points"),
+    "proximity_near": SMALL_PROX.replace("min_grid_points", "variant = near\nmin_grid_points"),
+    "proximity_gauss_near": SMALL_PROX_GAUSS.replace("min_grid_points", "variant = near\nmin_grid_points"),
     "proximity_mp_induced": SMALL_PROX.replace("type = kdoubling\nk = 2", "type = mp_induced"),
     "proximity_affine": SMALL_PROX.replace("type = kdoubling\nk = 2", "type = affine"),
     "d2_mp_induced": SMALL_D2.replace("type = gauss", "type = mp_induced"),
@@ -89,6 +91,16 @@ RECORD_SHA256 = {
         "04273d2f170080697eb1cce3ef7ef14f48abfcbaa873949a49b1ba9189833b4c",
         "d72f8bcedf046296c1bd145e80dddba60804f413b6c3b0c394072cf67b9d3280",
         "640d7000d1a8ce327ea942acf967a1de62fd2ffb0cd20e88ed6f39b996fb74b0",
+    ),
+    "proximity_near": (
+        "2983dc329f3fb07902ad62cc1d969a62286d3889e78fa30cb88c272df7f89728",
+        "5816f85d419b7566d473f0875fe633a3c48b929772873b034edbfa236fa12449",
+        "25d933bbdf70c1ade8f6edc3a12ee5808423c0c0d18e14a7f10396d203562cb7",
+    ),
+    "proximity_gauss_near": (
+        "33312ca2a72c0383992a9be6a732fbaf8c981358d7c60f7f05e1af648fcb9e5f",
+        "f4d496b440883928880b434609b6668d56c81417c4070ea2509972d0a4996075",
+        "9eef7cb47e8861c378990da8fb82ed4b92399e8731c488eb8da93d3a69b1bb63",
     ),
     "proximity_mp_induced": (
         "49c7a0c944ce9e08c885b913f6fb58e1631dafbeda4c5289d57abf6fda0e286e",

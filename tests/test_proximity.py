@@ -50,6 +50,8 @@ class TestClosestPairExamples:
             closest_pair([0.1], "all")
         with pytest.raises(ValueError):
             closest_pair([0.1, 0.2], "split")
+        with pytest.raises(ValueError, match="at least 3 points"):
+            closest_pair([0.1, 0.2], "far", alpha=0)
 
 
 class TestAlpha:
@@ -258,8 +260,9 @@ def rank_offset(values, i, j):
 
 
 class TestRankOffsets:
-    """Answers of the "far" and "split" variants beyond rank offset 1. Each
-    exact orbit is checked, and its float points (exact: W <= 52 bits)."""
+    """Answers of the "near", "far" and "split" variants beyond rank offset
+    1. Each exact orbit is checked, and its float points (exact: W <= 52
+    bits)."""
 
     @staticmethod
     def agree(orb, variant, alpha=None):
@@ -298,6 +301,40 @@ class TestRankOffsets:
         assert rank_offset(orb.windows, 0, 5) == 2
         assert rank_offset(orb.windows, 1, 5) == 1
 
+    def test_near_tie_two_ranks_apart(self):
+        # windows (4, 1, 2, 4, 1, 2): with alpha = 2, (2, 4) has gap 1 at rank
+        # offset 1, but the smallest pair (1, 2) with that gap is 2 ranks
+        # apart; stopping once an offset's least gap ties the best misses it
+        orb = doubling_orbit_exact(2, 6, 3, digits=[1, 0, 0, 1, 0, 0, 1, 0, 1],
+                                   enforce_floor=False)
+        assert orb.windows == (4, 1, 2, 4, 1, 2)
+        res = self.agree(orb, "near", alpha=2)
+        assert (res.value, res.witness_i, res.witness_j) == (0.125, 1, 2)
+        assert rank_offset(orb.windows, 1, 2) == 2
+        assert rank_offset(orb.windows, 2, 4) == 1
+
+    def test_near_stops_early(self, monkeypatch):
+        n = 10_000
+        W = min_window_digits(2, n)
+        orb = doubling_orbit_exact(2, n, W, seed=3)
+        calls = []
+        abs_gaps = proximity._abs_gaps
+
+        def spy(*args):
+            calls.append(1)
+            return abs_gaps(*args)
+
+        monkeypatch.setattr(proximity, "_abs_gaps", spy)
+        res = closest_pair(orb, "near")
+        # one call per rank offset scanned; alpha_of(n) = 85 index offsets
+        assert len(calls) < 10
+        # the least gap over index offsets 1..alpha, smallest pair on ties,
+        # from the window integers
+        w, alpha = orb.windows, alpha_of(n)
+        gap, i, j = min((abs(w[t + s] - w[t]), t, t + s)
+                        for s in range(1, alpha + 1) for t in range(n - s))
+        assert (res.exact * 2**W, res.witness_i, res.witness_j) == (gap, i, j)
+
     def test_far_without_admissible_pair(self, monkeypatch):
         # alpha >= n - 1 admits no pair, so closest_pair raises before any scan
         def no_scan(*args, **kwargs):
@@ -310,6 +347,18 @@ class TestRankOffsets:
                 for fn in (closest_pair, closest_pair_bruteforce):
                     with pytest.raises(ValueError, match="no admissible pair"):
                         fn(pts, "far", alpha)
+
+    def test_near_without_admissible_pair(self, monkeypatch):
+        # alpha < 1 admits no pair, so closest_pair raises before a scan that
+        # would never stop early
+        def no_scan(*args, **kwargs):
+            raise AssertionError("_offset_scan called")
+
+        monkeypatch.setattr(proximity, "_offset_scan", no_scan)
+        for alpha in (0, -1):
+            for fn in (closest_pair, closest_pair_bruteforce):
+                with pytest.raises(ValueError, match="no admissible pair"):
+                    fn([0.1, 0.5, 0.3], "near", alpha)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_limbs_only(self, variant):
