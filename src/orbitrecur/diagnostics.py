@@ -1,6 +1,7 @@
 """Cross-module consistency checks: return-set bounds against partition-sum
 and mixing quantities, psi decay against the second eigenvalue, and the
-quasi-Bernoulli constant."""
+quasi-Bernoulli constant B, the largest P[a, b] / pi[b] over the stationary
+support."""
 
 from __future__ import annotations
 
@@ -44,36 +45,23 @@ class BoundCheck:
         return self.margin >= -PASS_SLACK
 
 
-def quasi_bernoulli_constant(m: MeasureSpec, max_len: int = 6) -> float:
-    """B = max over word pairs of mu(uv) / (mu(u) mu(v)), words up to max_len.
+def quasi_bernoulli_constant(m: MeasureSpec) -> float:
+    """B = max over word pairs of mu(uv) / (mu(u) mu(v)).
 
-    The ratio depends only on the junction pair (last symbol of u, first of
-    v), so the enumeration reduces to which symbols occur as word endpoints
-    within the length budget. Product measures give exactly 1.
+    The ratio depends only on the junction pair (last symbol a of u, first b
+    of v): it is P[a, b] / pi[b]. The last symbols of positive-measure words
+    are the stationary support, which is closed under P (pi[b] >= pi[a]
+    P[a, b]), so B is the largest P[a, b] / pi[b] over P[a, b] > 0 with a and
+    b in the support. Product measures give exactly 1. A `stationary` vector
+    that is stationary only to the 1e-10 tolerance, with pi[b] = 0 where some
+    pi[a] P[a, b] > 0, is not closed this way and its B may differ from the
+    word-pair maximum; such a measure is `degenerate`, which
+    `renyi_entropy_exact` rejects.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     mk = m.as_markov()
-    d = mk.alphabet_size
-    # symbols that occur as the last letter of a positive-measure word of
-    # length <= max_len: reachable from the support of pi in < max_len steps
-    reach = mk.pi > 0
-    step = mk.P > 0
-    ends = reach.copy()
-    for _ in range(max_len - 1):
-        reach = reach @ step
-        ends |= reach
-    best = 0.0
-    for a in np.flatnonzero(ends):
-        for b in range(d):
-            if mk.pi[b] > 0 and mk.P[a, b] > 0:
-                best = max(best, float(mk.P[a, b] / mk.pi[b]))
-    return best
-
-
-def _smallest_multiple_in(k: int, lo: int, hi: int) -> int | None:
-    first = ((lo + k - 1) // k) * k
-    return first if first <= hi else None
+    live = np.flatnonzero(mk.pi > 0)
+    return max((float(mk.P[a, b] / mk.pi[b]) for a in live for b in live if mk.P[a, b] > 0),
+               default=0.0)
 
 
 def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, float]], BoundCheck]:
@@ -95,9 +83,9 @@ def sigma_bounds(m: MeasureSpec, r: int, k_max: int) -> tuple[list[tuple[str, fl
     bounds = []
     for k in range(1, k_max + 1):
         if k <= r // 2:
-            ell = _smallest_multiple_in(k, math.ceil(r / 4), r // 2)
-            if ell is None:
-                raise ValueError(f"no multiple of {k} in [{math.ceil(r/4)}, {r//2}]")
+            # at most r // 2: [ceil(r/4), r // 2] holds k consecutive integers
+            # when k <= r/4, and holds k itself otherwise
+            ell = -(-math.ceil(r / 4) // k) * k
             omega = r // ell
             rhs = B**6 * z_partition_sum(m, ell, float(omega))
             name = f"sigma0[r={r},k={k},l={ell},w={omega}]"

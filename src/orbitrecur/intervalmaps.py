@@ -369,8 +369,8 @@ def affine_orbit(spec: PiecewiseAffine, n: int, seed: int = 0) -> OrbitBuffer:
         resampled = True
         u[in_tail] = rng.random(int(in_tail.sum()))
     asc = bp[::-1]
-    branch = len(bp) - np.searchsorted(asc, u, side="right")  # 1-based branch of u
-    branch = np.clip(branch, 1, len(bp) - 1)
+    # every u lies in [a_K, 1), so its 1-based branch lies in 1..K-1
+    branch = len(bp) - np.searchsorted(asc, u, side="right")
     lo = bp[branch]  # a_{j+1}
     w = bp[branch - 1] - bp[branch]
     x = np.full(n, 0.5)

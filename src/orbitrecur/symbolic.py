@@ -2,11 +2,12 @@
 
 Provides transition systems (0/1 matrices), admissible words, the one measure
 interface `MeasureSpec`, exact cylinder measures and reproducible
-typical-sequence sampling. The Bernoulli, Markov and 2-block-potential Gibbs
-specifications are each one stationary Markov chain, built once at
-construction and read through `as_markov()`: cylinder masses, sampling and
-degeneracy all come from that chain. Everything here is immutable after
-construction and safe to share across threads.
+typical-sequence sampling. A system's strong connectivity and period come from
+one breadth-first search, run on the graph and on its reverse. The Bernoulli,
+Markov and 2-block-potential Gibbs specifications are each one stationary
+Markov chain, built once at construction and read through `as_markov()`:
+cylinder masses, sampling and degeneracy all come from that chain. Everything
+here is immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class TransitionSystem:
         a = np.asarray(self.admissible)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise InvalidSystemError(f"transition matrix must be square, got shape {a.shape}")
-        vals = np.unique(a)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not np.all((a == 0) | (a == 1)):
             raise InvalidSystemError("transition matrix entries must be 0 or 1")
         object.__setattr__(self, "admissible", _frozen_array(a, np.uint8))
 
@@ -84,29 +84,15 @@ def full_shift(alphabet_size: int) -> TransitionSystem:
 class SystemDiagnostics:
     """Report produced by validate_system."""
 
-    alphabet_size: int
     strongly_connected: bool
     period: int | None  # gcd of cycle lengths; None when not strongly connected
     mixing: bool  # strongly connected and aperiodic
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    d = adj.shape[0]
-    seen = np.zeros(d, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adj[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return seen
-
-
-def _graph_period(adj: np.ndarray) -> int:
-    # gcd of cycle lengths of a strongly connected graph, via BFS levels:
-    # every edge (u, v) contributes depth(u) + 1 - depth(v).
+def _bfs(adj: np.ndarray) -> tuple[np.ndarray, int]:
+    # BFS depths from state 0 (-1 where unreached) and the gcd of
+    # depth(u) + 1 - depth(v) over the edges (u, v) it meets: on a strongly
+    # connected graph, the gcd of the cycle lengths
     d = adj.shape[0]
     depth = np.full(d, -1, dtype=np.int64)
     depth[0] = 0
@@ -123,25 +109,25 @@ def _graph_period(adj: np.ndarray) -> int:
                 else:
                     g = math.gcd(g, int(depth[u] + 1 - depth[v]))
         queue = nxt
-    return g if g > 0 else 0
+    return depth, g
 
 
 def validate_system(ts: TransitionSystem | Sequence) -> SystemDiagnostics:
     """Strong connectivity and period (gcd of cycle lengths).
 
-    Rejects non-square or non-0/1 input; mixing means strongly connected
-    with period 1.
+    One breadth-first search from state 0 over the graph and one over its
+    reverse: the graph is strongly connected when both reach every state, and
+    the forward search's gcd is then the period. Rejects non-square or
+    non-0/1 input; mixing means strongly connected with period 1.
     """
     if not isinstance(ts, TransitionSystem):
         ts = TransitionSystem(np.asarray(ts))
     adj = ts.admissible
-    d = ts.alphabet_size
-    forward = _reachable(adj, 0)
-    backward = _reachable(adj.T, 0)
-    connected = bool(forward.all() and backward.all()) and d >= 1
-    period = _graph_period(adj) if connected else None
-    mixing = connected and period == 1
-    return SystemDiagnostics(d, connected, period, mixing)
+    forward, period = _bfs(adj)
+    backward, _ = _bfs(adj.T)
+    connected = bool((forward >= 0).all() and (backward >= 0).all())
+    period = period if connected else None
+    return SystemDiagnostics(connected, period, connected and period == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +315,7 @@ def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
     d = m.alphabet_size
     if any(s < 0 or s >= d for s in sym):
         raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
-    if not all(m.system.admissible[a, b] for a, b in zip(sym, sym[1:])):
-        return 0.0
+    # the chain puts no mass on an inadmissible pair, so its product is 0.0
     mk = m.as_markov()
     mass = float(mk.pi[sym[0]])
     for a, b in zip(sym, sym[1:]):

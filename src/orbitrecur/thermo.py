@@ -201,8 +201,7 @@ def z_partition_sum_log(m: MeasureSpec, n: int, t: float) -> float:
         w = m.weights[m.weights > 0]
         return n * math.log(float(np.sum(w ** (1.0 + t))))
     mk = m.as_markov()
-    pos = mk.pi > 0
-    v = np.where(pos, mk.pi, 1.0) ** (1.0 + t) * pos
+    v = mk.pi ** (1.0 + t)
     W = mk.P ** (1.0 + t)
     scale = 0.0
     for _ in range(n - 1):

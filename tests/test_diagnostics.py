@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from orbitrecur import (
     BernoulliMeasure,
+    GibbsMeasure,
     MarkovMeasure,
+    TransitionSystem,
     cylinder_measure,
     psi_mixing_table,
     quasi_bernoulli_constant,
@@ -20,8 +23,14 @@ GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])
 
 
+def gibbs_three_state():
+    A = [[1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    phi = np.where(np.asarray(A) == 1, [[0.3, -0.2, 0.0], [0.1, 0.0, 0.5], [-0.4, 0.2, 0.1]], -np.inf)
+    return GibbsMeasure(phi, TransitionSystem(A))
+
+
 class TestQuasiBernoulli:
-    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.8], [0.1, 0.3, 0.6]])
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.2, 0.8], [0.1, 0.3, 0.6], [0.3, 0.0, 0.7]])
     def test_product_measures_give_one(self, weights):
         assert quasi_bernoulli_constant(BernoulliMeasure(weights)) == 1.0
 
@@ -32,24 +41,18 @@ class TestQuasiBernoulli:
         m = MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
         assert quasi_bernoulli_constant(m) == pytest.approx(1.0, abs=1e-14)
 
-    def test_stabilizes_in_max_len(self):
-        for m in [GOLDEN, MarkovMeasure(
-            stationary_distribution([[0.3, 0.7], [0.6, 0.4]]), [[0.3, 0.7], [0.6, 0.4]]
-        )]:
-            assert abs(quasi_bernoulli_constant(m, 6) - quasi_bernoulli_constant(m, 8)) < 1e-12
-
     def test_no_budget_on_word_length(self):
-        # B is read from reachability, not by enumerating words, so d^max_len
-        # words far past 2^22 cost nothing
-        assert quasi_bernoulli_constant(BernoulliMeasure([0.25] * 4), max_len=20) == 1.0
+        # B is read from the junction pairs, not by enumerating words, so 13
+        # symbols cost nothing
         P = [[0.5 if b in (a, (a + 1) % 13) else 0.0 for b in range(13)] for a in range(13)]
         m = MarkovMeasure(stationary_distribution(P), P)
-        assert quasi_bernoulli_constant(m, 6) == quasi_bernoulli_constant(m, 2) == pytest.approx(13 / 2)
+        assert quasi_bernoulli_constant(m) == pytest.approx(13 / 2)
 
     @pytest.mark.parametrize("measure", [
         GOLDEN,
         MarkovMeasure(stationary_distribution([[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.25, 0.5, 0.25]]),
                       [[0.2, 0.5, 0.3], [0.4, 0.2, 0.4], [0.25, 0.5, 0.25]]),
+        gibbs_three_state(),
     ])
     def test_matches_pairwise_enumeration(self, measure):
         # direct oracle over all word pairs up to length 3
@@ -65,7 +68,7 @@ class TestQuasiBernoulli:
                         continue
                     joint = cylinder_measure(measure, u + v)
                     best = max(best, joint / (mu_u * mu_v))
-        assert abs(quasi_bernoulli_constant(measure, 3) - best) < 1e-12
+        assert abs(quasi_bernoulli_constant(measure) - best) < 1e-12
         assert best >= 1.0
 
 

@@ -1,9 +1,12 @@
 """Package-wide checks: the runtime imports only the standard library and
-numpy, and every public name a module lists is there."""
+numpy, every public name a module lists is there, and parsing a config
+imports no more of numpy than `import numpy` does."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +66,22 @@ def test_bench_oracle_sampling_contract():
     seq = sample_sequence(m, None, n, buffer, 5)
     assert len(seq) == n + buffer and seq.dtype.kind == "i" and not seq.flags.writeable
     assert longest_self_match_bruteforce(seq, n) == longest_self_match(seq, n)
+
+
+STARTUP_PROBE = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from orbitrecur.expcli import EXAMPLE_CONFIGS, parse_config_text
+for kind in ("match_curve", "h2", "diagnostics", "returns"):
+    parse_config_text(EXAMPLE_CONFIGS[kind])
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_measure_configs_do_not_import_numpy_ma():
+    # a fresh interpreter: another test may already have imported numpy.ma
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == out[1]

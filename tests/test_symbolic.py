@@ -53,6 +53,15 @@ class TestValidateSystem:
         diag = validate_system([[1, 0], [1, 0]])
         assert not diag.strongly_connected and diag.period is None
 
+    def test_state_that_cannot_return(self):
+        # state 0 reaches state 1 but not back: only the backward search sees it
+        diag = validate_system([[1, 1], [0, 1]])
+        assert not diag.strongly_connected and diag.period is None and not diag.mixing
+
+    def test_three_cycle_period_three(self):
+        diag = validate_system([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert diag.strongly_connected and diag.period == 3 and not diag.mixing
+
     def test_rejects_non_square(self):
         with pytest.raises(InvalidSystemError):
             TransitionSystem([[1, 1, 0], [1, 1, 1]])
@@ -60,6 +69,13 @@ class TestValidateSystem:
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidSystemError):
             TransitionSystem([[1, 2], [1, 1]])
+
+    @pytest.mark.parametrize("a", [np.array([[None, 1], [1, 1]], dtype=object),
+                                   [["1", "0"], ["0", "1"]], [[np.nan, 1.0], [1.0, 1.0]]],
+                             ids=["object_none", "strings", "nan"])
+    def test_rejects_non_numeric(self, a):
+        with pytest.raises(InvalidSystemError):
+            TransitionSystem(a)
 
 
 class TestCylinderMeasure:
@@ -167,6 +183,11 @@ class TestStationaryDistribution:
     def test_identity_rejected(self):
         with pytest.raises(ReducibleChainError):
             stationary_distribution(np.eye(2))
+
+    def test_absorbing_state_rejected(self):
+        # power iteration settles on [0, 1], which passes the fixed-point check
+        with pytest.raises(ReducibleChainError):
+            stationary_distribution([[0.5, 0.5], [0.0, 1.0]])
 
     def test_fixed_point_contract(self):
         P = [[0.7, 0.2, 0.1], [0.05, 0.9, 0.05], [0.3, 0.3, 0.4]]
