@@ -108,6 +108,12 @@ class ExperimentConfig:
             return map_from_section(self.system)
         return measure_from_section(self.system)
 
+    @cached_property
+    def bounds(self):
+        """A diagnostics config's sigma_bounds: built once, for the check of
+        its rows and for the report."""
+        return sigma_bounds(self.spec, self.r, self.k_max)
+
 
 def _parse_matrix(text: str) -> np.ndarray:
     try:
@@ -387,8 +393,8 @@ def _read_rows(cfg: ExperimentConfig, text: str,
 
 def _diagnostics_checks(cfg: ExperimentConfig, rows: list[CurveRow]) -> list[BoundCheck]:
     """The check of each diagnostics row: its aux, the check's lhs, against
-    the bound that sigma_bounds gives (no mass is enumerated)."""
-    bounds, psi = sigma_bounds(cfg.spec, cfg.r, cfg.k_max)
+    the bound that the config's sigma_bounds gives (no mass is enumerated)."""
+    bounds, psi = cfg.bounds
     return [BoundCheck(name, row.aux, rhs)
             for row, (name, rhs) in zip(rows, bounds + [(psi.name, psi.rhs)])]
 

@@ -79,13 +79,15 @@ def _repeated(keys: np.ndarray, key_bound: int) -> np.ndarray:
     """Indices, in increasing order, of the keys that occur more than once.
 
     keys are uint64 below key_bound. When every index fits in the bits that
-    key_bound leaves free, one sort of (key << bits) | index groups equal
-    keys; otherwise an argsort does.
+    key_bound leaves free, keys is overwritten in place with
+    (key << bits) | index, and one sort of it groups equal keys; otherwise
+    an argsort does. So the caller passes an array it no longer needs.
     """
     m = len(keys)
     bits = max(m - 1, 1).bit_length()
     if key_bound << bits <= 1 << 64:
-        order = keys << np.uint64(bits)
+        order = keys
+        order <<= np.uint64(bits)
         order |= np.arange(m, dtype=np.uint64)
         order.sort()
         srt = order >> np.uint64(bits)
@@ -147,9 +149,10 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
 
     def block_names(k: int, at) -> tuple[np.ndarray, int]:
         # names and name bound of the k-blocks, width <= k <= 2 * width,
-        # starting at `at`: a slice of starts or an array of them
+        # starting at `at`: a slice of starts or an array of them. A new
+        # array, which _repeated may overwrite
         if k == width:
-            return names[at], bound
+            return names[at].copy(), bound
         return names[at] * bound + names[k - width :][at], bound * bound
 
     def narrow(k: int) -> bool:

@@ -6,8 +6,10 @@ typical-sequence sampling. A system's strong connectivity and period come from
 one breadth-first search, run on the graph and on its reverse. The Bernoulli,
 Markov and 2-block-potential Gibbs specifications are each one stationary
 Markov chain, built once at construction and read through `as_markov()`:
-cylinder masses, sampling and degeneracy all come from that chain. Everything
-here is immutable after construction and safe to share across threads.
+cylinder masses, sampling and degeneracy all come from that chain. Sampling
+turns each draw into a next-state map, and a path is the scan of its maps in
+a tree of log depth. Everything here is immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -394,9 +396,6 @@ def stationary_distribution_exact(P_rows: Sequence[Sequence]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 256  # draws per block that sample_sequence walks from every state
-
-
 def _cumulative(mk: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative pi and rows of P, each ending in exactly 1.0 so that no
     draw in [0, 1) passes the last symbol."""
@@ -407,34 +406,37 @@ def _cumulative(mk: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
     return cum_pi, cum_P
 
 
-def _walk(cum_P: np.ndarray, start: np.ndarray | int, u: np.ndarray) -> np.ndarray:
-    """States of the chain stepped from `start` through the draws `u`.
+def _next_states(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The next-state maps of the draws u, in the smallest unsigned dtype:
+    [s, t] is #{cum[s] <= u[t]}, the state after draw u[t] from state s,
+    counted over the row's cut points (its closing 1.0 exceeds every draw)
+    as searchsorted(side="right") counts it."""
+    maps = np.zeros((len(cum), len(u)), dtype=np.min_scalar_type(cum.shape[1] - 1))
+    for row, cuts in zip(maps, cum[:, :-1]):
+        for c in cuts:
+            row += u >= c
+    return maps
 
-    `u` has shape (rows, steps) and `start` broadcasts against (rows,); entry
-    [..., i, t] is the state after draw u[i, t], where one step is
-    state = #{cum_P[state] <= u}. The states come in the smallest unsigned
-    dtype. When all rows of cum_P are equal a step does not depend on the
-    state, and every start gives the same path: the draws looked up in one
-    row. So does every start when there are no rows to walk.
+
+def _scan(maps: np.ndarray, start: int) -> np.ndarray:
+    """The states x[t] = maps[x[t - 1], t] of the chain stepped from
+    x[-1] = start, by a scan of log depth. Up the tree, each level composes
+    the maps below it in pairs (2i, 2i + 1), and an odd last map waits.
+    Down it, a level's end states are the ends of the odd maps below, and
+    each even map's end is read off it from the end before it.
     """
-    d = len(cum_P)
-    dtype = np.min_scalar_type(d - 1)
-    rows, steps = u.shape
-    shape = np.broadcast_shapes(np.shape(start), (rows,)) + (steps,)
-    if not rows or (cum_P == cum_P[0]).all():
-        return np.broadcast_to(np.searchsorted(cum_P[0], u, side="right").astype(dtype), shape)
-    out = np.empty(shape, dtype=dtype)
-    state = np.broadcast_to(start, shape[:-1])
-    i = np.arange(rows)
-    for t in range(steps):
-        # next-state table of this step's draws, one searchsorted per row;
-        # a table for all steps at once would cost a contiguous copy of u
-        # and an intp array of its size
-        ut = np.ascontiguousarray(u[:, t])
-        nxt = np.array([np.searchsorted(row, ut, side="right") for row in cum_P], dtype=dtype)
-        state = nxt[state, i]
-        out[..., t] = state
-    return out
+    levels = [maps]
+    while levels[-1].shape[1] > 1:
+        f = levels[-1]
+        levels.append(np.take_along_axis(f[:, 1::2], f[:, : f.shape[1] - 1 : 2], 0))
+    ends = levels.pop()[start]
+    for f in reversed(levels):
+        x = np.empty(f.shape[1], dtype=f.dtype)
+        x[1::2] = ends
+        before = np.r_[start, ends][: (len(x) + 1) // 2]  # the end before each even map
+        x[::2] = np.take_along_axis(f[:, ::2], before[None], 0)[0]
+        ends = x
+    return ends
 
 
 def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
@@ -443,8 +445,10 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     statistic symbols and a generated buffer after them, as an int64 array
     that owns its data and is read-only.
 
-    The initial symbol is drawn from pi (weights for Bernoulli), transitions
-    from the rows of P. Identical (seed, parameters) give identical output.
+    The initial symbol is drawn from pi (weights for Bernoulli). Each later
+    draw is a next-state map through the rows of P, and the path is their
+    scan (the maps of one row when all rows agree). Identical (seed,
+    parameters) give identical output.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -457,39 +461,31 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     cum_pi, cum_P = _cumulative(mk)
     u = make_rng(seed).random(total)
     state = int(np.searchsorted(cum_pi, u[0], side="right"))
-    # walk every block of draws, and the shorter tail, from every state at
-    # once; the blocks' true start states then follow from their end states
-    full = (total - 1) // _BLOCK * _BLOCK
-    every = np.arange(len(cum_P))[:, None]
-    blocks = _walk(cum_P, every, u[1 : 1 + full].reshape(-1, _BLOCK))
-    tail = _walk(cum_P, every, u[None, 1 + full :])
+    iid = bool((cum_P == cum_P[0]).all())
+    maps = _next_states(cum_P[:1] if iid else cum_P, u[1:])
     del u  # freed before the int64 path is allocated
     out = np.empty(total, dtype=np.int64)
     out[0] = state
-    starts = []
-    for ends in blocks[:, :, -1].T.tolist():
-        starts.append(state)
-        state = ends[state]
-    out[1 : 1 + full] = blocks[starts, np.arange(len(starts))].ravel()
-    out[1 + full :] = tail[state, 0]
+    out[1:] = maps[0] if iid else _scan(maps, state)
     out.setflags(write=False)
     return out
 
 
 def sample_sequences_batch(m: MeasureSpec, count: int, length: int, seed: int) -> np.ndarray:
-    """Sample `count` independent stationary paths of `length` symbols.
+    """Sample `count` independent stationary paths of `length` symbols, as
+    an int64 array of shape (count, length).
 
-    Vectorized across paths; one step of every path is advanced per loop
-    iteration. Returns an int64 array of shape (count, length).
+    The paths advance together, one step per loop iteration: a step builds
+    the next-state maps of its draws, through pi for the first symbol and
+    through P after it, and reads each path's state off them.
     """
     if count < 1 or length < 1:
         raise ValueError("count and length must be >= 1")
     cum_pi, cum_P = _cumulative(m.as_markov())
     u = make_rng(seed).random((count, length))
-    first = np.searchsorted(cum_pi, u[:, 0], side="right")
-    rest = _walk(cum_P, first, u[:, 1:])
+    states = [_next_states(cum_pi[None], u[:, 0])[0]]
+    for t in range(1, length):
+        maps = _next_states(cum_P, np.ascontiguousarray(u[:, t]))  # contiguous draws compare faster
+        states.append(np.take_along_axis(maps, states[-1][None], 0)[0])
     del u  # freed before the int64 paths are allocated
-    out = np.empty((count, length), dtype=np.int64)
-    out[:, 0] = first
-    out[:, 1:] = rest
-    return out
+    return np.stack(states, axis=1).astype(np.int64)

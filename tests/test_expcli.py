@@ -754,7 +754,7 @@ class TestRunAndVerify:
         assert expcli.verify(tmp_path / "out")[0] == 0
         assert calls == []
 
-    def test_diagnostics_computes_one_psi_table_per_stage(self, tmp_path, monkeypatch):
+    def test_diagnostics_builds_one_psi_table_per_config(self, tmp_path, monkeypatch):
         calls = []
         real = diagnostics.psi_mixing_table
 
@@ -763,16 +763,20 @@ class TestRunAndVerify:
             return real(m, k_max)
 
         monkeypatch.setattr(diagnostics, "psi_mixing_table", counted)
-        cfg = expcli.parse_config_text(SMALL_DIAG)
-        # each read of the rows checks their values against sigma_bounds
+        k_max = expcli.parse_config_text(SMALL_DIAG).k_max
+        # the cell builds one; the check of its rows and the report share the
+        # config's sigma_bounds
+        expcli.run(expcli.parse_config_text(SMALL_DIAG), tmp_path)
+        assert calls == [k_max] * 2
+        del calls[:]
+        cfg = expcli.parse_config_text(SMALL_DIAG)  # a resume parses the config anew
         expcli.run(cfg, tmp_path)
-        assert calls == [cfg.k_max] * 3  # the cell, the check of its rows, then the report
+        assert calls == [k_max]
         del calls[:]
-        expcli.run(cfg, tmp_path)  # a resume reads the rows, then reports
-        assert calls == [cfg.k_max] * 2
-        del calls[:]
-        assert expcli.verify(tmp_path)[0] == 0  # reads results.csv, then the report
-        assert calls == [cfg.k_max] * 2
+        expcli.run(cfg, tmp_path)  # the same parsed config builds none
+        assert calls == []
+        assert expcli.verify(tmp_path)[0] == 0  # parses the manifest's config: one table
+        assert calls == [k_max]
         assert self.record_sha256(tmp_path) == RECORD_SHA256["diagnostics"]
 
     def test_run_derives_each_seed_twice_at_most(self, tmp_path, monkeypatch):

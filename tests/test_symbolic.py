@@ -1,7 +1,13 @@
 import bisect
+import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_diagnostics import gibbs_three_state
 
 from orbitrecur import symbolic
 from orbitrecur import (
@@ -20,8 +26,9 @@ from orbitrecur.errors import (
     InvalidSystemError,
     ReducibleChainError,
 )
-from orbitrecur.rng import make_rng
+from orbitrecur.rng import derive_seed, make_rng
 from orbitrecur.symbolic import admissible_words, sample_sequences_batch
+from orbitrecur.thermo import renyi_entropy_exact
 
 GOLDEN_A = [[0, 1], [1, 1]]
 
@@ -267,6 +274,20 @@ class TestSampling:
         seq = sample_sequence(BernoulliMeasure([0.5, 0.5]), None, 100, 17, seed=0)
         assert len(seq) == 117
 
+    def test_working_set_bounded(self):
+        # the draws and the int64 path take 8 bytes a symbol each and are not
+        # held at once; the maps and the scan's levels take a few bytes a
+        # symbol more. A third 8-byte array of the path's length would pass
+        # the bound
+        m, n, buffer, seed = golden_cell()
+        tracemalloc.start()
+        try:
+            sample_sequence(m, None, n, buffer, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (n + buffer)
+
     def test_samples_own_frozen_int64(self):
         for measure in (BernoulliMeasure([0.5, 0.5]), golden_markov()):
             sym = sample_sequence(measure, None, 50, 5, seed=4)
@@ -309,32 +330,36 @@ def markov_chain(d):
     return MarkovMeasure(stationary_distribution(P), P)
 
 
-# measures whose steps do not depend on the state, so the walker takes its
-# i.i.d. shortcut
+# measures whose steps do not depend on the state, so sample_sequence reads
+# the path off one row's maps
 IID_MEASURES = {
     "bernoulli_zero_weight": BernoulliMeasure([0.2, 0.0, 0.8]),
     "identical_rows": MarkovMeasure([0.3, 0.7], [[0.3, 0.7], [0.3, 0.7]]),
 }
-SAMPLED = {**{d: markov_chain(d) for d in CHAINS}, **IID_MEASURES}
+# rows that agree on their first cut point only: the state still matters
+EQUAL_FIRST_COLUMN = [[0.2, 0.3, 0.5], [0.2, 0.5, 0.3], [0.2, 0.4, 0.4]]
+SAMPLED = {**{d: markov_chain(d) for d in CHAINS}, **IID_MEASURES,
+           "equal_first_column": MarkovMeasure(stationary_distribution(EQUAL_FIRST_COLUMN),
+                                               EQUAL_FIRST_COLUMN)}
 
 
 class TestChunkedMarkovSampling:
     """Both samplers against the bisect oracle, bit for bit."""
 
     @pytest.mark.parametrize("d", list(SAMPLED))
-    def test_small_chunks_match_whole_list(self, monkeypatch, d):
-        monkeypatch.setattr(symbolic, "_BLOCK", 7)
+    def test_small_chunks_match_whole_list(self, d):
         m = SAMPLED[d]
-        # totals straddle the block boundaries: the first draw sits before
-        # the first block, so blocks cover draws 1-7, 8-14, ...
-        for total in (1, 2, 7, 8, 9, 14, 15, 16, 50):
+        # totals straddle the scan's level boundaries: the first draw is the
+        # initial symbol, so total - 1 maps are scanned, and 2^k, 2^k + 1 and
+        # 2^k - 1 maps give an odd map waiting at some level or none
+        for total in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 50):
             for seed in (0, 31):
                 got = sample_sequence(m, None, total, 0, seed=seed)
                 assert np.array_equal(got, whole_list_markov_sample(m, total, seed)), (d, total)
 
     def test_default_chunks_match_whole_list(self):
         m = golden_markov()
-        n, buffer = 512 * symbolic._BLOCK, 3
+        n, buffer = 512 * 256, 3
         got = sample_sequence(m, None, n, buffer, seed=2026)
         assert np.array_equal(got, whole_list_markov_sample(m, n + buffer, 2026))
 
@@ -346,8 +371,10 @@ class TestChunkedMarkovSampling:
         _, cum_P = symbolic._cumulative(m.as_markov())
         u = [0.5] + sorted(set(cum_P[:, :-1].ravel().tolist())) * 3
         want = whole_list_markov_path(m, u)
-        got = symbolic._walk(cum_P, want[0], np.array([u[1:]]))[0]
-        assert np.array_equal(got, want[1:])
+        maps = symbolic._next_states(cum_P, np.array(u[1:]))
+        assert np.array_equal(maps, [[bisect.bisect_right(row.tolist(), x) for x in u[1:]]
+                                     for row in cum_P])
+        assert np.array_equal(symbolic._scan(maps, int(want[0])), want[1:])
 
     @pytest.mark.parametrize("d", list(SAMPLED))
     def test_batch_rows_match_whole_list(self, d):
@@ -359,3 +386,83 @@ class TestChunkedMarkovSampling:
                 assert got.shape == (count, length) and got.dtype == np.int64
                 for row, draws in zip(got, u):
                     assert np.array_equal(row, whole_list_markov_path(m, draws.tolist())), (d, count, length)
+
+
+def sha256_of(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def golden_cell():
+    """The n = 10^6, replicate 0 cell of the golden-mean match curve at
+    master seed 2026, with its buffer: (measure, n, buffer, seed)."""
+    m, n = markov_chain(2), 10**6
+    buffer = math.ceil(8.0 * math.log(n) / renyi_entropy_exact(m).h2)
+    return m, n, buffer, derive_seed(2026, "match_curve", n, 0)
+
+
+@st.composite
+def random_chains(draw):
+    """A stationary chain on 1..5 states with zero entries: integer weights
+    0..3 on a row-stochastic P whose cycle s -> s + 1 keeps it irreducible,
+    or that cycle alone (period d), or one weight row for every state (an
+    i.i.d. chain, dead symbols allowed)."""
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), dtype=float)
+        w[draw(st.integers(0, d - 1))] += 1
+        w /= w.sum()
+        return MarkovMeasure(w, np.tile(w, (d, 1)))
+    W = np.array(draw(st.lists(st.integers(0, 3), min_size=d * d, max_size=d * d)),
+                 dtype=float).reshape(d, d)
+    W[np.arange(d), (np.arange(d) + 1) % d] += 1
+    if draw(st.booleans()):  # only the cycle: period d
+        W = np.roll(np.eye(d), 1, axis=1)
+    P = W / W.sum(axis=1, keepdims=True)
+    return MarkovMeasure(stationary_distribution(P), P)
+
+
+class TestSamplersProperty:
+    """sample_sequence and sample_sequences_batch against the bisect
+    oracle on random chains."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=random_chains(), total=st.integers(1, 600), seed=st.integers(0, 2**32))
+    def test_sequence(self, m, total, seed):
+        got = sample_sequence(m, None, total, 0, seed=seed)
+        assert np.array_equal(got, whole_list_markov_sample(m, total, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=random_chains(), count=st.integers(1, 20), length=st.integers(1, 30),
+           seed=st.integers(0, 2**32))
+    def test_batch(self, m, count, length, seed):
+        got = sample_sequences_batch(m, count, length, seed)
+        u = make_rng(seed).random((count, length))
+        assert np.array_equal(got, [whole_list_markov_path(m, row.tolist()) for row in u])
+
+
+class TestSamplePins:
+    """sha256 of sampled int64 bytes, recorded before the sampler was
+    rewritten: every sampled symbol stays as it was."""
+
+    def test_golden_match_cell(self):
+        m, n, buffer, seed = golden_cell()
+        assert (buffer, seed) == (248, 14168319715008095865)
+        got = sample_sequence(m, None, n, buffer, seed)
+        assert sha256_of(got) == "5defa0b657b52a8f7770ed069ae367699049ad7fb97a923b346d29ae8d94e5ec"
+
+    @pytest.mark.parametrize("name,measure,digest", [
+        ("sym3", markov_chain(3), "fa7fce12b767c331a8c91876944183c4ed79cf81d062bc8f227f3ed6b1febb26"),
+        ("zero_entries", markov_chain(4), "e44d66233bb7e830751aa8028ea79b23b918034a72af752e9ab8fb73ebf978a5"),
+        ("gibbs2block", gibbs_three_state(), "fcba591d38c88ea227682d77209b755f4ffeb71b00cc0fef6bdd8df93943386d"),
+        ("bernoulli_dead", BernoulliMeasure([0.2, 0.0, 0.8]),
+         "6c1692ffa5e51053961f9e6e85656e1c8557fbc2d45f6dfefb8e4cf5db0c72a6"),
+    ])
+    def test_sequence(self, name, measure, digest):
+        assert sha256_of(sample_sequence(measure, None, 10**5, 0, seed=2026)) == digest, name
+
+    @pytest.mark.parametrize("d,count,length,digest", [
+        (3, 100000, 22, "aca159f5ca235db58594835cdcff1a678b0cf54dd7ae98dcf8771b5831c3cbcd"),
+        (2, 4000, 6, "4f2ba50df4be37a0a3065b38e9987c3023cda02d94b92dc0878cbe8b35d797b8"),
+    ])
+    def test_batch(self, d, count, length, digest):
+        assert sha256_of(sample_sequences_batch(markov_chain(d), count, length, 2026)) == digest
