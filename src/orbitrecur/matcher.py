@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 1 << 20  # most k-words the exact k < r return mass enumerates
-_BLOCK_WORDS = 1 << 12  # most k-words held at once while they are enumerated
+_BLOCK_WORDS = 1 << 11  # most tails of one symbol in the exact k < r return mass
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,18 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
     """mu(S_k(r)) in exact mode.
 
     For k < r the window of length r + k is k-periodic, so the mass is a sum
-    over the admissible k-words w with A[w[-1], w[0]]. The words are built by
-    prefix extension in lexicographic order (the order admissible_words
-    yields), in blocks of at most _BLOCK_WORDS words. Each mass is the
-    left-to-right product pi[w0] P[w0, w1] ... over the r + k symbols, and
-    the masses are added one at a time in word order, with the running total
-    carried from block to block. So the float equals that of a per-word loop
-    bit for bit, which a pairwise np.sum would not.
+    over the admissible k-words w with A[w[-1], w[0]]. Each word is a head,
+    its first k - tail symbols, and a tail, any admissible continuation of
+    the head's last symbol; d**tail is at most _BLOCK_WORDS. Every symbol's
+    tails are enumerated once per call, and their transition factors
+    gathered once per first symbol b, over the tails that close back onto b.
+    The heads follow in lexicographic order, so the words come in the order
+    admissible_words yields. A word's mass is the left-to-right product
+    pi[w0] P[w0, w1] ... over the r + k symbols, the head's factors scalars
+    and the tails' arrays, and the masses are added one at a time in word
+    order to a running total carried from head to head. So each product and
+    sum is that of a per-word loop and the float equals it bit for bit,
+    which a pairwise np.sum would not.
     """
     mk = m.as_markov()
     P = mk.P
@@ -300,21 +305,34 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
         return float(np.sum(pi * np.sum(G * T.T, axis=1)))
     check_enumeration(d, k)
     A = m.system.admissible
-    # each block: the completions of a run of prefixes, at most _BLOCK_WORDS words
     tail = k - 1
     while d**tail > _BLOCK_WORDS:
         tail -= 1
-    step = _BLOCK_WORDS // d**tail
-    prefixes = _extend_words(np.arange(d, dtype=np.min_scalar_type(d - 1))[:, None], A, k - tail)
+    first = np.arange(d, dtype=np.min_scalar_type(d - 1))[:, None]
+    # each symbol followed by each of its tails, grouped by symbol
+    tails = _extend_words(first, A, tail + 1)
+    Pl = P.tolist()
     total = np.zeros(1)
-    for lo in range(0, len(prefixes), step):
-        w = _extend_words(prefixes[lo : lo + step], A, k)
-        w = w[A[w[:, -1], w[:, 0]] != 0]
-        mass = pi[w[:, 0]]
-        for t in range(1, r + k):
-            mass *= P[w[:, (t - 1) % k], w[:, t % k]]
-        # cumsum adds in word order, as a Python loop would; np.sum is pairwise
-        total = np.cumsum(np.concatenate([total, mass]))[-1:]
+    factors = np.empty((tail + 1, len(tails)))  # one buffer, refilled for each b
+    for b in range(d):
+        # the tails that close back onto b: their factors, the closing one
+        # last, and where each symbol's tails start
+        closed = tails[A[tails[:, -1], b] != 0]
+        for j in range(tail):
+            factors[j, : len(closed)] = P[closed[:, j], closed[:, j + 1]]
+        factors[tail, : len(closed)] = P[closed[:, -1], b]
+        start = np.searchsorted(closed[:, 0], np.arange(d + 1))
+        for head in _extend_words(first[b : b + 1], A, k - tail).tolist():
+            s = head[-1]
+            # into[p]: the factor of the transition into word position p
+            into = ([factors[tail, start[s] : start[s + 1]]]
+                    + [Pl[x][y] for x, y in zip(head, head[1:])]
+                    + list(factors[:tail, start[s] : start[s + 1]]))
+            mass = pi[b]
+            for t in range(1, r + k):
+                mass *= into[t % k]
+            # cumsum adds in word order, as a Python loop would; np.sum is pairwise
+            total = np.cumsum(np.concatenate([total, mass]))[-1:]
     return float(total[0])
 
 
@@ -349,8 +367,10 @@ def return_set_measure(m: MeasureSpec, r: int, k: int, mode: str = "exact",
     Exact mode (Bernoulli/Markov/2-block Gibbs): for k >= r an r-step
     pair-chain connected by a (k-r+1)-step transition power; for k < r a sum
     over admissible k-periodic words, at most ENUMERATION_CAP of them
-    (check_enumeration), enumerated in lexicographic order in blocks and
-    summed sequentially in that order.
+    (check_enumeration), in lexicographic order and summed sequentially in
+    that order. The tails' factors are gathered once and shared by every
+    head, which leaves each product and sum of a per-word loop, and so its
+    bits, unchanged.
     Empirical mode: frequency of the event over independently sampled paths
     of length r + k.
     """

@@ -255,7 +255,7 @@ def z_decay_check(m: MeasureSpec, k_max: int) -> ZDecayResult:
 
 
 # ---------------------------------------------------------------------------
-# psi-mixing, exact in rational arithmetic
+# psi-mixing, exact in integer and rational arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -272,40 +272,38 @@ def _exact_chain(m: MarkovMeasure) -> tuple[list[list[Fraction]], list[Fraction]
     return P, pi
 
 
-def _mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-
-
-def _psi_from_power(Pk1: list[list[Fraction]], pi: list[Fraction]) -> Fraction:
-    worst = Fraction(0)
-    d = len(pi)
-    for a in range(d):
-        for b in range(d):
-            if pi[b] == 0:
-                continue
-            dev = abs(Pk1[a][b] / pi[b] - 1)
-            if dev > worst:
-                worst = dev
-    return worst
-
-
 def psi_mixing_table(m: MeasureSpec, k_max: int) -> list[float]:
     """psi(k) for k = 0..k_max.
 
     Read from the measure's chain (pi, P): the supremum over cylinder pairs
     of the mixing ratio deviation equals max_ab |(P^(k+1))_ab / pi_b - 1|,
-    so a Bernoulli table is exactly 0. Computed in exact
-    rational arithmetic (float inputs are binary rationals).
+    so a Bernoulli table is exactly 0. Computed in exact integer arithmetic
+    (float inputs are binary rationals): P = M / D and pi = piq / Q over
+    common denominators, so P^(k+1) = M^(k+1) / D^(k+1) and each deviation
+    is |M^(k+1)_ab Q - D^(k+1) piq_b| / (D^(k+1) piq_b). The largest is
+    picked by cross-multiplied integer comparison and made one Fraction, the
+    same rational as a Fraction computation, so each float is the correctly
+    rounded value of the exact psi(k).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     P, pi = _exact_chain(m.as_markov())
-    power = [row[:] for row in P]  # P^(k+1), starting at k = 0
+    D = math.lcm(*(x.denominator for row in P for x in row))
+    M = [[x.numerator * (D // x.denominator) for x in row] for row in P]
+    Q = math.lcm(*(x.denominator for x in pi))
+    live = [(b, x.numerator * (Q // x.denominator)) for b, x in enumerate(pi) if x > 0]
+    cols = list(zip(*M))
+    power, scale = M, D  # P^(k+1) = power / scale, starting at k = 0
     psi = []
     for k in range(k_max + 1):
-        psi.append(float(_psi_from_power(power, pi)))
+        num, den = 0, 1  # the largest deviation so far is num / (scale den)
+        for row in power:
+            for b, piq in live:
+                dev = abs(row[b] * Q - scale * piq)
+                if dev * den > num * piq:
+                    num, den = dev, piq
+        psi.append(float(Fraction(num, scale * den)))
         if k < k_max:
-            power = _mat_mul(power, P)
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+            scale *= D
     return psi
-

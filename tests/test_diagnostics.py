@@ -18,6 +18,7 @@ from orbitrecur import (
 )
 from orbitrecur.diagnostics import sigma_bounds
 from orbitrecur.symbolic import admissible_words
+from test_matcher import SYM3
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])
@@ -140,3 +141,37 @@ class TestPsiDecay:
         # a product measure is checked through its Markov form: psi is 0
         chk = psi_decay(UNIFORM, 10)
         assert chk.passed and chk.lhs == 0.0
+
+
+# mu(S_k(12)), k = 1..24, and psi(k), k = 0..24, on SYM3 as the exact oracles
+# computed them before they were sped up: the diagnostics_sym3 bytes rest on them
+SYM3_RETURN_MASS_HEX = [
+    "0x1.1d50b1e32388ap-9", "0x1.5660f19cb9d91p-10", "0x1.9af394de7f156p-11",
+    "0x1.eed8d00f7d517p-12", "0x1.2df4594547596p-12", "0x1.7ce9680498caap-13",
+    "0x1.0243656e1e548p-13", "0x1.745931516089cp-14", "0x1.19d3e473d83c5p-14",
+    "0x1.b9ea21372810ep-15", "0x1.62c40d69aa2cbp-15", "0x1.56ad33c9a0d33p-15",
+    "0x1.51d7432336af8p-15", "0x1.4fe81613d907ap-15", "0x1.4f22040db3916p-15",
+    "0x1.4ed2c9a4d7c86p-15", "0x1.4eb318ae19780p-15", "0x1.4ea66b7e9a24ap-15",
+    "0x1.4ea1596b9a69cp-15", "0x1.4e9f5230cdb89p-15", "0x1.4e9e827faf0b4p-15",
+    "0x1.4e9e2f6c092c6p-15", "0x1.4e9e0e30fa066p-15", "0x1.4e9e00e6272a7p-15",
+]
+SYM3_PSI_HEX = [
+    "0x1.9999999999999p-1", "0x1.47ae147ae147ap-2", "0x1.0624dd2f1a9fbp-3",
+    "0x1.a36e2eb1c432ap-5", "0x1.4f8b588e368eep-6", "0x1.0c6f7a0b5ed8bp-7",
+    "0x1.ad7f29abcaf44p-9", "0x1.5798ee2308c36p-10", "0x1.12e0be826d691p-11",
+    "0x1.b7cdfd9d7bdb4p-13", "0x1.5fd7fe1796490p-14", "0x1.19799812dea0cp-15",
+    "0x1.c25c268497679p-17", "0x1.6849b86a12b94p-18", "0x1.203af9ee7560fp-19",
+    "0x1.cd2b297d889b1p-21", "0x1.70ef54646d48dp-22", "0x1.2725dd1d243a4p-23",
+    "0x1.d83c94fb6d29fp-25", "0x1.79ca10c924218p-26", "0x1.2e3b40a0e9b46p-27",
+    "0x1.e392010175ed6p-29", "0x1.82db34012b244p-30", "0x1.357c299a88e9dp-31",
+    "0x1.ef2d0f5da7dc7p-33",
+]
+
+
+class TestSym3Pins:
+    def test_return_masses_pinned(self):
+        checks = sigma_bounds_check(SYM3, 12, 24)
+        assert [c.lhs.hex() for c in checks[:24]] == SYM3_RETURN_MASS_HEX
+
+    def test_psi_table_pinned(self):
+        assert [v.hex() for v in psi_mixing_table(SYM3, 24)] == SYM3_PSI_HEX

@@ -360,6 +360,12 @@ def markov_with_zeros(draw):
     return MarkovMeasure(pi, P, TransitionSystem(((P > 0) | (extra == 1)).astype(np.uint8)))
 
 
+# the full shift on a chain with zero entries: the system admits zero-mass transitions
+ZERO_MASS_P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+ZERO_MASS = MarkovMeasure(stationary_distribution(ZERO_MASS_P), ZERO_MASS_P,
+                          TransitionSystem(np.ones((3, 3), dtype=np.uint8)))
+
+
 class TestReturnSets:
     def test_uniform_constant_over_lags(self):
         for r in (2, 4, 6):
@@ -414,6 +420,46 @@ class TestReturnSets:
     def test_exact_bits_equal_per_word_loop_fixed(self, measure, r, k):
         assert (return_set_measure(measure, r, k).value.hex()
                 == per_word_return_measure(measure, r, k).hex())
+
+    @pytest.mark.parametrize("tail", [0, 1, "k-1"])
+    @pytest.mark.parametrize("measure,r,k", [
+        (SYM3, 12, 7),
+        (GOLDEN, 13, 9),  # A[0, 0] = 0: heads from 0 reject the tails ending in 0
+        (ZERO_MASS, 10, 6),
+    ])
+    def test_exact_bits_at_each_tail_length(self, monkeypatch, measure, r, k, tail):
+        d = measure.alphabet_size
+        monkeypatch.setattr(matcher, "_BLOCK_WORDS", d ** (k - 1 if tail == "k-1" else tail))
+        assert (return_set_measure(measure, r, k).value.hex()
+                == per_word_return_measure(measure, r, k).hex())
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=markov_with_zeros(), data=st.data())
+    def test_exact_bits_at_each_tail_length_with_zeros(self, m, data):
+        d = m.alphabet_size
+        r = data.draw(st.integers(2, 10), label="r")
+        k = data.draw(st.integers(1, r - 1).filter(lambda k: d**k <= 1 << 10), label="k")
+        tail = data.draw(st.sampled_from(sorted({0, min(1, k - 1), k - 1})), label="tail")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matcher, "_BLOCK_WORDS", d**tail)
+            assert (return_set_measure(m, r, k).value.hex()
+                    == per_word_return_measure(m, r, k).hex())
+
+    @pytest.mark.parametrize("tail", [0, 1, 6])
+    def test_tails_enumerated_once_per_symbol(self, monkeypatch, tail):
+        # one enumeration of every symbol's tails, then the heads from each
+        # first symbol: nothing is enumerated again per head or per block
+        calls = []
+        real = matcher._extend_words
+
+        def spy(words, A, length):
+            calls.append((words[:, 0].tolist(), length))
+            return real(words, A, length)
+
+        monkeypatch.setattr(matcher, "_extend_words", spy)
+        monkeypatch.setattr(matcher, "_BLOCK_WORDS", 3**tail)
+        return_set_measure(SYM3, 12, 7)
+        assert calls == [([0, 1, 2], tail + 1)] + [([b], 7 - tail) for b in range(3)]
 
     def test_exact_working_set_bounded(self):
         # words are enumerated in blocks: all 3^11 of them at once peak near 7 MB

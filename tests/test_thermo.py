@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrecur import (
     BernoulliMeasure,
@@ -27,6 +30,8 @@ from orbitrecur.errors import (
 )
 from orbitrecur.symbolic import _perron, admissible_words
 from orbitrecur.thermo import _pressure_periodic, transfer_matrix
+from test_diagnostics import gibbs_three_state
+from test_matcher import markov_with_zeros
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 
@@ -188,6 +193,38 @@ class TestZDecay:
         assert res.ratio_sup / res.ratio_inf < 10.0
 
 
+def _mat_mul(A, B):
+    d = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _psi_from_power(Pk1, pi):
+    worst = Fraction(0)
+    d = len(pi)
+    for a in range(d):
+        for b in range(d):
+            if pi[b] == 0:
+                continue
+            dev = abs(Pk1[a][b] / pi[b] - 1)
+            if dev > worst:
+                worst = dev
+    return worst
+
+
+def fraction_psi_table(m, k_max):
+    """psi(k), k = 0..k_max, in Fraction arithmetic throughout: the powers
+    P^(k+1) of the exactly renormalised chain and each |P^(k+1)_ab / pi_b - 1|.
+    The integer route in psi_mixing_table reaches the same rationals."""
+    P, pi = thermo._exact_chain(m.as_markov())
+    power = [row[:] for row in P]
+    psi = []
+    for k in range(k_max + 1):
+        psi.append(float(_psi_from_power(power, pi)))
+        if k < k_max:
+            power = _mat_mul(power, P)
+    return psi
+
+
 class TestPsiMixing:
     def test_uniform_chain_zero(self):
         m = MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
@@ -235,6 +272,22 @@ class TestPsiMixing:
                         joint += cylinder_measure(measure, e + gap + f)
                     worst = max(worst, abs(joint / (mu_e * mu_f) - 1.0))
         assert abs(psi_mixing_table(measure, k)[k] - worst) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=markov_with_zeros(), k_max=st.integers(0, 30))
+    def test_equals_fraction_route_with_zeros(self, m, k_max):
+        assert psi_mixing_table(m, k_max) == fraction_psi_table(m, k_max)
+
+    @pytest.mark.parametrize("measure", [
+        GOLDEN,
+        gibbs_three_state(),
+        BernoulliMeasure([0.2, 0.3, 0.5]),
+        random_markov(51, 4),
+        # state 0 is transient, pi[0] = 0: its column is skipped
+        MarkovMeasure([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]]),
+    ])
+    def test_equals_fraction_route(self, measure):
+        assert psi_mixing_table(measure, 30) == fraction_psi_table(measure, 30)
 
     def test_entropy_formula_nonnegative(self):
         # 2 P(phi) - P(2 phi) >= 0 across the suite
