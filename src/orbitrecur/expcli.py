@@ -238,6 +238,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     the library that holds it."""
     if cfg.replicates < 1 or cfg.samples < 0:
         raise ConfigError("replicates must be >= 1 and samples >= 0")
+    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 0):
+        raise ConfigError("tolerance must be finite and >= 0")
     if cfg.kind == "diagnostics" and (cfg.r < 2 or cfg.k_max < 1):
         raise ConfigError("diagnostics needs r >= 2 and k_max >= 1")
     if cfg.kind == "returns":

@@ -68,11 +68,14 @@ def curve_min_n(variant: str) -> int:
 
 
 def _as_orbit(orbit) -> OrbitBuffer:
-    """orbit itself, or a sequence of points as a floating orbit with no
-    noise floor."""
+    """orbit itself, or a sequence of finite points as a floating orbit with
+    no noise floor."""
     if isinstance(orbit, OrbitBuffer):
         return orbit
-    return OrbitBuffer((np.array([float(v) for v in orbit], dtype=np.float64),))
+    points = np.array([float(v) for v in orbit], dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    return OrbitBuffer((points,))
 
 
 def _to_result(orbit: OrbitBuffer, gap, i: int, j: int) -> ProximityResult:

@@ -29,9 +29,12 @@ class CurveRow:
 
 
 def check_curve(n_grid, replicates: int, min_n: int = 2) -> list[int]:
-    """The n grid of a curve as ints; ValueError unless it is non-empty,
-    strictly increasing and starts at min_n or above (log n > 0 needs 2),
-    and replicates >= 1."""
+    """The n grid of a curve as ints; ValueError unless its entries are
+    integral, it is non-empty, strictly increasing and starts at min_n or
+    above (log n > 0 needs 2), and replicates >= 1."""
+    n_grid = list(n_grid)
+    if any(int(x) != x for x in n_grid):
+        raise ValueError("n_grid entries must be integers")
     n_grid = [int(x) for x in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be non-empty strictly increasing")

@@ -52,7 +52,6 @@ class PressureResult:
     """Log-scale pressure value, the log of the Perron root."""
 
     value: float
-    flagged: bool = False  # set when the system is not topologically mixing
 
 
 @dataclass(frozen=True)
@@ -74,58 +73,37 @@ def transfer_matrix(ts: TransitionSystem, potential) -> np.ndarray:
     return np.where(A == 1, np.exp(phi), 0.0)
 
 
-def _log_trace_power(M: np.ndarray, n: int) -> float:
-    """log trace(M^n) with per-multiply normalization against overflow."""
-    scale = 0.0
-    acc = np.eye(M.shape[0])
-    base = M.copy()
-    base_scale = 0.0
-    e = n
-    while e:
-        if e & 1:
-            acc = acc @ base
-            scale += base_scale
-            m = acc.max()
-            if m > 0:
-                acc /= m
-                scale += math.log(m)
-        e >>= 1
-        if e:
-            base = base @ base
-            base_scale *= 2
-            m = base.max()
-            if m > 0:
-                base /= m
-                base_scale += math.log(m)
-    tr = float(np.trace(acc))
-    if tr <= 0.0:
-        return -math.inf
-    return math.log(tr) + scale
-
-
-def _pressure_periodic(M: np.ndarray, start_n: int = 40, tol: float = 1e-10,
-                       max_n: int = 1 << 16) -> tuple[float, int]:
-    """Pressure from closed-path sums: consecutive-trace log-ratio,
-    with n doubled from start_n until the estimate stabilizes.
+def _pressure_periodic(M: np.ndarray, period: int, max_n: int = 1 << 16) -> tuple[float, int]:
+    """Pressure from closed-path sums: log(tr M^(n+p) / tr M^n) / p over
+    multiples n of the period p, for n = 64p, 128p, ... until two estimates
+    in a row agree to 1e-10 relative.
 
     trace(M^n) sums the potential weights over all closed admissible paths of
-    length n, so this route never sees the spectral decomposition. Raises
-    ConvergenceError when the estimate has not stabilized by max_n.
+    length n, so this route never sees the spectral decomposition. Closed
+    paths exist only at multiples of p. M is scaled to max entry 1 (its log
+    is added back) and M^n is built by squaring M^p, renormalized to max
+    entry 1 after each product, which leaves the ratio unchanged. An
+    estimate whose traces are not both positive is unsettled. Raises
+    ConvergenceError once n exceeds max_n.
     """
-    n = start_n
-    prev = None
+    top = float(M.max())
+    step = np.linalg.matrix_power(M / top, period)
+    power, n, prev = step, period, None
     while True:
-        t_n = _log_trace_power(M, n)
-        t_n1 = _log_trace_power(M, n + 1)
-        est = t_n1 - t_n
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
-            return est, n
-        if n >= max_n:
-            raise ConvergenceError(
-                f"periodic-orbit pressure did not stabilize to tol={tol} by n={n}"
-            )
-        prev = est
+        power = power @ power
+        power /= power.max()
         n *= 2
+        if n < 64 * period:
+            continue
+        # tr(M^n M^p) without forming the product
+        t_n, t_next = float(np.trace(power)), float(np.sum(power * step.T))
+        est = (math.log(t_next / t_n) / period + math.log(top)
+               if t_n > 0 and t_next > 0 else None)
+        if est is not None and prev is not None and abs(est - prev) <= 1e-10 * max(1.0, abs(est)):
+            return est, n
+        if n > max_n:
+            raise ConvergenceError(f"periodic-orbit pressure did not stabilize to 1e-10 by n={n}")
+        prev = est
 
 
 def gurevich_pressure(ts: TransitionSystem, potential) -> PressureResult:
@@ -133,20 +111,20 @@ def gurevich_pressure(ts: TransitionSystem, potential) -> PressureResult:
 
     For a 2-block potential the n-step sum with fixed start symbol a is
     (M^n)_aa, so the pressure is log of the Perron root of M, found by power
-    iteration; that spectral value is returned. On a mixing system the
-    periodic-orbit (trace) route is its cross-check, and the two must agree
-    within 1e-6. A non-mixing system has no such check: its spectral value
-    is returned flagged.
+    iteration; that spectral value is returned. The periodic-orbit (trace)
+    route over multiples of the system's period is its cross-check, and the
+    two must agree within 1e-6. A system that is not strongly connected is
+    rejected.
     """
+    period = validate_system(ts).period
+    if period is None:
+        raise InvalidSystemError("pressure needs a strongly connected transition system")
     M = transfer_matrix(ts, potential)
     lam, _, _, _ = _perron(M, tol=1e-13)
     if lam <= 0:
         raise InvalidSystemError("transfer matrix has non-positive spectral radius")
     spectral = math.log(lam)
-    if not validate_system(ts).mixing:
-        # closed-path traces vanish along non-multiples of the period
-        return PressureResult(spectral, True)
-    periodic, _ = _pressure_periodic(M)
+    periodic, _ = _pressure_periodic(M, period)
     if abs(spectral - periodic) > 1e-6:
         raise CrossCheckError(
             f"pressure methods disagree: spectral {spectral!r} vs periodic {periodic!r}"

@@ -223,13 +223,16 @@ class TestConfigParsing:
         SMALL_D2.replace("tolerance = 0.2", "tolerance = 0.2\nmode = exact"),
         # S_k(r) needs a lag k >= 1
         SMALL_RETURNS.replace("k_list = 1, 2, 4, 6", "k_list = 0, 2"),
+        # a verdict needs a finite tolerance >= 0
+        *[SMALL_H2.replace("tolerance = 0.1", f"tolerance = {t}") for t in ("nan", "inf", "-inf", "-0.5")],
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
             "diagnostics_past_cap", "returns_past_cap", "bernoulli_weights_sum_1_1",
             "burn_in_negative", "burn_in_kdoubling", "burn_in_affine", "burn_in_d2_iid",
             "burn_in_match_curve", "returns_exact_samples", "returns_negative_samples",
-            "d2_mode_exact", "returns_lag_0"])
+            "d2_mode_exact", "returns_lag_0", "tolerance_nan", "tolerance_inf",
+            "tolerance_minus_inf", "tolerance_negative"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):

@@ -288,6 +288,10 @@ class TestMatchCurve:
             match_curve(UNIFORM, None, [100, 100], 2, seed=0)
         with pytest.raises(ValueError):
             match_curve(UNIFORM, None, [100], 0, seed=0)
+        with pytest.raises(ValueError, match="integers"):
+            match_curve(UNIFORM, None, [100.7], 1, seed=3)
+        rows = match_curve(UNIFORM, None, [np.int64(100)], 1, seed=3)
+        assert [row.n for row in rows] == [100]
 
 
 def brute_return_measure(m, r, k):

@@ -53,6 +53,13 @@ class TestClosestPairExamples:
         with pytest.raises(ValueError, match="at least 3 points"):
             closest_pair([0.1, 0.2], "far", alpha=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # the fast path and its oracle give one answer: a ValueError
+        for fn in (closest_pair, closest_pair_bruteforce):
+            with pytest.raises(ValueError, match="points must be finite"):
+                fn([0.1, bad, 0.3, 0.31])
+
 
 class TestAlpha:
     def test_examples(self):

@@ -26,14 +26,19 @@ from orbitrecur.errors import (
     ConvergenceError,
     CrossCheckError,
     DegenerateMeasureError,
+    InvalidSystemError,
     OrbitRecurError,
 )
-from orbitrecur.symbolic import _perron, admissible_words
+from orbitrecur.symbolic import _perron, admissible_words, validate_system
 from orbitrecur.thermo import _pressure_periodic, transfer_matrix
 from test_diagnostics import gibbs_three_state
 from test_matcher import markov_with_zeros
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
+# complete bipartite graph on states {0, 1} and {2, 3}
+PERIOD_2 = TransitionSystem([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]])
+# the cycle of classes {0} -> {1, 2} -> {3} -> {0}
+PERIOD_3 = TransitionSystem([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0]])
 
 
 def random_markov(seed: int, d: int) -> MarkovMeasure:
@@ -47,7 +52,6 @@ class TestGurevichPressure:
     def test_zero_potential_full_shift(self):
         res = gurevich_pressure(full_shift(2), np.zeros((2, 2)))
         assert abs(res.value - math.log(2)) < 1e-12
-        assert not res.flagged
 
     def test_log_stochastic_gives_zero(self):
         P = np.array([[0.0, 1.0], [0.5, 0.5]])
@@ -62,17 +66,35 @@ class TestGurevichPressure:
         assert abs(res.value - math.log(0.5)) < 1e-12
 
     def test_methods_agree(self):
+        systems = []
         for seed, d in [(1, 2), (2, 3), (3, 4)]:
             m = random_markov(seed, d)
             with np.errstate(divide="ignore"):
-                phi = np.log(m.P)
-            spectral = gurevich_pressure(m.system, phi).value
-            periodic, _ = _pressure_periodic(transfer_matrix(m.system, phi))
+                systems.append((m.system, np.log(m.P)))
+        # chains of period 2 and 3, their potentials log P and 2 log P
+        for seed, ts in [(4, PERIOD_2), (5, PERIOD_3)]:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            P = ts.admissible * (rng.random(ts.admissible.shape) + 0.05)
+            P /= P.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore"):
+                phi = np.log(P)
+            systems += [(ts, phi), (ts, 2.0 * phi)]
+        # a potential whose transfer matrix overflows unless it is scaled
+        systems += [(ts, np.full((d, d), 300.0))
+                    for ts, d in [(full_shift(2), 2), (PERIOD_3, 4)]]
+        for ts, phi in systems:
+            spectral = gurevich_pressure(ts, phi).value
+            period = validate_system(ts).period
+            periodic, _ = _pressure_periodic(transfer_matrix(ts, phi), period)
             assert abs(spectral - periodic) < 1e-8
 
-    def test_non_mixing_flagged(self):
-        res = gurevich_pressure(TransitionSystem([[0, 1], [1, 0]]), np.zeros((2, 2)))
-        assert res.flagged and abs(res.value) < 1e-10
+    def test_non_mixing_checked(self):
+        # period 2 with positive entropy: the complete bipartite graph on
+        # 2 + 2 states has 2^n closed paths of each even length n per state
+        res = gurevich_pressure(PERIOD_2, np.zeros((4, 4)))
+        assert abs(res.value - math.log(2)) < 1e-12
+        with pytest.raises(InvalidSystemError):
+            gurevich_pressure(TransitionSystem([[1, 1], [0, 1]]), np.zeros((2, 2)))
 
 
 class TestNonConvergence:
@@ -85,7 +107,7 @@ class TestNonConvergence:
     def test_periodic_pressure_length_budget(self):
         M = transfer_matrix(full_shift(2), np.zeros((2, 2)))
         with pytest.raises(ConvergenceError):
-            _pressure_periodic(M, start_n=40, max_n=40)
+            _pressure_periodic(M, 1, max_n=40)
 
 
 class TestRenyiEntropy:
