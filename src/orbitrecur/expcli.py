@@ -53,7 +53,7 @@ from .symbolic import (
     TransitionSystem,
     stationary_distribution,
 )
-from .tables import CurveRow, check_curve
+from .tables import CurveRow, check_curve, curve_cells, curve_row
 from .thermo import renyi_entropy_exact, z_decay_check
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text", "run", "verify",
@@ -256,9 +256,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     try:
         if iterates:
             system.resolve_burn_in(cfg.burn_in)
+        if cfg.kind in ("match_curve", "h2", "diagnostics"):
+            h2 = renyi_entropy_exact(system).h2  # a degenerate measure has none
         if cfg.kind == "match_curve":
             check_curve(cfg.n_grid, cfg.replicates)
-            if renyi_entropy_exact(system).h2 <= 0:
+            if h2 <= 0:
                 raise ValueError("needs a positive Renyi entropy h2")
         elif cfg.kind == "proximity_curve":
             check_curve(cfg.n_grid, cfg.replicates, curve_min_n(cfg.variant))
@@ -309,8 +311,8 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int, int, int]]:
     seed is derive_seed of the cell, or 0 for cells that draw nothing
     (diagnostics, exact returns)."""
     if cfg.kind in ("match_curve", "proximity_curve"):
-        return [(n, n, rep, derive_seed(cfg.master_seed, cfg.kind, n, rep))
-                for n in cfg.n_grid for rep in range(cfg.replicates)]
+        plan = curve_cells(cfg.kind, cfg.n_grid, cfg.replicates, cfg.master_seed)
+        return [(n, n, rep, seed) for n, rep, seed in plan]
     if cfg.kind in ("d2", "h2"):
         size = cfg.samples if cfg.kind == "d2" else cfg.block_len
         return [(rep, cfg.samples, rep, derive_seed(cfg.master_seed, cfg.kind, size, rep))
@@ -384,7 +386,7 @@ def _read_rows(cfg: ExperimentConfig, text: str,
                for r in rows):
         return None
     if cfg.kind in ("match_curve", "proximity_curve"):
-        values = [r.aux / math.log(r.n) for r in rows]
+        values = [curve_row(r.n, r.replicate, r.seed, r.aux, r.flag).value for r in rows]
     elif cfg.kind == "diagnostics":
         values = [c.margin for c in _diagnostics_checks(cfg, rows)]
     else:

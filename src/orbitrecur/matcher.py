@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetError
-from .rng import derive_seed
 from .symbolic import MeasureSpec, TransitionSystem, sample_sequence, sample_sequences_batch
-from .tables import CurveRow, check_curve
+from .tables import CurveRow, curve_cells, curve_row
 from .thermo import renyi_entropy_exact
 
 __all__ = [
@@ -54,14 +53,19 @@ class MatchResult:
     crossed_boundary: bool = False
 
 
-def _as_symbols(seq) -> np.ndarray:
-    """The symbols as int64. ValueError unless they are integers in the
-    int64 range: a cast would truncate floats and wrap large uint64 values."""
+def _symbols(seq, n: int | None) -> tuple[np.ndarray, int]:
+    """The symbols as int64 and the number of starts n (None: every symbol).
+    ValueError unless the symbols are integers in the int64 range (a cast
+    would truncate floats and wrap large uint64 values) and 2 <= n <= their
+    count."""
     arr = np.asarray(seq)
     if arr.size and (arr.dtype.kind not in "iu"
                      or (arr.dtype == np.uint64 and int(arr.max()) >= 1 << 63)):
         raise ValueError(f"symbols must be integers in the int64 range, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    n = len(arr) if n is None else n
+    if not 2 <= n <= len(arr):
+        raise ValueError(f"need 2 <= n <= {len(arr)} (the generated length), got n={n}")
+    return arr.astype(np.int64, copy=False), n
 
 
 # Largest name bound whose pair names a * bound + b (a, b < bound) fit in uint64.
@@ -128,14 +132,8 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     of the data (containment rule). Witness tie-break: smallest i, then
     smallest j.
     """
-    s = _as_symbols(seq)
+    s, n = _symbols(seq, n)
     L = len(s)
-    if n is None:
-        n = L
-    if n > L:
-        raise ValueError(f"n={n} exceeds generated length {L}")
-    if n < 2:
-        raise ValueError("need n >= 2")
     # names are uint64 and lie below `bound`
     top = int(s.max())
     if s.min() >= 0 and top < _NAME_BOUND_MAX:
@@ -203,14 +201,8 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
 
 def longest_self_match_bruteforce(seq, n: int | None = None) -> MatchResult:
     """O(n^2 * M) triple-loop oracle with the identical contract."""
-    s_arr = _as_symbols(seq)
+    s_arr, n = _symbols(seq, n)
     L = len(s_arr)
-    if n is None:
-        n = L
-    if n > L:
-        raise ValueError(f"n={n} exceeds generated length {L}")
-    if n < 2:
-        raise ValueError("need n >= 2")
     s = s_arr.tolist()
     best = 0
     bi, bj = 0, 1
@@ -229,32 +221,19 @@ def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates:
                 seed: int) -> list[CurveRow]:
     """M_n across a grid of n with independent replicates.
 
-    Each (n, replicate) cell gets its own derived seed and its own sequence;
-    the buffer holds ceil(8 log n / h2) extra symbols, h2 the exact Renyi
+    Each cell of the curve plan (curve_cells) gets its own sequence; the
+    buffer holds ceil(8 log n / h2) extra symbols, h2 the exact Renyi
     entropy, so the containment rule cannot truncate a match at the
     statistic's scale.
     """
-    n_grid = check_curve(n_grid, replicates)
+    cells = curve_cells("match_curve", n_grid, replicates, seed)
     h2 = renyi_entropy_exact(m).h2
     if h2 <= 0:
         raise ValueError("match_curve needs a positive Renyi entropy h2")
     rows = []
-    for n in n_grid:
-        buffer = math.ceil(8.0 * math.log(n) / h2)
-        for rep in range(replicates):
-            cell_seed = derive_seed(seed, "match_curve", n, rep)
-            seq = sample_sequence(m, ts, n, buffer, cell_seed)
-            res = longest_self_match(seq, n)
-            rows.append(
-                CurveRow(
-                    n=n,
-                    replicate=rep,
-                    seed=cell_seed,
-                    value=res.m_n / math.log(n),
-                    aux=float(res.m_n),
-                    flag="ok",
-                )
-            )
+    for n, rep, cell_seed in cells:
+        seq = sample_sequence(m, ts, n, math.ceil(8.0 * math.log(n) / h2), cell_seed)
+        rows.append(curve_row(n, rep, cell_seed, float(longest_self_match(seq, n).m_n)))
     return rows
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import PrecisionFloorError, ResampleSignal, UnresolvedReturn
 from .intervalmaps import EPS64, GROWTH_CAP, IntervalMap, KDoubling, OrbitBuffer
-from .rng import derive_seed, make_rng
-from .tables import CurveRow, check_curve
+from .rng import make_rng
+from .tables import CurveRow, curve_cells, curve_row
 
 __all__ = [
     "ProximityResult",
@@ -67,15 +67,22 @@ def curve_min_n(variant: str) -> int:
     return 3 if variant in ("far", "split") else 2
 
 
-def _as_orbit(orbit) -> OrbitBuffer:
-    """orbit itself, or a sequence of finite points as a floating orbit with
-    no noise floor."""
-    if isinstance(orbit, OrbitBuffer):
-        return orbit
-    points = np.array([float(v) for v in orbit], dtype=np.float64)
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
-    return OrbitBuffer((points,))
+def _arguments(orbit, variant: str, alpha: int | None) -> tuple[OrbitBuffer, int, int]:
+    """The checked arguments of a closest-pair call: the orbit (an
+    OrbitBuffer, or a sequence of finite points as a floating orbit with no
+    noise floor), its length n, at least curve_min_n(variant), and alpha
+    (None: alpha_of(n) for "near" and "far", else 0)."""
+    if not isinstance(orbit, OrbitBuffer):
+        points = np.array([float(v) for v in orbit], dtype=np.float64)
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        orbit = OrbitBuffer((points,))
+    n = len(orbit)
+    if n < curve_min_n(variant):
+        raise ValueError(f"variant {variant!r} needs at least {curve_min_n(variant)} points")
+    if alpha is None:
+        alpha = alpha_of(n) if variant in ("near", "far") else 0
+    return orbit, n, alpha
 
 
 def _to_result(orbit: OrbitBuffer, gap, i: int, j: int) -> ProximityResult:
@@ -201,12 +208,8 @@ def closest_pair(orbit, variant: str = "all", alpha: int | None = None) -> Proxi
     orbits are compared limb by limb (see OrbitBuffer), so every distance
     stays exact. Brute force remains the arbiter in tests.
     """
-    orbit = _as_orbit(orbit)
-    keys, radices, n = orbit.keys, orbit.radices, len(orbit)
-    if n < curve_min_n(variant):
-        raise ValueError(f"variant {variant!r} needs at least {curve_min_n(variant)} points")
-    if alpha is None:
-        alpha = alpha_of(n) if variant in ("near", "far") else 0
+    orbit, n, alpha = _arguments(orbit, variant, alpha)
+    keys, radices = orbit.keys, orbit.radices
     if variant == "all":
         idx = _candidates(keys)
         gap, i, j = _offset_scan(tuple(key[idx] for key in keys), radices, (1,))
@@ -230,12 +233,7 @@ def closest_pair_bruteforce(orbit, variant: str = "all", alpha: int | None = Non
     """O(n^2) oracle with the identical contract: the gaps of all pairs the
     variant admits, taken from the float points or the exact windows, in
     (i, j) order, so that the first least gap is the smallest pair on ties."""
-    orbit = _as_orbit(orbit)
-    n = len(orbit)
-    if n < curve_min_n(variant):
-        raise ValueError(f"variant {variant!r} needs at least {curve_min_n(variant)} points")
-    if alpha is None:
-        alpha = alpha_of(n) if variant in ("near", "far") else 0
+    orbit, n, alpha = _arguments(orbit, variant, alpha)
     i, j = np.triu_indices(n, 1)
     if variant == "near":
         keep = j - i <= alpha
@@ -343,24 +341,13 @@ def proximity_curve(spec: IntervalMap, n_grid, replicates: int, variant: str = "
     noise floor are flagged "floor" and excluded from fits downstream;
     resampled cells keep their value with flag "resampled".
     """
-    n_grid = check_curve(n_grid, replicates, curve_min_n(variant))
     rows = []
-    for n in n_grid:
-        for rep in range(replicates):
-            cell_seed = derive_seed(seed, "proximity_curve", n, rep)
-            orb = spec.orbit(n, cell_seed, burn_in)
-            res = closest_pair(orb, variant)
-            if res.value > 0.0:
-                aux = -math.log(res.value)
-                value = aux / math.log(n)
-            else:
-                aux = math.inf
-                value = math.inf
-            flag = "ok"
-            if res.below_floor or not math.isfinite(value):
-                flag = "floor"
-            elif orb.resampled:
-                flag = "resampled"
-            rows.append(CurveRow(n=n, replicate=rep, seed=cell_seed, value=value,
-                                 aux=aux, flag=flag))
+    for n, rep, cell_seed in curve_cells("proximity_curve", n_grid, replicates, seed,
+                                         curve_min_n(variant)):
+        orb = spec.orbit(n, cell_seed, burn_in)
+        res = closest_pair(orb, variant)
+        flag = ("floor" if res.below_floor or res.value == 0.0
+                else "resampled" if orb.resampled else "ok")
+        aux = -math.log(res.value) if res.value > 0.0 else math.inf
+        rows.append(curve_row(n, rep, cell_seed, aux, flag))
     return rows

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Stable codes for seed derivation; never reorder or reuse.
+# Stable codes for seed derivation, one per experiment kind; never reorder
+# or reuse. Codes 7 and 8 are retired (no seed was derived under them) and
+# must not be reused.
 KIND_CODES = {
     "match_curve": 1,
     "proximity_curve": 2,
@@ -18,8 +20,6 @@ KIND_CODES = {
     "h2": 4,
     "diagnostics": 5,
     "returns": 6,
-    "short_return": 7,
-    "sample": 8,
 }
 
 

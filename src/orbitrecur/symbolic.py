@@ -1,8 +1,8 @@
 """Finite-alphabet topological Markov shifts and shift-invariant measures.
 
-Provides transition systems (0/1 matrices), admissible words, the one measure
-interface `MeasureSpec`, exact cylinder measures and reproducible
-typical-sequence sampling. A system's strong connectivity and period come from
+Provides transition systems (0/1 matrices), admissible words, the transfer
+matrix of a 2-block potential, the one measure interface `MeasureSpec`,
+exact cylinder measures and reproducible typical-sequence sampling. A system's strong connectivity and period come from
 one breadth-first search, run on the graph and on its reverse. The Bernoulli,
 Markov and 2-block-potential Gibbs specifications are each one stationary
 Markov chain, built once at construction and read through `as_markov()`:
@@ -44,6 +44,7 @@ __all__ = [
     "sample_sequence",
     "sample_sequences_batch",
     "admissible_words",
+    "transfer_matrix",
 ]
 
 
@@ -261,15 +262,13 @@ class GibbsMeasure(MeasureSpec):
         A = self.system.admissible
         if phi.shape != A.shape:
             raise IncompatibleMeasureError("potential table must match the transition matrix")
-        if not np.all(np.isfinite(phi[A == 1])):
-            raise InvalidSystemError("potential must be finite on admissible pairs")
+        M = transfer_matrix(self.system, phi)
         if np.any(np.isfinite(phi[A == 0])):
             raise InvalidSystemError("potential must be -inf exactly on inadmissible pairs")
         diag = validate_system(self.system)
         if not diag.strongly_connected:
             raise InvalidSystemError("Gibbs measures require a strongly connected system")
         object.__setattr__(self, "potential", _frozen_array(phi, np.float64))
-        M = np.where(A == 1, np.exp(phi), 0.0)
         lam, r, l, _ = _perron(M)
         P = M * r[None, :] / (lam * r[:, None])
         P = P / P.sum(axis=1, keepdims=True)  # remove last-digit drift
@@ -277,6 +276,21 @@ class GibbsMeasure(MeasureSpec):
         pi = pi / pi.sum()
         pi = _stationary_power(P, pi)  # polish to the 1e-10 contract
         object.__setattr__(self, "_chain", MarkovMeasure(pi, P, self.system))
+
+
+def transfer_matrix(ts: TransitionSystem, potential) -> np.ndarray:
+    """Weighted transfer matrix M_ab = A_ab exp(phi(a, b)). InvalidSystemError
+    unless the potential table matches A and phi and exp(phi) are finite on
+    every admissible pair."""
+    phi = np.asarray(potential, dtype=np.float64)
+    A = ts.admissible
+    if phi.shape != A.shape:
+        raise InvalidSystemError("potential table must match the transition matrix")
+    with np.errstate(over="ignore"):
+        M = np.where(A == 1, np.exp(phi), 0.0)
+    if not (np.all(np.isfinite(phi[A == 1])) and np.all(np.isfinite(M))):
+        raise InvalidSystemError("potential and its exp must be finite on admissible pairs")
+    return M
 
 
 def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):

@@ -30,6 +30,7 @@ from .symbolic import (
     TransitionSystem,
     _perron,
     stationary_distribution_exact,
+    transfer_matrix,
     validate_system,
 )
 
@@ -60,17 +61,6 @@ class EntropyResult:
 
     h2: float
     alpha: float
-
-
-def transfer_matrix(ts: TransitionSystem, potential) -> np.ndarray:
-    """Weighted transfer matrix M_ab = A_ab exp(phi(a, b))."""
-    phi = np.asarray(potential, dtype=np.float64)
-    A = ts.admissible
-    if phi.shape != A.shape:
-        raise InvalidSystemError("potential table must match the transition matrix")
-    if not np.all(np.isfinite(phi[A == 1])):
-        raise InvalidSystemError("potential must be finite on admissible pairs")
-    return np.where(A == 1, np.exp(phi), 0.0)
 
 
 def _pressure_periodic(M: np.ndarray, period: int, max_n: int = 1 << 16) -> tuple[float, int]:

@@ -13,6 +13,9 @@ SMALL_MATCH, SMALL_PROX, SMALL_D2, SMALL_H2, SMALL_DIAG, SMALL_RETURNS = (
     ALL_SMALL[kind] for kind in
     ("match_curve", "proximity_curve", "d2", "h2", "diagnostics", "returns"))
 
+# state 1 leaves for good: stationary mass sits on state 0 alone
+DEGENERATE_CHAIN = "transition = 1, 0; 0.5, 0.5\nstationary = 1, 0"
+
 SMALL_D2_ORBIT = (SMALL_D2.replace("type = gauss", "type = kdoubling\nk = 2")
                   .replace("samples = 4000", "samples = 20000\nmode = orbit"))
 SMALL_PROX_GAUSS = SMALL_PROX.replace("type = kdoubling\nk = 2", "type = gauss")
@@ -225,6 +228,12 @@ class TestConfigParsing:
         SMALL_RETURNS.replace("k_list = 1, 2, 4, 6", "k_list = 0, 2"),
         # a verdict needs a finite tolerance >= 0
         *[SMALL_H2.replace("tolerance = 0.1", f"tolerance = {t}") for t in ("nan", "inf", "-inf", "-0.5")],
+        # a degenerate measure has no Renyi entropy for the h2 target or the
+        # diagnostics bounds
+        SMALL_H2.replace("block_len = 6", "block_len = 2").replace(
+            "transition = 0, 1; 0.5, 0.5", DEGENERATE_CHAIN),
+        SMALL_DIAG.replace("r = 5\nk_max = 8", "r = 4\nk_max = 3").replace(
+            "transition = 0, 1; 0.5, 0.5", DEGENERATE_CHAIN),
     ], ids=["match_grid_from_1", "proximity_grid_from_1", "unknown_variant", "split_from_2",
             "far_from_2", "h2_200_samples", "h2_too_few_collisions", "d2_50_samples",
             "d2_orbit_21_points", "match_zero_entropy", "kdoubling_k_2_64", "kdoubling_k_2_63",
@@ -232,7 +241,7 @@ class TestConfigParsing:
             "burn_in_negative", "burn_in_kdoubling", "burn_in_affine", "burn_in_d2_iid",
             "burn_in_match_curve", "returns_exact_samples", "returns_negative_samples",
             "d2_mode_exact", "returns_lag_0", "tolerance_nan", "tolerance_inf",
-            "tolerance_minus_inf", "tolerance_negative"])
+            "tolerance_minus_inf", "tolerance_negative", "h2_degenerate", "diagnostics_degenerate"])
     def test_config_that_run_cannot_compute_rejected(self, tmp_path, capsys, text):
         # run could not compute any of them: a config error before any cell runs
         with pytest.raises(ConfigError):

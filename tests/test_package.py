@@ -40,6 +40,15 @@ def test_every_all_entry_resolves():
     assert missing == []
 
 
+def test_seed_codes_are_the_experiment_kinds():
+    # every kind derives its seeds under its own code, and no code is left
+    # that no kind uses
+    from orbitrecur.expcli import KINDS
+    from orbitrecur.rng import KIND_CODES
+
+    assert set(KIND_CODES) == set(KINDS)
+
+
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
 

@@ -226,6 +226,9 @@ class TestMeasureValidation:
         bad = np.zeros((2, 2))  # finite on the inadmissible (0,0) pair
         with pytest.raises(InvalidSystemError):
             GibbsMeasure(bad, ts)
+        # exp(800) overflows: rejected before any power iteration
+        with pytest.raises(InvalidSystemError, match="exp must be finite"):
+            GibbsMeasure(np.where(ts.admissible == 1, 800.0, -np.inf), ts)
 
     def test_gibbs_induced_chain_is_stationary(self):
         g = gibbs_example()

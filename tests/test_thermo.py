@@ -95,6 +95,10 @@ class TestGurevichPressure:
         assert abs(res.value - math.log(2)) < 1e-12
         with pytest.raises(InvalidSystemError):
             gurevich_pressure(TransitionSystem([[1, 1], [0, 1]]), np.zeros((2, 2)))
+        # exp(800) is not a float: a typed error at once, not a power
+        # iteration on inf entries that ends in ConvergenceError
+        with pytest.raises(InvalidSystemError, match="exp must be finite"):
+            gurevich_pressure(full_shift(2), np.full((2, 2), 800.0))
 
 
 class TestNonConvergence:
