@@ -53,7 +53,6 @@ from .symbolic import (
     MarkovMeasure,
     SystemDiagnostics,
     TransitionSystem,
-    cylinder_measure,
     full_shift,
     sample_sequence,
     stationary_distribution,

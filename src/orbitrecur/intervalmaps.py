@@ -43,6 +43,7 @@ __all__ = [
 EPS64 = 2.0**-52  # unit roundoff scale for 64-bit orbits
 GROWTH_CAP = 2.0**8  # cap on the accumulated expansion factor in the floor
 LIMB_BOUND = 2**63  # exact orbits hold base-k digits in int64 limbs, each below this
+CHUNK = 1 << 15  # entries per step of a pass over an orbit-length array, which needs O(CHUNK) scratch
 
 
 class IntervalMap:
@@ -264,9 +265,10 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
 
     Draw n + W digits; point i is the W-digit window starting at digit i, so
     the i-th iterate is exact and pairwise distances are exact base-k
-    rationals; they are stored as int64 limbs (see OrbitBuffer).
-    enforce_floor=False admits windows too narrow for the n^-2 distance
-    scale; only for hand-sized demonstrations.
+    rationals; they are stored as int64 limbs (see OrbitBuffer). The working
+    set is the limbs, one level of n + W int64 window values, and O(CHUNK)
+    scratch. enforce_floor=False admits windows too narrow for the n^-2
+    distance scale; only for hand-sized demonstrations.
     """
     KDoubling(k)  # InvalidSystemError unless the digits fit int64 limbs
     if n < 1:
@@ -289,12 +291,14 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
         level = np.array(digit_list, dtype=np.int64)
     widths = _limb_widths(k, W)
     # Window doubling: level 2w is level w times k^w plus level w shifted by
-    # w, and replaces it. A limb of L digits is read from its most
-    # significant digit on, one piece from each level w in the binary form
-    # of L, smallest first.
+    # w. It overwrites level w in place, in ascending chunks: a chunk reads
+    # only entries that no earlier chunk has rewritten, and numpy copies an
+    # input that overlaps its output. A limb of L digits is read from its
+    # most significant digit on, one piece from each level w in the binary
+    # form of L, smallest first.
     limbs = [np.zeros(n, dtype=np.int64) for _ in widths]
     pos = list(itertools.accumulate(widths, initial=0))
-    w = 1
+    size, w = len(level), 1
     while True:
         for c, width in enumerate(widths):
             if width & w:
@@ -303,9 +307,10 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
                 pos[c] += w
         if 2 * w > widths[0]:
             break
-        nxt = level[: len(level) - w] * k**w
-        nxt += level[w:]
-        level = nxt
+        size -= w
+        for a in range(0, size, CHUNK):
+            b = min(a + CHUNK, size)
+            np.add(level[a:b] * k**w, level[a + w : b + w], out=level[a:b])
         w *= 2
     return OrbitBuffer(tuple(limbs), tuple(k**width for width in widths))
 

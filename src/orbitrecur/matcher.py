@@ -224,7 +224,7 @@ def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates:
     Each cell of the curve plan (curve_cells) gets its own sequence; the
     buffer holds ceil(8 log n / h2) extra symbols, h2 the exact Renyi
     entropy, so the containment rule cannot truncate a match at the
-    statistic's scale.
+    statistic's scale. One cell's sequence is in memory at a time.
     """
     cells = curve_cells("match_curve", n_grid, replicates, seed)
     h2 = renyi_entropy_exact(m).h2
@@ -234,6 +234,7 @@ def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates:
     for n, rep, cell_seed in cells:
         seq = sample_sequence(m, ts, n, math.ceil(8.0 * math.log(n) / h2), cell_seed)
         rows.append(curve_row(n, rep, cell_seed, float(longest_self_match(seq, n).m_n)))
+        del seq  # freed before the next cell's sequence is sampled
     return rows
 
 
@@ -262,12 +263,12 @@ def _exact_return_measure(m: MeasureSpec, r: int, k: int) -> float:
     tails are enumerated once per call, and their transition factors
     gathered once per first symbol b, over the tails that close back onto b.
     The heads follow in lexicographic order, so the words come in the order
-    admissible_words yields. A word's mass is the left-to-right product
-    pi[w0] P[w0, w1] ... over the r + k symbols, the head's factors scalars
-    and the tails' arrays, and the masses are added one at a time in word
-    order to a running total carried from head to head. So each product and
-    sum is that of a per-word loop and the float equals it bit for bit,
-    which a pairwise np.sum would not.
+    of `admissible_words` in tests/_oracles.py, the bit-identity reference.
+    A word's mass is the left-to-right product pi[w0] P[w0, w1] ... over the
+    r + k symbols, the head's factors scalars and the tails' arrays, and the
+    masses are added one at a time in word order to a running total carried
+    from head to head. So each product and sum is that of a per-word loop
+    and the float equals it bit for bit, which a pairwise np.sum would not.
     """
     mk = m.as_markov()
     P = mk.P

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PrecisionFloorError, ResampleSignal, UnresolvedReturn
-from .intervalmaps import EPS64, GROWTH_CAP, IntervalMap, KDoubling, OrbitBuffer
+from .intervalmaps import CHUNK, EPS64, GROWTH_CAP, IntervalMap, KDoubling, OrbitBuffer
 from .rng import make_rng
 from .tables import CurveRow, curve_cells, curve_row
 
@@ -145,12 +145,30 @@ def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     candidates adjacent only among the candidates straddle a point that is
     not one, so their gap exceeds such a row's: the candidates hold the
     least gap and all its ties, as neighbours.
+
+    The working set is one sorted copy of the leading key, the candidates'
+    end values and O(CHUNK) scratch: the gaps and the membership test run
+    over chunks.
     """
     v = np.sort(keys[0])
-    d0 = v[1:] - v[:-1]
     slack = 1 if len(keys) > 1 else 0
-    near = d0 <= d0.min() + slack
-    return np.flatnonzero(np.isin(keys[0], np.concatenate((v[:-1][near], v[1:][near]))))
+    least = min(gaps.min() for _, gaps in _sorted_gaps(v))
+    rows = np.concatenate([a + np.flatnonzero(gaps <= least + slack)
+                           for a, gaps in _sorted_gaps(v)])
+    ends = np.concatenate((v[rows], v[rows + 1]))
+    # each chunk's membership test sorts the ends when they are many (ties
+    # along a grid), so a chunk is never shorter than they are
+    step = max(CHUNK, len(ends))
+    return np.concatenate([a + np.flatnonzero(np.isin(keys[0][a : a + step], ends))
+                           for a in range(0, len(v), step)])
+
+
+def _sorted_gaps(v: np.ndarray):
+    """(a, v[a + 1 : b + 1] - v[a : b]) over the ascending chunks [a, b) of
+    the rows of a sorted array."""
+    for a in range(0, len(v) - 1, CHUNK):
+        b = min(a + CHUNK, len(v) - 1)
+        yield a, v[a + 1 : b + 1] - v[a:b]
 
 
 def _offset_scan(keys, radices, offsets, admissible=None):
@@ -339,7 +357,8 @@ def proximity_curve(spec: IntervalMap, n_grid, replicates: int, variant: str = "
     value = -log m_n / log n (the quantity with a dimension-law limit),
     aux = -log m_n. Zero distances (exact duplicates) and readings at the
     noise floor are flagged "floor" and excluded from fits downstream;
-    resampled cells keep their value with flag "resampled".
+    resampled cells keep their value with flag "resampled". One cell's orbit
+    is in memory at a time.
     """
     rows = []
     for n, rep, cell_seed in curve_cells("proximity_curve", n_grid, replicates, seed,
@@ -348,6 +367,7 @@ def proximity_curve(spec: IntervalMap, n_grid, replicates: int, variant: str = "
         res = closest_pair(orb, variant)
         flag = ("floor" if res.below_floor or res.value == 0.0
                 else "resampled" if orb.resampled else "ok")
+        del orb  # freed before the next cell's orbit is built
         aux = -math.log(res.value) if res.value > 0.0 else math.inf
         rows.append(curve_row(n, rep, cell_seed, aux, flag))
     return rows

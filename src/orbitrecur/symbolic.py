@@ -1,15 +1,15 @@
 """Finite-alphabet topological Markov shifts and shift-invariant measures.
 
-Provides transition systems (0/1 matrices), admissible words, the transfer
-matrix of a 2-block potential, the one measure interface `MeasureSpec`,
-exact cylinder measures and reproducible typical-sequence sampling. A system's strong connectivity and period come from
-one breadth-first search, run on the graph and on its reverse. The Bernoulli,
-Markov and 2-block-potential Gibbs specifications are each one stationary
-Markov chain, built once at construction and read through `as_markov()`:
-cylinder masses, sampling and degeneracy all come from that chain. Sampling
-turns each draw into a next-state map, and a path is the scan of its maps in
-a tree of log depth. Everything here is immutable after construction and
-safe to share across threads.
+Provides transition systems (0/1 matrices), the transfer matrix of a
+2-block potential, the one measure interface `MeasureSpec` and reproducible
+typical-sequence sampling. A system's strong connectivity and period come
+from one breadth-first search, run on the graph and on its reverse. The
+Bernoulli, Markov and 2-block-potential Gibbs specifications are each one
+stationary Markov chain, built once at construction and read through
+`as_markov()`: cylinder masses, sampling and degeneracy all come from that
+chain. Sampling turns each draw into a next-state map, and a path is the
+scan of its maps in a tree of log depth. Everything here is immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,12 +38,10 @@ __all__ = [
     "GibbsMeasure",
     "full_shift",
     "validate_system",
-    "cylinder_measure",
     "stationary_distribution",
     "stationary_distribution_exact",
     "sample_sequence",
     "sample_sequences_batch",
-    "admissible_words",
     "transfer_matrix",
 ]
 
@@ -131,27 +129,6 @@ def validate_system(ts: TransitionSystem | Sequence) -> SystemDiagnostics:
     connected = bool((forward >= 0).all() and (backward >= 0).all())
     period = period if connected else None
     return SystemDiagnostics(connected, period, connected and period == 1)
-
-
-# ---------------------------------------------------------------------------
-# Words
-# ---------------------------------------------------------------------------
-
-
-def admissible_words(ts: TransitionSystem, length: int) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of admissible words of the given length."""
-    d = ts.alphabet_size
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    adj = [tuple(int(v) for v in np.flatnonzero(ts.admissible[a])) for a in range(d)]
-    stack: list[tuple[tuple[int, ...], int]] = [((a,), a) for a in range(d - 1, -1, -1)]
-    while stack:
-        word, last = stack.pop()
-        if len(word) == length:
-            yield word
-            continue
-        for b in reversed(adj[last]):
-            stack.append((word + (b,), b))
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +257,20 @@ class GibbsMeasure(MeasureSpec):
 
 def transfer_matrix(ts: TransitionSystem, potential) -> np.ndarray:
     """Weighted transfer matrix M_ab = A_ab exp(phi(a, b)). InvalidSystemError
-    unless the potential table matches A and phi and exp(phi) are finite on
-    every admissible pair."""
+    unless the potential table matches A, phi is finite on every admissible
+    pair, and exp(phi) there neither overflows nor underflows to 0: an
+    infinite weight has no Perron data, and a zero one drops its pair from
+    the graph."""
     phi = np.asarray(potential, dtype=np.float64)
     A = ts.admissible
     if phi.shape != A.shape:
         raise InvalidSystemError("potential table must match the transition matrix")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         M = np.where(A == 1, np.exp(phi), 0.0)
-    if not (np.all(np.isfinite(phi[A == 1])) and np.all(np.isfinite(M))):
-        raise InvalidSystemError("potential and its exp must be finite on admissible pairs")
+    weights = M[A == 1]
+    if not (np.all(np.isfinite(phi[A == 1])) and np.all(np.isfinite(weights) & (weights > 0))):
+        raise InvalidSystemError("potential and its exp must be finite, and its exp nonzero, "
+                                 "on admissible pairs")
     return M
 
 
@@ -319,24 +300,8 @@ def _perron(M: np.ndarray, tol: float = 1e-15, max_iter: int = 100_000):
 
 
 # ---------------------------------------------------------------------------
-# Cylinder measures and stationary vectors
+# Stationary vectors
 # ---------------------------------------------------------------------------
-
-
-def cylinder_measure(m: MeasureSpec, w: Sequence[int]) -> float:
-    """Exact cylinder mass of the word under the measure; 0 when inadmissible."""
-    sym = [int(s) for s in w]
-    if not sym:
-        raise ValueError("empty word rejected")
-    d = m.alphabet_size
-    if any(s < 0 or s >= d for s in sym):
-        raise InvalidSystemError(f"symbol out of range for alphabet size {d}")
-    # the chain puts no mass on an inadmissible pair, so its product is 0.0
-    mk = m.as_markov()
-    mass = float(mk.pi[sym[0]])
-    for a, b in zip(sym, sym[1:]):
-        mass *= float(mk.P[a, b])
-    return mass
 
 
 def _stationary_power(P: np.ndarray, start: np.ndarray) -> np.ndarray:

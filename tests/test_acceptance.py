@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from _configs import SMALL_CONFIGS
+from _oracles import admissible_words, cylinder_measure
 from orbitrecur import (
     BernoulliMeasure,
     GaussMap,
@@ -21,7 +22,6 @@ from orbitrecur import (
     closest_pair,
     closest_pair_bruteforce,
     correlation_integral,
-    cylinder_measure,
     d2_estimate,
     expcli,
     exponent_fit,
@@ -187,7 +187,6 @@ def _check_z_enumeration() -> bool:
 
 
 def _check_psi_bruteforce() -> bool:
-    from orbitrecur.symbolic import admissible_words
     from orbitrecur.thermo import psi_mixing_table
 
     for m in (GOLDEN, MarkovMeasure([0.5, 0.5], [[0.25, 0.75], [0.75, 0.25]])):

@@ -153,6 +153,36 @@ RECORD_SHA256 = {
 }
 
 
+# h2 of every example and pinned measure, bit for bit: the pressure layer's
+# edge checks (an underflowing exp(phi), a tiny spectral gap) move none
+H2_HEX = {
+    ("example", "diagnostics"): "0x1.c86086c2776c5p-2",
+    ("example", "h2"): "0x1.c86086c2776c5p-2",
+    ("example", "match_curve"): "0x1.62e42fefa39efp-1",
+    ("example", "returns"): "0x1.62e42fefa39efp-1",
+    ("pinned", "diagnostics"): "0x1.c86086c2776c5p-2",
+    ("pinned", "diagnostics_bernoulli"): "0x1.ef672c69da20bp-1",
+    ("pinned", "h2"): "0x1.c86086c2776c5p-2",
+    ("pinned", "match_curve"): "0x1.62e42fefa39efp-1",
+    ("pinned", "match_curve_gibbs"): "0x1.bd1fb9ede2570p-2",
+    ("pinned", "returns"): "0x1.62e42fefa39efp-1",
+    ("pinned", "returns_empirical"): "0x1.62e42fefa39efp-1",
+}
+
+
+def test_h2_bits_of_every_measure():
+    from orbitrecur.symbolic import MeasureSpec
+    from orbitrecur.thermo import renyi_entropy_exact
+
+    got = {}
+    for group, configs in (("example", expcli.EXAMPLE_CONFIGS), ("pinned", PINNED_CONFIGS)):
+        for name, text in configs.items():
+            spec = expcli.parse_config_text(text).spec
+            if isinstance(spec, MeasureSpec):
+                got[group, name] = renyi_entropy_exact(spec).h2.hex()
+    assert got == H2_HEX
+
+
 class TestConfigParsing:
     @pytest.mark.parametrize("kind", sorted(expcli.EXAMPLE_CONFIGS))
     def test_canonical_examples_parse(self, kind):

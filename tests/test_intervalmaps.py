@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import python_int_orbit
 from orbitrecur import (
     GaussMap,
     IntervalMap,
@@ -15,6 +20,7 @@ from orbitrecur import (
     iterate,
     mp_first_return,
 )
+from orbitrecur import intervalmaps
 from orbitrecur.errors import InvalidSystemError, ResampleSignal, UnresolvedReturn
 from orbitrecur.intervalmaps import affine_orbit, min_window_digits
 from orbitrecur.rng import make_rng
@@ -99,6 +105,50 @@ class TestDoublingOrbitExact:
         for i in range(200):
             lead = orb.windows[i] >> (W - 1)
             assert branch_digit(KDoubling(2), orb.points[i]) == lead
+
+
+class TestInPlaceDoubling:
+    """Each level of the window doubling overwrites the last in place, in
+    ascending chunks of CHUNK entries; the windows stay those of Python ints
+    wherever n and n + W fall against a chunk boundary, for one limb or
+    several."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.sampled_from([1, 2, 3, 5, 8]), st.integers(1, 40),
+           st.one_of(st.integers(1, 12), st.integers(40, 130)), st.integers(0, 2**32))
+    def test_small_chunks_against_python_ints(self, k, chunk, n, W, seed):
+        digits = make_rng(seed).integers(0, k, size=n + W).tolist()
+        with mock.patch.object(intervalmaps, "CHUNK", chunk):
+            orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
+        assert orb.windows == python_int_orbit(k, W, digits, n)[0]
+
+    # one limb and several: k = 2 packs 62 digits a limb, k = 3 packs 39,
+    # k = 10 packs 18
+    @pytest.mark.parametrize("k, W", [(2, 40), (2, 96), (3, 30), (3, 90), (10, 12), (10, 45)])
+    def test_at_the_chunk_boundary(self, k, W):
+        C = intervalmaps.CHUNK
+        digits = make_rng(k + W).integers(0, k, size=C + 1 + W).tolist()
+        windows = python_int_orbit(k, W, digits, C + 1)[0]
+        # n + W, then n, one below, at and one above C
+        for n in (C - W - 1, C - W, C - W + 1, C - 1, C, C + 1):
+            orb = doubling_orbit_exact(k, n, W, digits=digits[: n + W], enforce_floor=False)
+            assert orb.windows == windows[:n]
+
+    def test_working_set_bounded(self):
+        # the limbs, one level of n + W window values, and a few chunks of
+        # scratch (4 chunks are n/2 entries here); a second level beside
+        # the first fails it
+        n = 8 * intervalmaps.CHUNK
+        W = min_window_digits(2, n)
+        doubling_orbit_exact(2, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
+        tracemalloc.start()
+        try:
+            orb = doubling_orbit_exact(2, n, W, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(orb.keys) == 2
+        assert peak < (len(orb.keys) + 1) * 8 * (n + W) + 4 * 8 * intervalmaps.CHUNK
 
 
 class TestIterate:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import admissible_words, cylinder_measure
 from orbitrecur import (
     BernoulliMeasure,
     MarkovMeasure,
     TransitionSystem,
-    cylinder_measure,
     longest_self_match,
     longest_self_match_bruteforce,
     match_curve,
@@ -21,7 +21,7 @@ from orbitrecur import (
 from orbitrecur import matcher
 from orbitrecur.errors import EnumerationBudgetError
 from orbitrecur.rng import make_rng
-from orbitrecur.symbolic import admissible_words, sample_sequence, stationary_distribution
+from orbitrecur.symbolic import sample_sequence, stationary_distribution
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])

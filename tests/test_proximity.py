@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import python_int_orbit
 from orbitrecur import (
     GaussMap,
     KDoubling,
@@ -21,7 +24,7 @@ from orbitrecur import (
 )
 from orbitrecur import proximity
 from orbitrecur.errors import InvalidSystemError, PrecisionFloorError
-from orbitrecur.intervalmaps import min_window_digits
+from orbitrecur.intervalmaps import CHUNK, OrbitBuffer, min_window_digits
 from orbitrecur.proximity import FLOOR_REJECT_FACTOR
 from orbitrecur.rng import make_rng
 
@@ -192,19 +195,59 @@ class TestAllCandidates:
         assert sizes[1:] == [n, n]
 
 
-def python_int_orbit(k, W, digits, n):
-    """The construction the limbs replaced: one Python int per window, slid
-    digit by digit, and points = window / float(k^W)."""
-    m = 0
-    for d in digits[:W]:
-        m = m * k + d
-    windows = [m]
-    mod = k ** (W - 1)
-    for i in range(1, n):
-        m = (m % mod) * k + digits[W + i - 1]
-        windows.append(m)
-    denom = float(k**W)
-    return tuple(windows), np.array([w / denom for w in windows], dtype=np.float64)
+class TestChunkedCandidates:
+    """The least leading gap, its rows and the points that end them are each
+    found over chunks of CHUNK entries, so no orbit-length array but the
+    sorted copy is alive."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 5]),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.25 + 2.0**-40, 0.5, 0.5 + 2.0**-40]),
+                              st.floats(0.0, 1.0)), min_size=2, max_size=40))
+    def test_small_chunks_against_bruteforce(self, chunk, pts):
+        with mock.patch.object(proximity, "CHUNK", chunk):
+            agrees_all(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 5]), st.integers(0, 2**32), st.sampled_from([2, 3]),
+           st.one_of(st.integers(1, 8), st.integers(60, 130)))
+    def test_small_chunks_exact_orbits(self, chunk, seed, k, W):
+        # narrow windows tie; wide ones span limbs, where the slack applies
+        orb = doubling_orbit_exact(k, 30, W, seed=seed, enforce_floor=False)
+        with mock.patch.object(proximity, "CHUNK", chunk):
+            agrees_all(orb)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_least_gap_and_tie_straddle_chunks(self, reverse):
+        # unit gaps but for two of 0.5, the rows C - 1 and 2C - 1 of the
+        # sorted keys, each across a chunk boundary; in index order or
+        # reversed, the four points that end them sit at C - 1, C, 2C - 1
+        # and 2C, across the chunks of the membership test too
+        n = 3 * CHUNK
+        v = np.arange(n, dtype=np.float64)
+        v[CHUNK:] -= 0.5
+        v[2 * CHUNK:] -= 0.5
+        orb = OrbitBuffer((v[::-1].copy() if reverse else v,))
+        ends = [CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]
+        assert proximity._candidates(orb.keys).tolist() == ends
+        res = closest_pair(orb, "all")
+        assert (res.value, res.witness_i, res.witness_j) == (0.5, CHUNK - 1, CHUNK)
+
+    def test_working_set_bounded(self):
+        # one sorted copy of the leading key (8n bytes) and a few chunks of
+        # scratch (4 chunks are n/2 entries here); a full-length array of
+        # leading gaps beside the sorted copy fails it
+        n = 8 * CHUNK
+        orb = doubling_orbit_exact(2, n, min_window_digits(2, n), seed=2)
+        closest_pair(orb.keys[0][:100].astype(np.float64), "all")  # first-use imports untraced
+        tracemalloc.start()
+        try:
+            res = closest_pair(orb, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exact > 0
+        assert peak < 8 * n + 4 * 8 * CHUNK
 
 
 def outcome(fn, orb, variant, alpha):
@@ -458,6 +501,23 @@ class TestProximityCurve:
         whole = proximity_curve(KDoubling(2), [100, 1000], 2, "all", seed=6)
         part = proximity_curve(KDoubling(2), [1000], 2, "all", seed=6)
         assert [r for r in whole if r.n == 1000] == part
+
+    def test_one_cell_in_memory(self):
+        # a cell holds its orbit's two limbs and then one more orbit-length
+        # array, its level while it is built and the sorted copy while it is
+        # scanned, plus a few chunks of scratch; the previous replicate's
+        # orbit, kept alive while the next is built, fails it
+        n = 8 * CHUNK
+        W = min_window_digits(2, n)
+        proximity_curve(KDoubling(2), [100], 1, "all", seed=4)  # first-use imports untraced
+        tracemalloc.start()
+        try:
+            rows = proximity_curve(KDoubling(2), [n], 3, "all", seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 3
+        assert peak < 3 * 8 * (n + W) + 4 * 8 * CHUNK
 
     def test_value_aux_relation(self):
         rows = proximity_curve(PiecewiseAffine.dyadic(20), [500], 2, "all", seed=3)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diagnostics import gibbs_three_state
 
+from _oracles import admissible_words, cylinder_measure
 from orbitrecur import symbolic
 from orbitrecur import (
     BernoulliMeasure,
     GibbsMeasure,
     MarkovMeasure,
     TransitionSystem,
-    cylinder_measure,
     full_shift,
     sample_sequence,
     stationary_distribution,
@@ -27,7 +27,7 @@ from orbitrecur.errors import (
     ReducibleChainError,
 )
 from orbitrecur.rng import derive_seed, make_rng
-from orbitrecur.symbolic import admissible_words, sample_sequences_batch
+from orbitrecur.symbolic import sample_sequences_batch
 from orbitrecur.thermo import renyi_entropy_exact
 
 GOLDEN_A = [[0, 1], [1, 1]]
@@ -226,9 +226,13 @@ class TestMeasureValidation:
         bad = np.zeros((2, 2))  # finite on the inadmissible (0,0) pair
         with pytest.raises(InvalidSystemError):
             GibbsMeasure(bad, ts)
-        # exp(800) overflows: rejected before any power iteration
-        with pytest.raises(InvalidSystemError, match="exp must be finite"):
-            GibbsMeasure(np.where(ts.admissible == 1, 800.0, -np.inf), ts)
+        # exp(800) overflows and exp(-800) underflows to 0: rejected before
+        # any power iteration, which on -800 ended in ReducibleChainError
+        for value in (800.0, -800.0):
+            with pytest.raises(InvalidSystemError, match="exp must be finite, and its exp nonzero"):
+                GibbsMeasure(np.where(ts.admissible == 1, value, -np.inf), ts)
+        with pytest.raises(InvalidSystemError, match="nonzero"):
+            GibbsMeasure(np.full((2, 2), -800.0), full_shift(2))
 
     def test_gibbs_induced_chain_is_stationary(self):
         g = gibbs_example()

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import admissible_words, cylinder_measure
 from orbitrecur import (
     BernoulliMeasure,
     GibbsMeasure,
     MarkovMeasure,
     TransitionSystem,
-    cylinder_measure,
     full_shift,
     gurevich_pressure,
     psi_mixing_table,
@@ -29,7 +29,7 @@ from orbitrecur.errors import (
     InvalidSystemError,
     OrbitRecurError,
 )
-from orbitrecur.symbolic import _perron, admissible_words, validate_system
+from orbitrecur.symbolic import _perron, validate_system
 from orbitrecur.thermo import _pressure_periodic, transfer_matrix
 from test_diagnostics import gibbs_three_state
 from test_matcher import markov_with_zeros
@@ -99,6 +99,26 @@ class TestGurevichPressure:
         # iteration on inf entries that ends in ConvergenceError
         with pytest.raises(InvalidSystemError, match="exp must be finite"):
             gurevich_pressure(full_shift(2), np.full((2, 2), 800.0))
+
+    def test_underflowing_potential_rejected(self):
+        # exp(-800) is 0.0: the pressure would be log 2 - 800, but the matrix
+        # is all zero (or, with one such entry, another graph)
+        with pytest.raises(InvalidSystemError, match="its exp nonzero"):
+            gurevich_pressure(full_shift(2), np.full((2, 2), -800.0))
+        with pytest.raises(InvalidSystemError, match="its exp nonzero"):
+            gurevich_pressure(full_shift(2), np.array([[0.0, -800.0], [0.0, 0.0]]))
+
+    def test_tiny_spectral_gap(self):
+        # two full 5-state blocks coupled by exp(phi) = eps: lambda = 5 (1 + eps)
+        # and |lambda_2| / lambda = (1 - eps) / (1 + eps) = 0.99991, so the
+        # trace ratios settle only at n = 2^19, past the former 2^16 budget
+        eps = 4.5e-5
+        phi = np.zeros((10, 10))
+        phi[:5, 5:] = phi[5:, :5] = math.log(eps)
+        res = gurevich_pressure(full_shift(10), phi)
+        assert abs(res.value - (math.log(5) + math.log1p(eps))) < 1e-12
+        _, n = _pressure_periodic(transfer_matrix(full_shift(10), phi), 1)
+        assert n == 1 << 19
 
 
 class TestNonConvergence:
@@ -325,7 +345,7 @@ class TestGibbsComparability:
     def test_cylinder_masses_track_potential_sums(self):
         # mu(C)/exp(S phi - n P) stays in a length-independent band
         import numpy as np
-        from orbitrecur import GibbsMeasure, TransitionSystem, cylinder_measure
+        from orbitrecur import GibbsMeasure, TransitionSystem
 
         A = [[0, 1], [1, 1]]
         ts = TransitionSystem(A)
