@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationBudgetError
+from .intervalmaps import CHUNK  # the one chunk size of every pass over an orbit-length array
 from .symbolic import MeasureSpec, TransitionSystem, sample_sequence, sample_sequences_batch
 from .tables import CurveRow, curve_cells, curve_row
 from .thermo import renyi_entropy_exact
@@ -74,7 +75,10 @@ _NAME_BOUND_MAX = 1 << 32
 
 def _dense_names(names: np.ndarray) -> tuple[np.ndarray, int]:
     """Rename by dense rank: equal names stay equal and the bound drops to
-    the number of distinct names."""
+    the number of distinct names. np.unique holds a copy of the names, their
+    order, a sorted copy, a running count and the inverse, all of the names'
+    length, and astype copies the inverse: the largest working set of
+    longest_self_match."""
     uniq, inv = np.unique(names, return_inverse=True)
     return inv.astype(np.uint64), len(uniq)
 
@@ -86,23 +90,37 @@ def _repeated(keys: np.ndarray, key_bound: int) -> np.ndarray:
     key_bound leaves free, keys is overwritten in place with
     (key << bits) | index, and one sort of it groups equal keys; otherwise
     an argsort does. So the caller passes an array it no longer needs.
+    Neighbours in the sorted order are compared, and the indices of equal
+    ones marked, chunk by chunk: the working set is the keys, the argsort's
+    order if one is taken, a bool mark per key and O(CHUNK) scratch.
     """
     m = len(keys)
     bits = max(m - 1, 1).bit_length()
-    if key_bound << bits <= 1 << 64:
+    packed = key_bound << bits <= 1 << 64
+    if packed:
         order = keys
         order <<= np.uint64(bits)
-        order |= np.arange(m, dtype=np.uint64)
+        for a in range(0, m, CHUNK):
+            b = min(a + CHUNK, m)
+            order[a:b] |= np.arange(a, b, dtype=np.uint64)
         order.sort()
-        srt = order >> np.uint64(bits)
-        order &= np.uint64((1 << bits) - 1)
+        sh, low = np.uint64(bits), np.uint64((1 << bits) - 1)
     else:
         order = np.argsort(keys)
-        srt = keys[order]
-    pair = np.flatnonzero(srt[1:] == srt[:-1])
     hit = np.zeros(m, dtype=bool)
-    hit[order[pair]] = True
-    hit[order[pair + 1]] = True
+    # each chunk compares its sorted positions with their right neighbours
+    # and marks the indices of both ends of every equal pair
+    for a in range(0, m - 1, CHUNK):
+        if packed:
+            chunk = order[a : a + CHUNK + 1] >> sh
+            same = chunk[1:] == chunk[:-1]
+            at = np.bitwise_and(order[a : a + CHUNK + 1], low, out=chunk)
+        else:
+            at = order[a : a + CHUNK + 1]
+            chunk = keys[at]
+            same = chunk[1:] == chunk[:-1]
+        hit[at[:-1][same]] = True
+        hit[at[1:][same]] = True
     return np.flatnonzero(hit)
 
 
@@ -127,6 +145,11 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     longer repeat starts at a candidate, because its prefix repeats too, so
     each later sorted test looks at the candidates alone and narrows them.
     The witness is the first candidate at M_n and its first equal partner.
+
+    The working set of a sorted length is the symbols, one level of names,
+    one array of keys, the candidates and O(CHUNK) scratch; a doubling holds
+    the old level beside the new one, and a dense rank holds np.unique's
+    arrays while it runs.
 
     Matched blocks may run into the generated buffer but never past the end
     of the data (containment rule). Witness tie-break: smallest i, then

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,11 +178,29 @@ class TestLongestSelfMatch:
         assert (hashlib.sha256(repr(res).encode()).hexdigest()
                 == "fdaddd9d0fbefbac454e86501dfe054e95e4fddfd05b7115555f9edc453d1d01")
 
+    @pytest.mark.parametrize("make_seq,n,pinned,digest", [
+        (lambda: sample_sequence(BernoulliMeasure([0.9, 0.1]), None, 10**6, 600, seed=9), 10**6,
+         (121, 736231, 793090, False),
+         "49af4790181f14e456cc61ede53b1ddf0f1c3bd115e0b2a9530cb1ccf4093051"),
+        (lambda: make_rng(31).integers(0, 2, size=200), 180, (14, 91, 151, False),
+         "96a66eaf473e01be1ab71b3490121dcc4ff08d98a13c48cc17109cd9460e0560"),
+        (lambda: make_rng(32).integers(-3, 2, size=300), 280, (5, 7, 46, False),
+         "10c3342f18e05ea7994752ddc548c568ab09df2de325fd48749880334384cd25"),
+    ], ids=["bernoulli_dense_rank", "uniform_200", "negative_symbols"])
+    def test_other_paths_pinned(self, make_seq, n, pinned, digest):
+        # cells the golden pin does not reach: levels ranked densely past
+        # width 32 (M_n = 121), a short sequence whose first sorted length
+        # is packed, and symbols ranked densely at level 1; recorded before
+        # the key scan was chunked
+        res = longest_self_match(make_seq(), n)
+        assert (res.m_n, res.witness_i, res.witness_j, res.crossed_boundary) == pinned
+        assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
+
     def test_working_set_bounded(self):
-        # the first sorted length holds three 8-byte arrays of the data's
-        # length (a level, its keys packed in place with their indices, and
-        # the sorted keys); a fourth is the margin, and one more full-size
-        # array, such as packed keys beside the keys, would pass it
+        # the first sorted length holds a level and its keys packed in place
+        # with their indices, 8 bytes each per symbol, beside a bool mark per
+        # key, the candidates and O(CHUNK) scratch; a third full-size array,
+        # such as the indices unpacked beside the keys, would pass 2.75
         seq = sample_sequence(GOLDEN, None, 200_000, 100, seed=3)
         tracemalloc.start()
         try:
@@ -189,7 +208,7 @@ class TestLongestSelfMatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 8 * len(seq)
+        assert peak < 2.75 * 8 * len(seq)
 
 
 def _periodic(period, length):
@@ -264,6 +283,99 @@ class TestRepeatedKeys:
         assert matcher._repeated(keys.copy(), key_bound).tolist() == expected
         assert matcher._repeated(keys[:1].copy(), key_bound).tolist() == []
         assert matcher._repeated(keys[:0].copy(), key_bound).tolist() == []
+
+    @pytest.mark.parametrize("key_bound", [1 << 54, 1 << 64], ids=["packed", "argsort"])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+    def test_equal_keys_straddle_a_chunk(self, key_bound, chunk, reverse):
+        # distinct keys but one run of 2 or 3 equal ones, at every sorted
+        # position: within one chunk's comparisons or across two chunks
+        m = 4 * chunk + 3
+        for run in (2, 3):
+            for p in range(m - run + 1):
+                keys = np.uint64(key_bound - 1 - m) + np.arange(m, dtype=np.uint64)
+                keys[p : p + run] = keys[p]
+                expected = list(range(p, p + run))
+                if reverse:
+                    keys = keys[::-1].copy()
+                    expected = [m - 1 - i for i in reversed(expected)]
+                with mock.patch.object(matcher, "CHUNK", chunk):
+                    assert matcher._repeated(keys, key_bound).tolist() == expected, (run, p)
+
+
+def _with_repeat(data, values, shortest, longest):
+    """A sequence over `values`, n, and a copy of length shortest..longest
+    of an earlier stretch, both starting below n: M_n >= that length."""
+    c = data.draw(st.integers(shortest, longest), label="copy")
+    n = data.draw(st.integers(c + 2, c + 100), label="n")
+    L = n + data.draw(st.integers(0, 20), label="buffer")
+    seq = data.draw(st.lists(st.sampled_from(values), min_size=L, max_size=L), label="seq")
+    a = data.draw(st.integers(0, min(n - 2, L - c - 1)), label="source")
+    b = data.draw(st.integers(a + 1, min(n - 1, L - c)), label="target")
+    for t in range(c):
+        seq[b + t] = seq[a + t]
+    return seq, n
+
+
+class TestChunkedPaths:
+    """longest_self_match with matcher.CHUNK patched to 1-8, against the
+    brute force, on each path: a packed sort, an argsort of keys past width
+    32, and levels ranked densely."""
+
+    @staticmethod
+    def _check(seq, n, chunk):
+        # the result must equal the brute force's; returns the sorts taken
+        # ("packed" or "argsort", in call order) and the lengths of the
+        # levels ranked densely
+        sorts, ranked = [], []
+        repeated, dense = matcher._repeated, matcher._dense_names
+
+        def sort_spy(keys, key_bound):
+            bits = max(len(keys) - 1, 1).bit_length()
+            sorts.append("packed" if key_bound << bits <= 1 << 64 else "argsort")
+            return repeated(keys, key_bound)
+
+        def dense_spy(names):
+            ranked.append(len(names))
+            return dense(names)
+
+        with mock.patch.object(matcher, "CHUNK", chunk), \
+                mock.patch.object(matcher, "_repeated", sort_spy), \
+                mock.patch.object(matcher, "_dense_names", dense_spy):
+            fast = longest_self_match(seq, n)
+        assert fast == longest_self_match_bruteforce(seq, n)
+        return sorts, ranked
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 8))
+    def test_packed_sort(self, data, chunk):
+        alpha = data.draw(st.integers(2, 4), label="alphabet")
+        seq, n = _with_repeat(data, list(range(alpha)), 0, 30)
+        sorts, _ = self._check(seq, n, chunk)
+        assert "packed" in sorts
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 8))
+    def test_argsort_past_width_32(self, data, chunk):
+        # binary data with a repeat of 33..64: the width-32 level keeps
+        # name bound 2^32, so the lengths above 32 argsort their keys
+        # (unless one symbol remains, whose names all repeat by pigeonhole)
+        seq, n = _with_repeat(data, [0, 1], 33, 64)
+        sorts, _ = self._check(seq, n, chunk)
+        assert "argsort" in sorts or len(set(seq)) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), chunk=st.integers(1, 8))
+    def test_dense_rank(self, data, chunk):
+        # symbols outside [0, 2^32) are ranked at level 1, and a repeat
+        # past 64 ranks a later level too (unless one name remains)
+        values = data.draw(st.sampled_from([
+            [-(2**63), 2**32, -7, 2**63 - 1], [-5, -3, -1], [2**32, 2**40],
+        ]), label="values")
+        seq, n = _with_repeat(data, values, 65, 100)
+        _, ranked = self._check(seq, n, chunk)
+        assert ranked[0] == len(seq)
+        assert len(ranked) >= 2 or len(set(seq)) == 1
 
 
 class TestMatchCurve:
