@@ -55,10 +55,10 @@ class MatchResult:
 
 
 def _symbols(seq, n: int | None) -> tuple[np.ndarray, int]:
-    """The symbols as int64 and the number of starts n (None: every symbol).
-    ValueError unless the symbols are integers in the int64 range (a cast
-    would truncate floats and wrap large uint64 values) and 2 <= n <= their
-    count."""
+    """The symbols and the number of starts n (None: every symbol): an
+    unsigned array as it is, anything else as int64. ValueError unless the
+    symbols are integers in the int64 range (a cast would truncate floats
+    and wrap large uint64 values) and 2 <= n <= their count."""
     arr = np.asarray(seq)
     if arr.size and (arr.dtype.kind not in "iu"
                      or (arr.dtype == np.uint64 and int(arr.max()) >= 1 << 63)):
@@ -66,7 +66,7 @@ def _symbols(seq, n: int | None) -> tuple[np.ndarray, int]:
     n = len(arr) if n is None else n
     if not 2 <= n <= len(arr):
         raise ValueError(f"need 2 <= n <= {len(arr)} (the generated length), got n={n}")
-    return arr.astype(np.int64, copy=False), n
+    return (arr if arr.dtype.kind == "u" else arr.astype(np.int64, copy=False)), n
 
 
 # Largest name bound whose pair names a * bound + b (a, b < bound) fit in uint64.
@@ -75,12 +75,12 @@ _NAME_BOUND_MAX = 1 << 32
 
 def _dense_names(names: np.ndarray) -> tuple[np.ndarray, int]:
     """Rename by dense rank: equal names stay equal and the bound drops to
-    the number of distinct names. np.unique holds a copy of the names, their
-    order, a sorted copy, a running count and the inverse, all of the names'
-    length, and astype copies the inverse: the largest working set of
-    longest_self_match."""
+    the number of distinct names, which the names' new dtype just holds.
+    np.unique holds a copy of the names, their order, a sorted copy, a
+    running count and the intp inverse, all of the names' length, while it
+    runs: the largest working set of longest_self_match."""
     uniq, inv = np.unique(names, return_inverse=True)
-    return inv.astype(np.uint64), len(uniq)
+    return inv.astype(np.min_scalar_type(len(uniq) - 1)), len(uniq)
 
 
 def _repeated(keys: np.ndarray, key_bound: int) -> np.ndarray:
@@ -146,10 +146,14 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     each later sorted test looks at the candidates alone and narrows them.
     The witness is the first candidate at M_n and its first equal partner.
 
-    The working set of a sorted length is the symbols, one level of names,
-    one array of keys, the candidates and O(CHUNK) scratch; a doubling holds
-    the old level beside the new one, and a dense rank holds np.unique's
-    arrays while it runs.
+    Each level of names is held in the smallest unsigned dtype below its
+    bound: a binary alphabet's names take one byte up to width 8, two at
+    width 16 and four at width 32. Unsigned symbols already in the dtype
+    of level 1 are its names as they are, without a copy. Only the keys
+    handed to the sort are uint64. So the working set of a sorted length
+    is the symbols, one level of names, 8 bytes a key, the candidates and
+    O(CHUNK) scratch; a doubling holds the old level beside the new one,
+    and a dense rank holds np.unique's arrays while it runs.
 
     Matched blocks may run into the generated buffer but never past the end
     of the data (containment rule). Witness tie-break: smallest i, then
@@ -157,10 +161,11 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     """
     s, n = _symbols(seq, n)
     L = len(s)
-    # names are uint64 and lie below `bound`
+    # names lie below `bound`, in the smallest unsigned dtype that holds
+    # bound - 1
     top = int(s.max())
     if s.min() >= 0 and top < _NAME_BOUND_MAX:
-        names, bound = s.view(np.uint64), top + 1
+        names, bound = s.astype(np.min_scalar_type(top), copy=False), top + 1
     else:
         names, bound = _dense_names(s)
     width = 1
@@ -171,10 +176,13 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
     def block_names(k: int, at) -> tuple[np.ndarray, int]:
         # names and name bound of the k-blocks, width <= k <= 2 * width,
         # starting at `at`: a slice of starts or an array of them. A new
-        # array, which _repeated may overwrite
+        # uint64 array, which _repeated may overwrite
+        keys = names[at].astype(np.uint64)
         if k == width:
-            return names[at].copy(), bound
-        return names[at] * bound + names[k - width :][at], bound * bound
+            return keys, bound
+        keys *= np.uint64(bound)
+        keys += names[k - width :][at]
+        return keys, bound * bound
 
     def narrow(k: int) -> bool:
         # sort the k-block names at the candidates; keep those that repeat
@@ -202,8 +210,10 @@ def longest_self_match(seq, n: int | None = None) -> MatchResult:
         if not repeats(2 * width):
             hi = 2 * width - 1
             break
-        names = names[: L - 2 * width + 1] * bound + names[width:]
-        bound, width = bound * bound, 2 * width
+        wide = names[: L - 2 * width + 1].astype(np.min_scalar_type(bound * bound - 1))
+        wide *= wide.dtype.type(bound)
+        wide += names[width:]
+        names, bound, width = wide, bound * bound, 2 * width
         lo = width
     if bound > _NAME_BOUND_MAX:
         names, bound = _dense_names(names)
@@ -247,15 +257,18 @@ def match_curve(m: MeasureSpec, ts: TransitionSystem | None, n_grid, replicates:
     Each cell of the curve plan (curve_cells) gets its own sequence; the
     buffer holds ceil(8 log n / h2) extra symbols, h2 the exact Renyi
     entropy, so the containment rule cannot truncate a match at the
-    statistic's scale. One cell's sequence is in memory at a time.
+    statistic's scale. One cell's sequence is in memory at a time, narrowed
+    to the smallest unsigned dtype of the alphabet (one byte a symbol up to
+    256 symbols) before its match; its int64 copy is freed first.
     """
     cells = curve_cells("match_curve", n_grid, replicates, seed)
     h2 = renyi_entropy_exact(m).h2
     if h2 <= 0:
         raise ValueError("match_curve needs a positive Renyi entropy h2")
+    symbol = np.min_scalar_type(m.alphabet_size - 1)
     rows = []
     for n, rep, cell_seed in cells:
-        seq = sample_sequence(m, ts, n, math.ceil(8.0 * math.log(n) / h2), cell_seed)
+        seq = sample_sequence(m, ts, n, math.ceil(8.0 * math.log(n) / h2), cell_seed).astype(symbol)
         rows.append(curve_row(n, rep, cell_seed, float(longest_self_match(seq, n).m_n)))
         del seq  # freed before the next cell's sequence is sampled
     return rows

@@ -27,6 +27,7 @@ from .errors import (
     InvalidSystemError,
     ReducibleChainError,
 )
+from .intervalmaps import CHUNK  # the one chunk size of every pass over an orbit-length array
 from .rng import make_rng
 
 __all__ = [
@@ -399,21 +400,30 @@ def _next_states(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _scan(maps: np.ndarray, start: int) -> np.ndarray:
     """The states x[t] = maps[x[t - 1], t] of the chain stepped from
-    x[-1] = start, by a scan of log depth. Up the tree, each level composes
-    the maps below it in pairs (2i, 2i + 1), and an odd last map waits.
-    Down it, a level's end states are the ends of the odd maps below, and
-    each even map's end is read off it from the end before it.
+    x[-1] = start, by a scan of log depth, in the maps' dtype. Up the tree,
+    each level composes the maps below it in pairs (2i, 2i + 1), and an odd
+    last map waits. Down it, a level's end states are the ends of the odd
+    maps below, and each even map's end is read off it from the end before
+    it. Both gathers run over CHUNK columns at a time, so beside the levels
+    (together as large as the maps) and the states, the scratch is O(CHUNK).
     """
     levels = [maps]
     while levels[-1].shape[1] > 1:
         f = levels[-1]
-        levels.append(np.take_along_axis(f[:, 1::2], f[:, : f.shape[1] - 1 : 2], 0))
+        g = np.empty((f.shape[0], f.shape[1] // 2), dtype=f.dtype)
+        for a in range(0, g.shape[1], CHUNK):
+            b = min(a + CHUNK, g.shape[1])
+            g[:, a:b] = np.take_along_axis(f[:, 2 * a + 1 : 2 * b : 2], f[:, 2 * a : 2 * b : 2], 0)
+        levels.append(g)
     ends = levels.pop()[start]
     for f in reversed(levels):
         x = np.empty(f.shape[1], dtype=f.dtype)
         x[1::2] = ends
-        before = np.r_[start, ends][: (len(x) + 1) // 2]  # the end before each even map
-        x[::2] = np.take_along_axis(f[:, ::2], before[None], 0)[0]
+        for a in range(0, (len(x) + 1) // 2, CHUNK):
+            b = min(a + CHUNK, (len(x) + 1) // 2)
+            # the end before each even map 2a .. 2b - 2
+            before = ends[a - 1 : b - 1] if a else np.r_[start, ends[: b - 1]]
+            x[2 * a : 2 * b : 2] = np.take_along_axis(f[:, 2 * a : 2 * b : 2], before[None], 0)[0]
         ends = x
     return ends
 
@@ -427,7 +437,10 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
     The initial symbol is drawn from pi (weights for Bernoulli). Each later
     draw is a next-state map through the rows of P, and the path is their
     scan (the maps of one row when all rows agree). Identical (seed,
-    parameters) give identical output.
+    parameters) give identical output. The draws are taken CHUNK at a time
+    into the next-state maps, which take one byte per row and symbol on up
+    to 256 states; the int64 path is allocated once the scan is done, so
+    the working set ends at it and the scanned states, 9 bytes a symbol.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -438,14 +451,20 @@ def sample_sequence(m: MeasureSpec, ts: TransitionSystem | None, n: int,
         MarkovMeasure(mk.pi, mk.P, ts)  # raises IncompatibleMeasureError
     total = n + buffer
     cum_pi, cum_P = _cumulative(mk)
-    u = make_rng(seed).random(total)
-    state = int(np.searchsorted(cum_pi, u[0], side="right"))
+    rng = make_rng(seed)
+    state = int(np.searchsorted(cum_pi, rng.random(), side="right"))
     iid = bool((cum_P == cum_P[0]).all())
-    maps = _next_states(cum_P[:1] if iid else cum_P, u[1:])
-    del u  # freed before the int64 path is allocated
+    rows = cum_P[:1] if iid else cum_P
+    maps = np.empty((len(rows), total - 1), dtype=np.min_scalar_type(cum_P.shape[1] - 1))
+    for a in range(0, total - 1, CHUNK):
+        b = min(a + CHUNK, total - 1)
+        # Philox gives one double per 64-bit word: the draws of rng.random(total)
+        maps[:, a:b] = _next_states(rows, rng.random(b - a))
+    path = maps[0] if iid else _scan(maps, state)
+    del maps  # freed with the scan's levels before the int64 path is allocated
     out = np.empty(total, dtype=np.int64)
     out[0] = state
-    out[1:] = maps[0] if iid else _scan(maps, state)
+    out[1:] = path
     out.setflags(write=False)
     return out
 

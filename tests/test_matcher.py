@@ -23,6 +23,7 @@ from orbitrecur import matcher
 from orbitrecur.errors import EnumerationBudgetError
 from orbitrecur.rng import make_rng
 from orbitrecur.symbolic import sample_sequence, stationary_distribution
+from orbitrecur.thermo import renyi_entropy_exact
 
 GOLDEN = MarkovMeasure([1 / 3, 2 / 3], [[0.0, 1.0], [0.5, 0.5]])
 UNIFORM = BernoulliMeasure([0.5, 0.5])
@@ -197,18 +198,21 @@ class TestLongestSelfMatch:
         assert hashlib.sha256(repr(res).encode()).hexdigest() == digest
 
     def test_working_set_bounded(self):
-        # the first sorted length holds a level and its keys packed in place
-        # with their indices, 8 bytes each per symbol, beside a bool mark per
-        # key, the candidates and O(CHUNK) scratch; a third full-size array,
-        # such as the indices unpacked beside the keys, would pass 2.75
+        # the first sorted length (32) holds the width-16 level as uint16 and
+        # its keys packed in place with their indices, 8 bytes a symbol,
+        # beside a bool mark per key, the candidates and O(CHUNK) scratch;
+        # uint64 levels, or a second 8-byte array such as the indices
+        # unpacked beside the keys, would pass 2.0. The int64 path is the
+        # caller's; a uint8 one is level 1 as it is, not copied to int64
         seq = sample_sequence(GOLDEN, None, 200_000, 100, seed=3)
-        tracemalloc.start()
-        try:
-            longest_self_match(seq, 200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.75 * 8 * len(seq)
+        for path in (seq, seq.astype(np.uint8)):
+            tracemalloc.start()
+            try:
+                longest_self_match(path, 200_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.0 * 8 * len(seq), path.dtype
 
 
 def _periodic(period, length):
@@ -378,6 +382,78 @@ class TestChunkedPaths:
         assert len(ranked) >= 2 or len(set(seq)) == 1
 
 
+INPUT_FORMS = ["uint8", "uint16", "uint32", "int64", "list"]
+# symbols whose largest value ends a dtype's range or starts the next one's,
+# with each input form that holds them
+TOP_FORMS = [(top, form) for top in (255, 256, 65535, 65536, 2**32 - 1) for form in INPUT_FORMS
+             if form in ("int64", "list") or top <= np.iinfo(form).max]
+
+
+def _as_form(seq, form):
+    return seq if form == "list" else np.array(seq, dtype=form)
+
+
+class TestNameDtypes:
+    """Levels of names in the smallest unsigned dtype below their bound:
+    symbols whose largest value is 255, 256, 65535, 65536 or 2^32 - 1 make
+    levels that cross uint8 -> uint16 -> uint32 -> uint64 (and are ranked
+    densely past 2^32) as the width doubles, for every input form that holds
+    them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_against_bruteforce(self, data):
+        top, form = data.draw(st.sampled_from(TOP_FORMS), label="top, form")
+        middle = data.draw(st.integers(1, top - 1), label="middle")
+        seq, n = _with_repeat(data, [0, middle, top], 0, 40)
+        seq = _as_form(seq, form)
+        assert longest_self_match(seq, n) == longest_self_match_bruteforce(seq, n)
+
+    @pytest.mark.parametrize("top,form", TOP_FORMS)
+    def test_periodic_repeat(self, monkeypatch, top, form):
+        # a period-3 stretch repeated far past width 8: the levels widen
+        # until one reaches uint64 and is ranked densely
+        ranked = []
+        dense = matcher._dense_names
+
+        def spy(names):
+            ranked.append(names.dtype)
+            return dense(names)
+
+        monkeypatch.setattr(matcher, "_dense_names", spy)
+        seq = _as_form(_periodic([top, 0, top - 1], 90) + [1, 2], form)
+        fast = longest_self_match(seq, 60)
+        assert fast == longest_self_match_bruteforce(seq, 60)
+        assert fast.m_n == 87 and fast.word[:3] == (top, 0, top - 1)
+        assert ranked[0] == np.uint64
+
+    @pytest.mark.parametrize("form", ["uint8", "uint16", "uint32", "uint64"])
+    def test_unsigned_symbols_not_copied(self, form):
+        arr = np.array([1, 0, 1, 1, 0], dtype=form)
+        s, n = matcher._symbols(arr, None)
+        assert s is arr and n == 5
+        assert matcher._symbols(arr.astype(np.int8), None)[0].dtype == np.int64
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_symbol_errors_unchanged(self, form):
+        seq = _as_form([0, 1, 0, 1], form)
+        for impl in (longest_self_match, longest_self_match_bruteforce):
+            with pytest.raises(ValueError, match=r"need 2 <= n <= 4 \(the generated length\), got n=5"):
+                impl(seq, 5)
+            with pytest.raises(ValueError, match="got n=1"):
+                impl(seq, 1)
+
+    @pytest.mark.parametrize("distinct,dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_dense_names_narrow(self, distinct, dtype):
+        # ranks 0 .. distinct - 1 in the smallest unsigned dtype holding them
+        values = np.arange(distinct, dtype=np.int64) * 7 - (1 << 40)
+        names, bound = matcher._dense_names(values[::-1].copy())
+        assert bound == distinct and names.dtype == dtype
+        assert names.tolist() == list(range(distinct - 1, -1, -1))
+
+
 class TestMatchCurve:
     def test_deterministic_rows(self):
         rows1 = match_curve(UNIFORM, None, [100, 1000], 3, seed=5)
@@ -394,6 +470,21 @@ class TestMatchCurve:
         rows = match_curve(GOLDEN, None, [256], 2, seed=8)
         for row in rows:
             assert row.value == pytest.approx(row.aux / math.log(256))
+
+    def test_working_set_bounded(self):
+        # one golden n = 10^6 cell: the sampled int64 path beside its
+        # one-byte copy, then the match on that copy, whose first sorted
+        # length holds 8 bytes a key, a two-byte level and its candidates;
+        # matching the int64 path, or keeping it alive through the match,
+        # would pass 2.25
+        buffer = math.ceil(8.0 * math.log(10**6) / renyi_entropy_exact(GOLDEN).h2)
+        tracemalloc.start()
+        try:
+            match_curve(GOLDEN, None, [10**6], 1, seed=2026)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 8 * (10**6 + buffer)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import bisect
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,18 +283,20 @@ class TestSampling:
         assert len(seq) == 117
 
     def test_working_set_bounded(self):
-        # the draws and the int64 path take 8 bytes a symbol each and are not
-        # held at once; the maps and the scan's levels take a few bytes a
-        # symbol more. A third 8-byte array of the path's length would pass
-        # the bound
-        m, n, buffer, seed = golden_cell()
-        tracemalloc.start()
-        try:
-            sample_sequence(m, None, n, buffer, seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * (n + buffer)
+        # the draws are taken a chunk at a time into one-byte maps, and the
+        # int64 path is allocated after the maps and the scan's levels are
+        # freed: the peak is the path beside its one-byte scanned states, 9
+        # bytes a symbol. The draws held at once, or the path allocated
+        # beside sym3's three rows of maps, would pass the bound of 12
+        _, n, buffer, seed = golden_cell()
+        for name, m in (("golden", markov_chain(2)), ("sym3", markov_chain(3))):
+            tracemalloc.start()
+            try:
+                sample_sequence(m, None, n, buffer, seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 8 * (n + buffer), name
 
     def test_samples_own_frozen_int64(self):
         for measure in (BernoulliMeasure([0.5, 0.5]), golden_markov()):
@@ -445,6 +448,31 @@ class TestSamplersProperty:
         got = sample_sequences_batch(m, count, length, seed)
         u = make_rng(seed).random((count, length))
         assert np.array_equal(got, [whole_list_markov_path(m, row.tolist()) for row in u])
+
+
+class TestChunkedDraws:
+    """sample_sequence with symbolic.CHUNK patched to 1-8 against the
+    bisect oracle: the draws are taken, and the scan's gathers run, a few
+    columns at a time, so every chunk boundary is crossed on both sides of
+    an odd map waiting at a level of the scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=random_chains(), total=st.integers(1, 80), chunk=st.integers(1, 8),
+           seed=st.integers(0, 2**32))
+    def test_sequence(self, m, total, chunk, seed):
+        with mock.patch.object(symbolic, "CHUNK", chunk):
+            got = sample_sequence(m, None, total, 0, seed=seed)
+        assert np.array_equal(got, whole_list_markov_sample(m, total, seed))
+
+    @pytest.mark.parametrize("d", list(SAMPLED))
+    def test_one_and_two_symbols(self, d):
+        # one symbol has no map to draw; two have a single map and no scan level
+        m = SAMPLED[d]
+        for chunk in range(1, 9):
+            for total in (1, 2):
+                with mock.patch.object(symbolic, "CHUNK", chunk):
+                    got = sample_sequence(m, None, total, 0, seed=7)
+                assert np.array_equal(got, whole_list_markov_sample(m, total, 7)), (chunk, total)
 
 
 class TestSamplePins:
