@@ -6,8 +6,9 @@ arithmetic), countable full-branch piecewise affine maps truncated at a
 finite branch count, the continued-fraction map 1/x mod 1 with its classical
 invariant density, and the first-return map of an intermittent map to
 [0, 1/2). Every orbit is one OrbitBuffer, its points as sort keys:
-multiplication orbits are exact base-k rationals held in int64 limbs; the
-others are one float64 key with a recorded noise floor.
+multiplication orbits are exact base-k rationals held in uint32 limbs (one
+digit a uint64 limb for k above 2^32); the others are one float64 key with a
+recorded noise floor.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
 
 EPS64 = 2.0**-52  # unit roundoff scale for 64-bit orbits
 GROWTH_CAP = 2.0**8  # cap on the accumulated expansion factor in the floor
-LIMB_BOUND = 2**63  # exact orbits hold base-k digits in int64 limbs, each below this
+LIMB_BOUND = 2**32  # exact orbits hold base-k digits in uint32 limbs, each below this
 CHUNK = 1 << 15  # entries per step of a pass over an orbit-length array, which needs O(CHUNK) scratch
 
 
@@ -103,8 +104,9 @@ class KDoubling(IntervalMap):
     burn_in: ClassVar[None] = None
 
     def __post_init__(self):
-        if not 2 <= self.k < LIMB_BOUND:
-            raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in int64 limbs)")
+        if not 2 <= self.k < 2**63:
+            raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in uint32 limbs, "
+                                     "or one digit a uint64 limb for k above 2^32)")
 
     def orbit(self, n: int, seed: int, burn_in: int | None = None) -> OrbitBuffer:
         """The exact orbit of base-k digit windows."""
@@ -203,10 +205,11 @@ class OrbitBuffer:
     (frozen in place, never copied). A floating orbit has one float64 key,
     no `radices`, and a noise floor of machine epsilon times the accumulated
     expansion factor, capped. An exact base-k orbit holds point i, the
-    W-digit window starting at digit i, as int64 limbs: limb c is the base-k
+    W-digit window starting at digit i, as uint32 limbs: limb c is the base-k
     value of digits [i + cL, i + cL + L) with L the largest count whose k^L
-    stays below 2^63, the last limb narrower, and `radices[c]` is k^(digits
-    of limb c), so k^W is their product. The window integers `windows` and
+    is at most 2^32 (32 for k = 2, 20 for k = 3), the last limb narrower, and
+    `radices[c]` is k^(digits of limb c), so k^W is their product. A k above
+    2^32 takes one digit a uint64 limb. The window integers `windows` and
     the float `points` (window / k^W) of an exact orbit are derived on first
     access and cached.
     """
@@ -263,14 +266,15 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
                          seed: int = 0, enforce_floor: bool = True) -> OrbitBuffer:
     """Exact orbit of x -> k x (mod 1) as sliding base-k digit windows.
 
-    Draw n + W digits; point i is the W-digit window starting at digit i, so
-    the i-th iterate is exact and pairwise distances are exact base-k
-    rationals; they are stored as int64 limbs (see OrbitBuffer). The working
-    set is the limbs, one level of n + W int64 window values, and O(CHUNK)
-    scratch. enforce_floor=False admits windows too narrow for the n^-2
-    distance scale; only for hand-sized demonstrations.
+    Draw n + W digits straight into the limb dtype; point i is the W-digit
+    window starting at digit i, so the i-th iterate is exact and pairwise
+    distances are exact base-k rationals; they are stored as uint32 limbs
+    (see OrbitBuffer). The working set is the limbs, one level of n + W
+    window values in the limb dtype, and O(CHUNK) scratch. enforce_floor=False
+    admits windows too narrow for the n^-2 distance scale; only for
+    hand-sized demonstrations.
     """
-    KDoubling(k)  # InvalidSystemError unless the digits fit int64 limbs
+    KDoubling(k)  # InvalidSystemError unless 2 <= k < 2^63
     if n < 1:
         raise ValueError("n must be >= 1")
     floor = min_window_digits(k, n)
@@ -279,31 +283,37 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     if window_bits < 1:
         raise ValueError("window_bits must be >= 1")
     W = window_bits
-    # level[i] holds the value of digits [i, i + w), starting at w = 1
+    widths = _limb_widths(k, W)
+    dtype = np.uint32 if k <= LIMB_BOUND else np.uint64
+    # level[i] holds the value of digits [i, i + w), starting at w = 1; the
+    # narrow draw gives the values of the default int64 one
     if digits is None:
-        level = make_rng(seed).integers(0, k, size=n + W)
+        level = make_rng(seed).integers(0, k, size=n + W, dtype=dtype)
     else:
         digit_list = [int(d) for d in digits]
         if len(digit_list) < n + W:
             raise ValueError(f"need at least n + W = {n + W} digits")
         if any(d < 0 or d >= k for d in digit_list):
             raise ValueError("digits out of range")
-        level = np.array(digit_list, dtype=np.int64)
-    widths = _limb_widths(k, W)
+        level = np.array(digit_list, dtype=dtype)
     # Window doubling: level 2w is level w times k^w plus level w shifted by
     # w. It overwrites level w in place, in ascending chunks: a chunk reads
     # only entries that no earlier chunk has rewritten, and numpy copies an
     # input that overlaps its output. A limb of L digits is read from its
     # most significant digit on, one piece from each level w in the binary
-    # form of L, smallest first.
-    limbs = [np.zeros(n, dtype=np.int64) for _ in widths]
+    # form of L, smallest first. A limb's first piece is assigned: k^w can
+    # be 2^32, which no uint32 holds, but every later factor is below k^L.
+    limbs = [np.empty(n, dtype=dtype) for _ in widths]
     pos = list(itertools.accumulate(widths, initial=0))
     size, w = len(level), 1
     while True:
         for c, width in enumerate(widths):
             if width & w:
-                limbs[c] *= k**w
-                limbs[c] += level[pos[c] : pos[c] + n]
+                if w == width & -width:
+                    limbs[c][:] = level[pos[c] : pos[c] + n]
+                else:
+                    limbs[c] *= k**w
+                    limbs[c] += level[pos[c] : pos[c] + n]
                 pos[c] += w
         if 2 * w > widths[0]:
             break
@@ -316,10 +326,11 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
 
 
 def _limb_widths(k: int, window_bits: int) -> list[int]:
-    """Digit counts of the int64 limbs of a window: L each, with L the largest
-    count whose k^L stays below LIMB_BOUND, and a narrower last limb."""
+    """Digit counts of the limbs of a window: L each, with L the largest
+    count whose k^L is at most LIMB_BOUND (at least 1, for a k above it),
+    and a narrower last limb."""
     L = 1
-    while k ** (L + 1) < LIMB_BOUND:
+    while k ** (L + 1) <= LIMB_BOUND:
         L += 1
     return [min(L, window_bits - c) for c in range(0, window_bits, L)]
 

@@ -104,8 +104,10 @@ def _carry(diffs: list[np.ndarray], radices) -> None:
 
 def _abs_gaps(hi: list[np.ndarray], lo: list[np.ndarray], radices) -> list[np.ndarray]:
     """|hi - lo| row by row, as normalised limbs, so that comparing limb
-    tuples lexicographically compares the gaps exactly."""
-    diffs = [h - lo_c for h, lo_c in zip(hi, lo)]
+    tuples lexicographically compares the gaps exactly; limbs are
+    subtracted into int64."""
+    dtype = np.int64 if radices else None
+    diffs = [np.subtract(h, lo_c, dtype=dtype) for h, lo_c in zip(hi, lo)]
     if len(diffs) == 1:
         return [np.abs(diffs[0])]
     _carry(diffs, radices)
@@ -148,19 +150,34 @@ def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
 
     The working set is one sorted copy of the leading key, the candidates'
     end values and O(CHUNK) scratch: the gaps and the membership test run
-    over chunks.
+    over chunks. A leading limb of 32 digits is shared by many points at
+    large n, so the ends can be hundreds; a table of their low 16 bits
+    passes only the few points that may be ends on to np.isin.
     """
     v = np.sort(keys[0])
     slack = 1 if len(keys) > 1 else 0
-    least = min(gaps.min() for _, gaps in _sorted_gaps(v))
+    least = min(gaps.min() for _, gaps in _sorted_gaps(v)).item()  # a Python number: no wrap
     rows = np.concatenate([a + np.flatnonzero(gaps <= least + slack)
                            for a, gaps in _sorted_gaps(v)])
     ends = np.concatenate((v[rows], v[rows + 1]))
+    table = np.zeros(1 << 16, dtype=bool)
+    table[_low_bits(ends)] = True
     # each chunk's membership test sorts the ends when they are many (ties
     # along a grid), so a chunk is never shorter than they are
     step = max(CHUNK, len(ends))
-    return np.concatenate([a + np.flatnonzero(np.isin(keys[0][a : a + step], ends))
-                           for a in range(0, len(v), step)])
+    found = []
+    for a in range(0, len(v), step):
+        chunk = keys[0][a : a + step]
+        maybe = np.flatnonzero(table[_low_bits(chunk)])
+        found.append(a + maybe[np.isin(chunk[maybe], ends)])
+    return np.concatenate(found)
+
+
+def _low_bits(values: np.ndarray) -> np.ndarray:
+    """The low 16 bits of each value's bit pattern, as table indices. Equal
+    values share them, but for 0.0 and -0.0: where both occur, every zero
+    ends a gap of 0, so its own bits are an end's."""
+    return values.view(f"u{values.itemsize}") & 0xFFFF
 
 
 def _sorted_gaps(v: np.ndarray):
@@ -182,12 +199,19 @@ def _offset_scan(keys, radices, offsets, admissible=None):
     first offset whose least gap over all its pairs exceeds the best
     admissible one (strictly, so that ties at larger offsets are kept).
     """
-    # a sort on the first limb alone is unique when that limb has no ties;
-    # otherwise a stable sort on all limbs decides
-    perm = np.argsort(keys[0])
-    lead = keys[0][perm]
+    # a sort on the leading key alone is unique when it has no ties;
+    # otherwise a stable sort on all limbs decides. Two uint32 limbs join
+    # into one uint64 leading key, as k^L <= 2^32 for each.
+    lead = keys[0]
+    if len(keys) > 1 and lead.dtype == np.uint32:
+        lead = lead.astype(np.uint64)
+        lead *= radices[1]
+        lead += keys[1]
+    perm = np.argsort(lead)
+    lead = lead[perm]
     if np.any(lead[1:] == lead[:-1]):
         perm = np.lexsort(keys[::-1])
+    del lead
     ranked = [key[perm] for key in keys]
     best = None  # (limb values, i, j): one comparison orders gaps, then ties
     for s in offsets:

@@ -122,9 +122,10 @@ class TestInPlaceDoubling:
             orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
         assert orb.windows == python_int_orbit(k, W, digits, n)[0]
 
-    # one limb and several: k = 2 packs 62 digits a limb, k = 3 packs 39,
-    # k = 10 packs 18
-    @pytest.mark.parametrize("k, W", [(2, 40), (2, 96), (3, 30), (3, 90), (10, 12), (10, 45)])
+    # one limb and several: k = 2 packs 32 digits a limb, k = 3 packs 20,
+    # k = 10 packs 9
+    @pytest.mark.parametrize("k, W", [(2, 20), (2, 40), (2, 96), (3, 15), (3, 30), (3, 90),
+                                      (10, 8), (10, 12), (10, 45)])
     def test_at_the_chunk_boundary(self, k, W):
         C = intervalmaps.CHUNK
         digits = make_rng(k + W).integers(0, k, size=C + 1 + W).tolist()
@@ -135,9 +136,9 @@ class TestInPlaceDoubling:
             assert orb.windows == windows[:n]
 
     def test_working_set_bounded(self):
-        # the limbs, one level of n + W window values, and a few chunks of
-        # scratch (4 chunks are n/2 entries here); a second level beside
-        # the first fails it
+        # the three uint32 limbs, one uint32 level of n + W window values,
+        # and a few chunks of scratch (4 chunks of 8 bytes are n/2 entries
+        # here); a second level beside the first, or an int64 draw, fails it
         n = 8 * intervalmaps.CHUNK
         W = min_window_digits(2, n)
         doubling_orbit_exact(2, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
@@ -147,8 +148,30 @@ class TestInPlaceDoubling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(orb.keys) == 2
-        assert peak < (len(orb.keys) + 1) * 8 * (n + W) + 4 * 8 * intervalmaps.CHUNK
+        assert len(orb.keys) == 3
+        assert peak < (len(orb.keys) + 1) * 4 * (n + W) + 4 * 8 * intervalmaps.CHUNK
+
+
+class TestNarrowDraw:
+    """Exact orbits draw their digits straight into uint32; every recorded
+    kdoubling orbit depends on that draw giving the default int64 one."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 10, 256, 1000, 2**31 - 1, 2**32])
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 1])
+    def test_uint32_draw_is_the_int64_draw(self, k, seed):
+        for size in (1, 2, 10_001):
+            narrow = make_rng(seed).integers(0, k, size, dtype=np.uint32)
+            assert narrow.tolist() == make_rng(seed).integers(0, k, size).tolist()
+
+    @pytest.mark.parametrize("k", [2, 7, 2**32, 2**40])
+    def test_digit_list_narrowed(self, k):
+        digits = make_rng(3).integers(0, k, size=50).tolist()
+        drawn = doubling_orbit_exact(k, 40, 10, seed=3, enforce_floor=False)
+        given_ = doubling_orbit_exact(k, 40, 10, digits=digits, enforce_floor=False)
+        dtype = np.uint32 if k <= 2**32 else np.uint64
+        for a, b in zip(drawn.keys, given_.keys):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestIterate:

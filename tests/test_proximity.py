@@ -128,6 +128,15 @@ class TestAllCandidates:
         res = agrees_all([0.375] * 9)
         assert (res.value, res.witness_i, res.witness_j) == (0.0, 0, 1)
 
+    def test_signed_zeros(self):
+        # 0.0 and -0.0 are equal with different bits; the candidates are
+        # found by their bits first
+        for pts in ([0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, -0.0, 0.25, -0.0, 0.0, 1.0],
+                    [0.0, 0.3, 2.0**-30, -0.0, 0.7]):
+            res = agrees_all(pts)
+            assert res.value == 0.0
+        assert agrees_all([-0.0, 0.5, 2.0**-30]).value == 2.0**-30
+
     def test_duplicates_among_near_equal_values(self):
         rng = make_rng(5)
         base = np.array([0.25, 0.25 + 2.0**-40, 0.25 - 2.0**-41, 0.5, 0.5 + 2.0**-40])
@@ -234,12 +243,15 @@ class TestChunkedCandidates:
         assert (res.value, res.witness_i, res.witness_j) == (0.5, CHUNK - 1, CHUNK)
 
     def test_working_set_bounded(self):
-        # one sorted copy of the leading key (8n bytes) and a few chunks of
-        # scratch (4 chunks are n/2 entries here); a full-length array of
-        # leading gaps beside the sorted copy fails it
+        # one sorted copy of the uint32 leading key (4n bytes) and a few
+        # chunks of scratch (4 chunks of 8 bytes are n/2 entries here); a
+        # full-length array of leading gaps beside the sorted copy, or an
+        # 8-byte sorted copy, fails it
         n = 8 * CHUNK
         orb = doubling_orbit_exact(2, n, min_window_digits(2, n), seed=2)
-        closest_pair(orb.keys[0][:100].astype(np.float64), "all")  # first-use imports untraced
+        # first-use imports untraced: with hundreds of ends, np.isin sorts
+        # them, which the first call pays for once
+        closest_pair(orb, "all")
         tracemalloc.start()
         try:
             res = closest_pair(orb, "all")
@@ -247,7 +259,7 @@ class TestChunkedCandidates:
         finally:
             tracemalloc.stop()
         assert res.exact > 0
-        assert peak < 8 * n + 4 * 8 * CHUNK
+        assert peak < 4 * n + 4 * 8 * CHUNK
 
 
 def outcome(fn, orb, variant, alpha):
@@ -292,14 +304,47 @@ class TestLimbKernel:
                     outcome(closest_pair_bruteforce, orb, variant, a_), variant
 
     def test_limb_layout(self):
-        # k = 2 packs 62 digits a limb, k = 7 packs 22
-        for k, W, widths in ((2, 96, (62, 34)), (2, 62, (62,)), (7, 50, (22, 22, 6))):
+        # k = 2 packs 32 digits a uint32 limb, k = 7 packs 11, and a k above
+        # 2^32 one digit a uint64 limb
+        for k, W, widths, dtype in ((2, 96, (32, 32, 32), np.uint32), (2, 32, (32,), np.uint32),
+                                    (7, 50, (11, 11, 11, 11, 6), np.uint32),
+                                    (2**40, 3, (1, 1, 1), np.uint64)):
             orb = doubling_orbit_exact(k, 10, W, seed=1, enforce_floor=False)
             assert orb.radices == tuple(k**w for w in widths)
-            assert all(limb.dtype == np.int64 for limb in orb.keys)
+            assert all(limb.dtype == dtype for limb in orb.keys)
             # the seeded draw is the one the Python-int construction used
             digits = make_rng(1).integers(0, k, size=10 + W).tolist()
             assert orb.windows == python_int_orbit(k, W, digits, 10)[0]
+
+    # k^L = 2^32 exactly: a limb's first piece is assigned, as k^L fits no
+    # uint32; k = 2^40 takes one digit a uint64 limb
+    @pytest.mark.parametrize("k, L", [(2, 32), (4, 16), (16, 8), (256, 4), (65536, 2),
+                                      (2**32, 1), (2**40, 1)])
+    def test_full_limbs(self, k, L):
+        for seed, W in ((1, L), (2, 2 * L + 1), (3, 3 * L)):
+            n = 40
+            # every digit k - 1 in the first windows: full limbs of value k^L - 1
+            digits = [k - 1] * (n // 2 + W) + make_rng(seed).integers(0, k, size=n - n // 2).tolist()
+            orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
+            assert orb.radices[0] == k**L
+            assert orb.windows == python_int_orbit(k, W, digits, n)[0]
+            for variant in VARIANTS:
+                assert outcome(closest_pair, orb, variant, None) == \
+                    outcome(closest_pair_bruteforce, orb, variant, None), variant
+
+    def test_extreme_leading_limbs(self):
+        # leading limbs 0 and 2^32 - 1: the least leading gap plus its slack,
+        # the limb differences and the two limbs joined as one uint64 sort
+        # key each pass 2^32 - 1 without wrapping
+        top = 2**32 - 1
+        for keys in (([0, top], [0, top]), ([top, 0], [5, 7]),
+                     ([0, top, top], [0, top, top - 1]), ([top, 0, top], [top, 0, 0])):
+            for limbs in (keys[:1], keys):
+                orb = OrbitBuffer(tuple(np.array(limb, dtype=np.uint32) for limb in limbs),
+                                  (2**32,) * len(limbs))
+                for variant in VARIANTS:
+                    assert outcome(closest_pair, orb, variant, None) == \
+                        outcome(closest_pair_bruteforce, orb, variant, None), variant
 
 
 def rank_offset(values, i, j):
@@ -503,13 +548,16 @@ class TestProximityCurve:
         assert [r for r in whole if r.n == 1000] == part
 
     def test_one_cell_in_memory(self):
-        # a cell holds its orbit's two limbs and then one more orbit-length
-        # array, its level while it is built and the sorted copy while it is
-        # scanned, plus a few chunks of scratch; the previous replicate's
-        # orbit, kept alive while the next is built, fails it
+        # a cell holds its orbit's three uint32 limbs and then one more
+        # 4-byte orbit-length array, its level while it is built and the
+        # sorted copy while it is scanned, plus a few chunks of scratch; the
+        # previous replicate's orbit, kept alive while the next is built,
+        # fails it
         n = 8 * CHUNK
         W = min_window_digits(2, n)
-        proximity_curve(KDoubling(2), [100], 1, "all", seed=4)  # first-use imports untraced
+        # first-use imports untraced, among them np.isin's sort of hundreds
+        # of ends, which an orbit of 100 points never reaches
+        proximity_curve(KDoubling(2), [n], 1, "all", seed=4)
         tracemalloc.start()
         try:
             rows = proximity_curve(KDoubling(2), [n], 3, "all", seed=4)
@@ -517,7 +565,7 @@ class TestProximityCurve:
         finally:
             tracemalloc.stop()
         assert len(rows) == 3
-        assert peak < 3 * 8 * (n + W) + 4 * 8 * CHUNK
+        assert peak < 4 * 4 * (n + W) + 4 * 8 * CHUNK
 
     def test_value_aux_relation(self):
         rows = proximity_curve(PiecewiseAffine.dyadic(20), [500], 2, "all", seed=3)
