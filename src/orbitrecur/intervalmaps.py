@@ -6,9 +6,9 @@ arithmetic), countable full-branch piecewise affine maps truncated at a
 finite branch count, the continued-fraction map 1/x mod 1 with its classical
 invariant density, and the first-return map of an intermittent map to
 [0, 1/2). Every orbit is one OrbitBuffer, its points as sort keys:
-multiplication orbits are exact base-k rationals held in uint32 limbs (one
-digit a uint64 limb for k above 2^32); the others are one float64 key with a
-recorded noise floor.
+multiplication orbits are exact base-k rationals held in uint32 or int64
+limbs, whichever packs more digits per byte for k; the others are one
+float64 key with a recorded noise floor.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ __all__ = [
 
 EPS64 = 2.0**-52  # unit roundoff scale for 64-bit orbits
 GROWTH_CAP = 2.0**8  # cap on the accumulated expansion factor in the floor
-LIMB_BOUND = 2**32  # exact orbits hold base-k digits in uint32 limbs, each below this
+# exact orbits hold base-k digits in int64 limbs, each below LIMB_BOUND, or in
+# uint32 limbs, each at most NARROW_LIMB_BOUND, where those pack more digits
+LIMB_BOUND = 2**63
+NARROW_LIMB_BOUND = 2**32
 CHUNK = 1 << 15  # entries per step of a pass over an orbit-length array, which needs O(CHUNK) scratch
 
 
@@ -104,9 +107,9 @@ class KDoubling(IntervalMap):
     burn_in: ClassVar[None] = None
 
     def __post_init__(self):
-        if not 2 <= self.k < 2**63:
-            raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in uint32 limbs, "
-                                     "or one digit a uint64 limb for k above 2^32)")
+        if not 2 <= self.k < LIMB_BOUND:
+            raise InvalidSystemError("need 2 <= k < 2^63 (exact orbits keep digits in uint32 "
+                                     "or int64 limbs)")
 
     def orbit(self, n: int, seed: int, burn_in: int | None = None) -> OrbitBuffer:
         """The exact orbit of base-k digit windows."""
@@ -205,11 +208,14 @@ class OrbitBuffer:
     (frozen in place, never copied). A floating orbit has one float64 key,
     no `radices`, and a noise floor of machine epsilon times the accumulated
     expansion factor, capped. An exact base-k orbit holds point i, the
-    W-digit window starting at digit i, as uint32 limbs: limb c is the base-k
-    value of digits [i + cL, i + cL + L) with L the largest count whose k^L
-    is at most 2^32 (32 for k = 2, 20 for k = 3), the last limb narrower, and
-    `radices[c]` is k^(digits of limb c), so k^W is their product. A k above
-    2^32 takes one digit a uint64 limb. The window integers `windows` and
+    W-digit window starting at digit i, as limbs: limb c is the base-k value
+    of digits [i + cL, i + cL + L), the last limb narrower, and `radices[c]`
+    is k^(digits of limb c), so k^W is their product. The limbs are uint32,
+    L the most digits whose k^L is at most 2^32 (32 for k = 2, 20 for
+    k = 3), where that packs more digits per byte than int64 limbs, L the
+    most digits whose k^L stays below 2^63; else int64 (27 digits for k = 5,
+    22 for k = 7, 9 for k = 100; see _limb_layout).
+    The window integers `windows` and
     the float `points` (window / k^W) of an exact orbit are derived on first
     access and cached.
     """
@@ -268,8 +274,8 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
 
     Draw n + W digits straight into the limb dtype; point i is the W-digit
     window starting at digit i, so the i-th iterate is exact and pairwise
-    distances are exact base-k rationals; they are stored as uint32 limbs
-    (see OrbitBuffer). The working set is the limbs, one level of n + W
+    distances are exact base-k rationals; they are stored as uint32 or int64
+    limbs (see OrbitBuffer). The working set is the limbs, one level of n + W
     window values in the limb dtype, and O(CHUNK) scratch. enforce_floor=False
     admits windows too narrow for the n^-2 distance scale; only for
     hand-sized demonstrations.
@@ -283,8 +289,7 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     if window_bits < 1:
         raise ValueError("window_bits must be >= 1")
     W = window_bits
-    widths = _limb_widths(k, W)
-    dtype = np.uint32 if k <= LIMB_BOUND else np.uint64
+    dtype, widths = _limb_layout(k, W)
     # level[i] holds the value of digits [i, i + w), starting at w = 1; the
     # narrow draw gives the values of the default int64 one
     if digits is None:
@@ -325,14 +330,24 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     return OrbitBuffer(tuple(limbs), tuple(k**width for width in widths))
 
 
-def _limb_widths(k: int, window_bits: int) -> list[int]:
-    """Digit counts of the limbs of a window: L each, with L the largest
-    count whose k^L is at most LIMB_BOUND (at least 1, for a k above it),
-    and a narrower last limb."""
-    L = 1
-    while k ** (L + 1) <= LIMB_BOUND:
-        L += 1
-    return [min(L, window_bits - c) for c in range(0, window_bits, L)]
+def _limb_layout(k: int, window_bits: int) -> tuple[type, list[int]]:
+    """The limb dtype of a window and the digit counts of its limbs: L each
+    and a narrower last limb.
+
+    A uint32 limb holds L32 digits, the most whose k^L is at most 2^32; an
+    int64 limb holds L64, the most whose k^L stays below 2^63. uint32 limbs
+    are taken where they pack more digits per byte, 2 L32 > L64. So a window
+    never takes more bytes than in int64 limbs, and its leading uint32 limb
+    holds at least 31.5 bits: were L32 log2(k) < 31.5, then k^(2 L32) < 2^63
+    and L64 >= 2 L32. Ties go to int64, whose leading limb is wider.
+    """
+    L32 = L64 = 0
+    while k ** (L32 + 1) <= NARROW_LIMB_BOUND:
+        L32 += 1
+    while k ** (L64 + 1) < LIMB_BOUND:
+        L64 += 1
+    dtype, L = (np.uint32, L32) if 2 * L32 > L64 else (np.int64, L64)
+    return dtype, [min(L, window_bits - c) for c in range(0, window_bits, L)]
 
 
 def iterate(spec: IntervalMap, x0: float, n: int, burn_in: int = 0) -> OrbitBuffer:

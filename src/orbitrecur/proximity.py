@@ -150,34 +150,34 @@ def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
 
     The working set is one sorted copy of the leading key, the candidates'
     end values and O(CHUNK) scratch: the gaps and the membership test run
-    over chunks. A leading limb of 32 digits is shared by many points at
-    large n, so the ends can be hundreds; a table of their low 16 bits
-    passes only the few points that may be ends on to np.isin.
+    over chunks. A leading uint32 limb is shared by many points at large n,
+    so the ends can be hundreds; a table of the low 16 bits of their bit
+    patterns passes on only the few points that may be ends, and a binary
+    search in the sorted ends decides those by value.
     """
     v = np.sort(keys[0])
     slack = 1 if len(keys) > 1 else 0
     least = min(gaps.min() for _, gaps in _sorted_gaps(v)).item()  # a Python number: no wrap
     rows = np.concatenate([a + np.flatnonzero(gaps <= least + slack)
                            for a, gaps in _sorted_gaps(v)])
-    ends = np.concatenate((v[rows], v[rows + 1]))
+    ends = np.unique(np.concatenate((v[rows], v[rows + 1])))
+    del v
     table = np.zeros(1 << 16, dtype=bool)
     table[_low_bits(ends)] = True
-    # each chunk's membership test sorts the ends when they are many (ties
-    # along a grid), so a chunk is never shorter than they are
-    step = max(CHUNK, len(ends))
-    found = []
-    for a in range(0, len(v), step):
-        chunk = keys[0][a : a + step]
-        maybe = np.flatnonzero(table[_low_bits(chunk)])
-        found.append(a + maybe[np.isin(chunk[maybe], ends)])
+    found, bits = [], np.empty(CHUNK, dtype=np.intp)
+    for a in range(0, len(keys[0]), CHUNK):
+        chunk = keys[0][a : a + CHUNK]
+        maybe = np.flatnonzero(table[_low_bits(chunk, bits[: len(chunk)])])
+        at = np.minimum(np.searchsorted(ends, chunk[maybe]), len(ends) - 1)
+        found.append(a + maybe[ends[at] == chunk[maybe]])
     return np.concatenate(found)
 
 
-def _low_bits(values: np.ndarray) -> np.ndarray:
-    """The low 16 bits of each value's bit pattern, as table indices. Equal
-    values share them, but for 0.0 and -0.0: where both occur, every zero
-    ends a gap of 0, so its own bits are an end's."""
-    return values.view(f"u{values.itemsize}") & 0xFFFF
+def _low_bits(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The low 16 bits of each value's bit pattern, as table indices (into
+    an intp `out`, which indexes without a cast): equal values share them
+    (a float's sign sits in its high bit, so 0.0 and -0.0 do too)."""
+    return np.bitwise_and(values.view(f"u{values.itemsize}"), 0xFFFF, out=out, casting="unsafe")
 
 
 def _sorted_gaps(v: np.ndarray):

@@ -1,7 +1,7 @@
 """Test-only oracles: the depth-first enumeration of admissible words and
 exact cylinder masses of a Markov shift, against which the library's exact
 measures are checked, and the exact doubling orbit as one Python int per
-window, against which the uint32 limbs are checked."""
+window, against which the uint32 and int64 limbs are checked."""
 
 from __future__ import annotations
 

@@ -122,8 +122,8 @@ class TestInPlaceDoubling:
             orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
         assert orb.windows == python_int_orbit(k, W, digits, n)[0]
 
-    # one limb and several: k = 2 packs 32 digits a limb, k = 3 packs 20,
-    # k = 10 packs 9
+    # one limb and several: k = 2 packs 32 digits a uint32 limb, k = 3
+    # packs 20, k = 10 packs 18 an int64 limb
     @pytest.mark.parametrize("k, W", [(2, 20), (2, 40), (2, 96), (3, 15), (3, 30), (3, 90),
                                       (10, 8), (10, 12), (10, 45)])
     def test_at_the_chunk_boundary(self, k, W):
@@ -152,9 +152,34 @@ class TestInPlaceDoubling:
         assert peak < (len(orb.keys) + 1) * 4 * (n + W) + 4 * 8 * intervalmaps.CHUNK
 
 
+class TestLimbLayout:
+    """uint32 limbs only where they pack more digits per byte than int64
+    ones: a window then takes no more bytes, and its leading limb holds at
+    least 31.5 bits of it (or all of it), so few points share one."""
+
+    KS = sorted({*range(2, 3000), *(2**b + d for b in range(2, 63) for d in (-1, 0, 1)),
+                 3037000499, 3037000500})  # 2^31.5 lies between the last two
+
+    def test_never_wider_and_leading_limb_wide(self):
+        for k in self.KS:
+            L64 = 1
+            while k ** (L64 + 1) < 2**63:
+                L64 += 1
+            for W in (1, 7, 20, 33, 96, 200):
+                dtype, widths = intervalmaps._limb_layout(k, W)
+                assert sum(widths) == W
+                if dtype is np.int64:
+                    assert widths[0] == min(L64, W), k
+                else:
+                    assert dtype is np.uint32 and k ** widths[0] <= 2**32, k
+                    assert 4 * len(widths) <= 8 * math.ceil(W / L64), (k, W)
+                    assert widths[0] == W or k ** (2 * widths[0]) >= 2**63, (k, W)
+
+
 class TestNarrowDraw:
-    """Exact orbits draw their digits straight into uint32; every recorded
-    kdoubling orbit depends on that draw giving the default int64 one."""
+    """Exact orbits with uint32 limbs draw their digits straight into
+    uint32; every recorded kdoubling orbit depends on that draw giving the
+    default int64 one."""
 
     @pytest.mark.parametrize("k", [2, 3, 7, 10, 256, 1000, 2**31 - 1, 2**32])
     @pytest.mark.parametrize("seed", [0, 5, 2**32 + 1])
@@ -163,12 +188,12 @@ class TestNarrowDraw:
             narrow = make_rng(seed).integers(0, k, size, dtype=np.uint32)
             assert narrow.tolist() == make_rng(seed).integers(0, k, size).tolist()
 
-    @pytest.mark.parametrize("k", [2, 7, 2**32, 2**40])
-    def test_digit_list_narrowed(self, k):
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint32), (7, np.int64), (2**32, np.uint32),
+                                          (2**40, np.int64)])
+    def test_digit_list_narrowed(self, k, dtype):
         digits = make_rng(3).integers(0, k, size=50).tolist()
         drawn = doubling_orbit_exact(k, 40, 10, seed=3, enforce_floor=False)
         given_ = doubling_orbit_exact(k, 40, 10, digits=digits, enforce_floor=False)
-        dtype = np.uint32 if k <= 2**32 else np.uint64
         for a, b in zip(drawn.keys, given_.keys):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()

@@ -129,8 +129,8 @@ class TestAllCandidates:
         assert (res.value, res.witness_i, res.witness_j) == (0.0, 0, 1)
 
     def test_signed_zeros(self):
-        # 0.0 and -0.0 are equal with different bits; the candidates are
-        # found by their bits first
+        # 0.0 and -0.0 are equal with different bits, but the same low
+        # bits: the table passes both on, and the search compares values
         for pts in ([0.0, -0.0, 0.5], [-0.0, 0.5, 0.0], [0.5, -0.0, 0.25, -0.0, 0.0, 1.0],
                     [0.0, 0.3, 2.0**-30, -0.0, 0.7]):
             res = agrees_all(pts)
@@ -242,6 +242,15 @@ class TestChunkedCandidates:
         res = closest_pair(orb, "all")
         assert (res.value, res.witness_i, res.witness_j) == (0.5, CHUNK - 1, CHUNK)
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 100, 2**16, 2**17, 2**21, 2**32, 2**40])
+    def test_few_candidates(self, k):
+        # a leading limb of at least 31.5 bits leaves few points within one
+        # unit of another; a one-digit uint32 limb for k = 2^17 or 2^21
+        # would make nearly every point a candidate
+        n = CHUNK
+        orb = doubling_orbit_exact(k, n, min_window_digits(k, n), seed=k % 97)
+        assert len(proximity._candidates(orb.keys)) <= 16
+
     def test_working_set_bounded(self):
         # one sorted copy of the uint32 leading key (4n bytes) and a few
         # chunks of scratch (4 chunks of 8 bytes are n/2 entries here); a
@@ -249,9 +258,8 @@ class TestChunkedCandidates:
         # 8-byte sorted copy, fails it
         n = 8 * CHUNK
         orb = doubling_orbit_exact(2, n, min_window_digits(2, n), seed=2)
-        # first-use imports untraced: with hundreds of ends, np.isin sorts
-        # them, which the first call pays for once
-        closest_pair(orb, "all")
+        small = doubling_orbit_exact(2, 1000, min_window_digits(2, 1000), seed=2)
+        closest_pair(small, "all")  # first-use imports untraced
         tracemalloc.start()
         try:
             res = closest_pair(orb, "all")
@@ -304,11 +312,16 @@ class TestLimbKernel:
                     outcome(closest_pair_bruteforce, orb, variant, a_), variant
 
     def test_limb_layout(self):
-        # k = 2 packs 32 digits a uint32 limb, k = 7 packs 11, and a k above
-        # 2^32 one digit a uint64 limb
+        # uint32 limbs where they pack more digits per byte: 32 for k = 2
+        # (against 62 an int64 limb), 20 for k = 3 (39), 1 for k = 2^32 (1);
+        # else int64 limbs: 22 for k = 7 (11), 9 for k = 100 (4), 3 for
+        # k = 2^17 (1), and 1 for a k above 2^32
         for k, W, widths, dtype in ((2, 96, (32, 32, 32), np.uint32), (2, 32, (32,), np.uint32),
-                                    (7, 50, (11, 11, 11, 11, 6), np.uint32),
-                                    (2**40, 3, (1, 1, 1), np.uint64)):
+                                    (3, 50, (20, 20, 10), np.uint32),
+                                    (2**32, 3, (1, 1, 1), np.uint32),
+                                    (7, 50, (22, 22, 6), np.int64), (100, 20, (9, 9, 2), np.int64),
+                                    (2**17, 7, (3, 3, 1), np.int64),
+                                    (2**40, 3, (1, 1, 1), np.int64)):
             orb = doubling_orbit_exact(k, 10, W, seed=1, enforce_floor=False)
             assert orb.radices == tuple(k**w for w in widths)
             assert all(limb.dtype == dtype for limb in orb.keys)
@@ -317,7 +330,7 @@ class TestLimbKernel:
             assert orb.windows == python_int_orbit(k, W, digits, 10)[0]
 
     # k^L = 2^32 exactly: a limb's first piece is assigned, as k^L fits no
-    # uint32; k = 2^40 takes one digit a uint64 limb
+    # uint32; k = 2^40 takes one digit an int64 limb
     @pytest.mark.parametrize("k, L", [(2, 32), (4, 16), (16, 8), (256, 4), (65536, 2),
                                       (2**32, 1), (2**40, 1)])
     def test_full_limbs(self, k, L):
@@ -555,9 +568,7 @@ class TestProximityCurve:
         # fails it
         n = 8 * CHUNK
         W = min_window_digits(2, n)
-        # first-use imports untraced, among them np.isin's sort of hundreds
-        # of ends, which an orbit of 100 points never reaches
-        proximity_curve(KDoubling(2), [n], 1, "all", seed=4)
+        proximity_curve(KDoubling(2), [100], 1, "all", seed=4)  # first-use imports untraced
         tracemalloc.start()
         try:
             rows = proximity_curve(KDoubling(2), [n], 3, "all", seed=4)
