@@ -214,10 +214,9 @@ class OrbitBuffer:
     L the most digits whose k^L is at most 2^32 (32 for k = 2, 20 for
     k = 3), where that packs more digits per byte than int64 limbs, L the
     most digits whose k^L stays below 2^63; else int64 (27 digits for k = 5,
-    22 for k = 7, 9 for k = 100; see _limb_layout).
-    The window integers `windows` and
-    the float `points` (window / k^W) of an exact orbit are derived on first
-    access and cached.
+    22 for k = 7, 9 for k = 100; see _limb_layout). The window integers
+    `windows` and the float `points` (window / k^W) of an exact orbit are
+    derived on first access and cached.
     """
 
     keys: tuple[np.ndarray, ...]
