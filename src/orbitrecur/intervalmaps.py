@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -214,7 +213,10 @@ class OrbitBuffer:
     L the most digits whose k^L is at most 2^32 (32 for k = 2, 20 for
     k = 3), where that packs more digits per byte than int64 limbs, L the
     most digits whose k^L stays below 2^63; else int64 (27 digits for k = 5,
-    22 for k = 7, 9 for k = 100; see _limb_layout). The window integers
+    22 for k = 7, 9 for k = 100; see _limb_layout). Limb c of point i is
+    limb 0 of point i + cL, so the full limbs are views of one read-only
+    array, limb c its entries [cL, cL + n); only a narrower last limb is an
+    array of its own. The window integers
     `windows` and the float `points` (window / k^W) of an exact orbit are
     derived on first access and cached.
     """
@@ -274,8 +276,10 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     Draw n + W digits straight into the limb dtype; point i is the W-digit
     window starting at digit i, so the i-th iterate is exact and pairwise
     distances are exact base-k rationals; they are stored as uint32 or int64
-    limbs (see OrbitBuffer). The working set is the limbs, one level of n + W
-    window values in the limb dtype, and O(CHUNK) scratch. enforce_floor=False
+    limbs (see OrbitBuffer). The working set is one level of n + W window
+    values in the limb dtype, n + (f - 1) L values for the f full limbs of
+    L digits unless L is a power of two (then they are the last level), n
+    for a narrower last limb, and O(CHUNK) scratch. enforce_floor=False
     admits windows too narrow for the n^-2 distance scale; only for
     hand-sized demonstrations.
     """
@@ -303,30 +307,39 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     # Window doubling: level 2w is level w times k^w plus level w shifted by
     # w. It overwrites level w in place, in ascending chunks: a chunk reads
     # only entries that no earlier chunk has rewritten, and numpy copies an
-    # input that overlaps its output. A limb of L digits is read from its
-    # most significant digit on, one piece from each level w in the binary
-    # form of L, smallest first. A limb's first piece is assigned: k^w can
-    # be 2^32, which no uint32 holds, but every later factor is below k^L.
-    limbs = [np.empty(n, dtype=dtype) for _ in widths]
-    pos = list(itertools.accumulate(widths, initial=0))
+    # input that overlaps its output. The f full limbs are one array of
+    # n + (f - 1) L values, and a narrower last limb one of n. Each is read
+    # from its most significant digit on, one piece from each level w in the
+    # binary form of its width, smallest first. A first piece is assigned
+    # (k^w can be 2^32, which no uint32 holds; every later factor is below
+    # k^L) as a copy, since the next level rewrites it, except a full piece
+    # at w = L: that is the last level, which nothing rewrites.
+    L = widths[0]
+    f = widths.count(L)
+    parts = [(L, n + (f - 1) * L)] + [(width, n) for width in widths[f:]]
+    arrays, pos = [None] * len(parts), [0, f * L]
     size, w = len(level), 1
     while True:
-        for c, width in enumerate(widths):
+        for c, (width, length) in enumerate(parts):
             if width & w:
+                piece = level[pos[c] : pos[c] + length]
                 if w == width & -width:
-                    limbs[c][:] = level[pos[c] : pos[c] + n]
+                    arrays[c] = level if w == L else piece.copy()
                 else:
-                    limbs[c] *= k**w
-                    limbs[c] += level[pos[c] : pos[c] + n]
+                    arrays[c] *= k**w
+                    arrays[c] += piece
                 pos[c] += w
-        if 2 * w > widths[0]:
+        if 2 * w > L:
             break
         size -= w
         for a in range(0, size, CHUNK):
             b = min(a + CHUNK, size)
             np.add(level[a:b] * k**w, level[a + w : b + w], out=level[a:b])
         w *= 2
-    return OrbitBuffer(tuple(limbs), tuple(k**width for width in widths))
+    full = arrays[0]
+    full.setflags(write=False)  # the base of the full limbs, so no view writes through it
+    keys = tuple(full[c * L : c * L + n] for c in range(f)) + tuple(arrays[1:])
+    return OrbitBuffer(keys, tuple(k**width for width in widths))
 
 
 def _limb_layout(k: int, window_bits: int) -> tuple[type, list[int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -122,10 +123,16 @@ class TestInPlaceDoubling:
             orb = doubling_orbit_exact(k, n, W, digits=digits, enforce_floor=False)
         assert orb.windows == python_int_orbit(k, W, digits, n)[0]
 
-    # one limb and several: k = 2 packs 32 digits a uint32 limb, k = 3
-    # packs 20, k = 10 packs 18 an int64 limb
+    # one limb and several: k = 2 packs 32 digits a uint32 limb, k = 4
+    # packs 16, k = 3 packs 20, k = 2^32 one; k = 10 packs 18 an int64 limb,
+    # k = 100 packs 9. The full limbs are views of the last level only when
+    # L is a power of two; a narrower last limb whose width is a power of
+    # two below L is read at an earlier level, which the later ones
+    # rewrite, so it must be a copy: (2, 48) is 32 + 16 digits, (2, 112)
+    # 3 x 32 + 16, (4, 24) 16 + 8, (3, 44) 2 x 20 + 4, (100, 22) 2 x 9 + 4
     @pytest.mark.parametrize("k, W", [(2, 20), (2, 40), (2, 96), (3, 15), (3, 30), (3, 90),
-                                      (10, 8), (10, 12), (10, 45)])
+                                      (10, 8), (10, 12), (10, 45), (2, 48), (2, 112), (4, 24),
+                                      (2**32, 3), (3, 44), (100, 22)])
     def test_at_the_chunk_boundary(self, k, W):
         C = intervalmaps.CHUNK
         digits = make_rng(k + W).integers(0, k, size=C + 1 + W).tolist()
@@ -136,11 +143,11 @@ class TestInPlaceDoubling:
             assert orb.windows == windows[:n]
 
     def test_working_set_bounded(self):
-        # the three uint32 limbs, one uint32 level of n + W window values,
-        # and a few chunks of scratch (4 chunks of 8 bytes are n/2 entries
-        # here); a second level beside the first, or an int64 draw, fails it
+        # three full uint32 limbs, all views of the last level of n + W
+        # window values, and a few chunks of scratch; a limb copied out of
+        # the level, or an int64 draw, fails it
         n = 8 * intervalmaps.CHUNK
-        W = min_window_digits(2, n)
+        W = 96
         doubling_orbit_exact(2, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
         tracemalloc.start()
         try:
@@ -149,7 +156,54 @@ class TestInPlaceDoubling:
         finally:
             tracemalloc.stop()
         assert len(orb.keys) == 3
-        assert peak < (len(orb.keys) + 1) * 4 * (n + W) + 4 * 8 * intervalmaps.CHUNK
+        assert peak < 4 * (n + W) + 4 * 4 * intervalmaps.CHUNK
+
+    # k = 2 at W = 88: the level and a narrower 24-digit limb; k = 2^17 at
+    # W = 21: an int64 level and one array for the seven 3-digit limbs
+    @pytest.mark.parametrize("k, W", [(2, 88), (2**17, 21)])
+    def test_working_set_of_two_arrays(self, k, W):
+        n = 8 * intervalmaps.CHUNK
+        doubling_orbit_exact(k, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
+        tracemalloc.start()
+        try:
+            orb = doubling_orbit_exact(k, n, W, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = orb.keys[0].itemsize
+        assert peak < 2 * size * (n + W) + 4 * size * intervalmaps.CHUNK
+
+
+class TestSharedLimbs:
+    """An exact orbit's full limbs are views of one read-only array, and
+    sharing it keeps every key's bytes: the sha256 of the joined keys and
+    their dtypes of KDoubling(k).orbit(10**6, 5), recorded before the limbs
+    were shared."""
+
+    PINS = {
+        2: ("780f658cae11393cd062ba8f8e3ebce6e65758519f22100038c66d099edb3a29", np.uint32),
+        3: ("0a30b42d0b8d326170fd148082943208fb68b5ed03206581797594e2e65f1b5b", np.uint32),
+        7: ("6dc84e45b18738c35731215704460242191bebab79f7022f30190972e411e319", np.int64),
+        100: ("dd158e501268656e29b417352040c2d3bd019d30576d6ecd3555217319c010ca", np.int64),
+        2**17: ("e8aa1415675f4af3d2fa73016c83f33bf87628bf5c1bf314d5dde1c1054c336d", np.int64),
+    }
+
+    @pytest.mark.parametrize("k", sorted(PINS))
+    def test_key_bytes_and_sharing(self, k):
+        orb = KDoubling(k).orbit(10**6, 5)
+        digest, dtype = self.PINS[k]
+        h = hashlib.sha256()
+        for key in orb.keys:
+            assert key.dtype == dtype
+            h.update(key)
+        assert h.hexdigest() == digest
+        f = orb.radices.count(orb.radices[0])
+        for c, key in enumerate(orb.keys):
+            assert np.shares_memory(key, orb.keys[0]) == (c < f)
+            assert not key.flags.writeable
+            assert key.base is None or not key.base.flags.writeable
+        with pytest.raises(ValueError):  # a view of a frozen base stays frozen
+            orb.keys[0].setflags(write=True)
 
 
 class TestLimbLayout:

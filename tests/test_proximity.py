@@ -561,13 +561,15 @@ class TestProximityCurve:
         assert [r for r in whole if r.n == 1000] == part
 
     def test_one_cell_in_memory(self):
-        # a cell holds its orbit's three uint32 limbs and then one more
-        # 4-byte orbit-length array, its level while it is built and the
-        # sorted copy while it is scanned, plus a few chunks of scratch; the
-        # previous replicate's orbit, kept alive while the next is built,
-        # fails it
-        n = 8 * CHUNK
+        # at this n the window is 96 digits, three full uint32 limbs that
+        # are views of the level of n + W window values, so a cell holds
+        # that level and the sorted copy of the leading limb while it is
+        # scanned, plus a few chunks of scratch; a limb copied out of the
+        # level, or the previous replicate's orbit kept alive while the
+        # next is built, fails it
+        n = 32 * CHUNK
         W = min_window_digits(2, n)
+        assert W == 96
         proximity_curve(KDoubling(2), [100], 1, "all", seed=4)  # first-use imports untraced
         tracemalloc.start()
         try:
@@ -576,7 +578,7 @@ class TestProximityCurve:
         finally:
             tracemalloc.stop()
         assert len(rows) == 3
-        assert peak < 4 * 4 * (n + W) + 4 * 8 * CHUNK
+        assert peak < 2 * 4 * (n + W) + 4 * 8 * CHUNK
 
     def test_value_aux_relation(self):
         rows = proximity_curve(PiecewiseAffine.dyadic(20), [500], 2, "all", seed=3)
