@@ -215,10 +215,11 @@ class OrbitBuffer:
     most digits whose k^L stays below 2^63; else int64 (27 digits for k = 5,
     22 for k = 7, 9 for k = 100; see _limb_layout). Limb c of point i is
     limb 0 of point i + cL, so the full limbs are views of one read-only
-    array, limb c its entries [cL, cL + n); only a narrower last limb is an
-    array of its own. The window integers
-    `windows` and the float `points` (window / k^W) of an exact orbit are
-    derived on first access and cached.
+    base, limb c its entries [cL, cL + n), and a narrower last limb of w
+    digits is the low w digits of the base W - L entries on, an array of
+    its own. The window integers `windows` and the float `points`
+    (window / k^W) of an exact orbit are derived on first access and
+    cached.
     """
 
     keys: tuple[np.ndarray, ...]
@@ -277,11 +278,11 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     window starting at digit i, so the i-th iterate is exact and pairwise
     distances are exact base-k rationals; they are stored as uint32 or int64
     limbs (see OrbitBuffer). The working set is one level of n + W window
-    values in the limb dtype, n + (f - 1) L values for the f full limbs of
-    L digits unless L is a power of two (then they are the last level), n
-    for a narrower last limb, and O(CHUNK) scratch. enforce_floor=False
-    admits windows too narrow for the n^-2 distance scale; only for
-    hand-sized demonstrations.
+    values in the limb dtype beside the base of n + W - L values of L
+    digits (the last level itself where L is a power of two), then the base
+    beside the n values of a narrower last limb, and O(CHUNK) scratch.
+    enforce_floor=False admits windows too narrow for the n^-2 distance
+    scale; only for hand-sized demonstrations.
     """
     KDoubling(k)  # InvalidSystemError unless 2 <= k < 2^63
     if n < 1:
@@ -307,28 +308,23 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
     # Window doubling: level 2w is level w times k^w plus level w shifted by
     # w. It overwrites level w in place, in ascending chunks: a chunk reads
     # only entries that no earlier chunk has rewritten, and numpy copies an
-    # input that overlaps its output. The f full limbs are one array of
-    # n + (f - 1) L values, and a narrower last limb one of n. Each is read
-    # from its most significant digit on, one piece from each level w in the
-    # binary form of its width, smallest first. A first piece is assigned
+    # input that overlaps its output. The base, base[p] the value of digits
+    # [p, p + L), takes n + W - L entries, one piece from each level w in
+    # the binary form of L, smallest first. Its first piece is assigned
     # (k^w can be 2^32, which no uint32 holds; every later factor is below
-    # k^L) as a copy, since the next level rewrites it, except a full piece
-    # at w = L: that is the last level, which nothing rewrites.
+    # k^L), as a copy, since the next level rewrites it, unless w = L: that
+    # is the last level, which nothing rewrites.
     L = widths[0]
-    f = widths.count(L)
-    parts = [(L, n + (f - 1) * L)] + [(width, n) for width in widths[f:]]
-    arrays, pos = [None] * len(parts), [0, f * L]
     size, w = len(level), 1
     while True:
-        for c, (width, length) in enumerate(parts):
-            if width & w:
-                piece = level[pos[c] : pos[c] + length]
-                if w == width & -width:
-                    arrays[c] = level if w == L else piece.copy()
-                else:
-                    arrays[c] *= k**w
-                    arrays[c] += piece
-                pos[c] += w
+        if L & w:
+            pos = L & (w - 1)  # the digits of the smaller pieces
+            piece = level[pos : pos + n + W - L]
+            if not pos:
+                base = level if w == L else piece.copy()
+            else:
+                base *= k**w
+                base += piece
         if 2 * w > L:
             break
         size -= w
@@ -336,9 +332,11 @@ def doubling_orbit_exact(k: int, n: int, window_bits: int, digits: Sequence[int]
             b = min(a + CHUNK, size)
             np.add(level[a:b] * k**w, level[a + w : b + w], out=level[a:b])
         w *= 2
-    full = arrays[0]
-    full.setflags(write=False)  # the base of the full limbs, so no view writes through it
-    keys = tuple(full[c * L : c * L + n] for c in range(f)) + tuple(arrays[1:])
+    del level, piece  # only the base is read from here on
+    base.setflags(write=False)  # so that no view writes through it
+    keys = tuple(base[c * L : c * L + n] for c in range(W // L))
+    if W % L:  # a narrower last limb: the low W % L digits of base[i + W - L]
+        keys += (base[W - L : W - L + n] % k ** (W % L),)
     return OrbitBuffer(keys, tuple(k**width for width in widths))
 
 

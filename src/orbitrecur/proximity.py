@@ -93,29 +93,19 @@ def _to_result(orbit: OrbitBuffer, gap, i: int, j: int) -> ProximityResult:
     return ProximityResult(value, i, j, below, exact)
 
 
-def _carry(diffs: list[np.ndarray], radices) -> None:
-    """Move borrows up so that every limb after the first lies in
-    [0, radix); the limb tuple then reads as one signed number."""
+def _gaps(hi: list[np.ndarray], lo: list[np.ndarray], radices) -> list[np.ndarray]:
+    """hi - lo row by row, where no row of hi lies below its row of lo, as
+    normalised limbs, so that comparing limb tuples lexicographically
+    compares the gaps exactly: limbs are subtracted into int64, and a pass
+    moves borrows up until every limb after the first lies in [0, radix).
+    A float key keeps its absolute value, so that -0.0 - 0.0 reads 0.0."""
+    if not radices:
+        return [np.abs(hi[0] - lo[0])]
+    diffs = [np.subtract(h, lo_c, dtype=np.int64) for h, lo_c in zip(hi, lo)]
     for c in range(len(diffs) - 1, 0, -1):
         borrow = diffs[c] < 0
         diffs[c] += borrow * radices[c]
         diffs[c - 1] -= borrow
-
-
-def _abs_gaps(hi: list[np.ndarray], lo: list[np.ndarray], radices) -> list[np.ndarray]:
-    """|hi - lo| row by row, as normalised limbs, so that comparing limb
-    tuples lexicographically compares the gaps exactly; limbs are
-    subtracted into int64."""
-    dtype = np.int64 if radices else None
-    diffs = [np.subtract(h, lo_c, dtype=dtype) for h, lo_c in zip(hi, lo)]
-    if len(diffs) == 1:
-        return [np.abs(diffs[0])]
-    _carry(diffs, radices)
-    negative = diffs[0] < 0
-    if negative.any():
-        for d in diffs:
-            np.negative(d, out=d, where=negative)
-        _carry(diffs, radices)
     return diffs
 
 
@@ -160,7 +150,7 @@ def _candidates(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     least = min(gaps.min() for _, gaps in _sorted_gaps(v)).item()  # a Python number: no wrap
     rows = np.concatenate([a + np.flatnonzero(gaps <= least + slack)
                            for a, gaps in _sorted_gaps(v)])
-    ends = np.unique(np.concatenate((v[rows], v[rows + 1])))
+    ends = np.sort(np.concatenate((v[rows], v[rows + 1])))
     del v
     table = np.zeros(1 << 16, dtype=bool)
     table[_low_bits(ends)] = True
@@ -215,7 +205,7 @@ def _offset_scan(keys, radices, offsets, admissible=None):
     ranked = [key[perm] for key in keys]
     best = None  # (limb values, i, j): one comparison orders gaps, then ties
     for s in offsets:
-        gaps = _abs_gaps([r[s:] for r in ranked], [r[:-s] for r in ranked], radices)
+        gaps = _gaps([r[s:] for r in ranked], [r[:-s] for r in ranked], radices)
         rows = _min_rows(gaps)
         if best is not None and [g[rows[0]].item() for g in gaps] > best[0]:
             break

@@ -1,10 +1,12 @@
 """Test-only oracles: the depth-first enumeration of admissible words and
 exact cylinder masses of a Markov shift, against which the library's exact
-measures are checked, and the exact doubling orbit as one Python int per
-window, against which the uint32 and int64 limbs are checked."""
+measures are checked, the exact doubling orbit as one Python int per
+window, against which the uint32 and int64 limbs are checked, and the peak
+traced memory of a call, against which working sets are bounded."""
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,3 +62,12 @@ def python_int_orbit(k: int, W: int, digits: Sequence[int], n: int):
         windows.append(m)
     denom = float(k**W)
     return tuple(windows), np.array([w / denom for w in windows], dtype=np.float64)
+
+
+def peak_bytes(fn):
+    """fn() and the peak of the memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

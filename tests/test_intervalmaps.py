@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import python_int_orbit
+from _oracles import peak_bytes, python_int_orbit
 from orbitrecur import (
     GaussMap,
     IntervalMap,
@@ -125,11 +124,11 @@ class TestInPlaceDoubling:
 
     # one limb and several: k = 2 packs 32 digits a uint32 limb, k = 4
     # packs 16, k = 3 packs 20, k = 2^32 one; k = 10 packs 18 an int64 limb,
-    # k = 100 packs 9. The full limbs are views of the last level only when
-    # L is a power of two; a narrower last limb whose width is a power of
-    # two below L is read at an earlier level, which the later ones
-    # rewrite, so it must be a copy: (2, 48) is 32 + 16 digits, (2, 112)
-    # 3 x 32 + 16, (4, 24) 16 + 8, (3, 44) 2 x 20 + 4, (100, 22) 2 x 9 + 4
+    # k = 100 packs 9. The full limbs are views of the base, which is the
+    # last level when L is a power of two; a narrower last limb is the low
+    # digits of the base W - L entries on, also where its width is a power
+    # of two below L: (2, 48) is 32 + 16 digits, (2, 112) 3 x 32 + 16,
+    # (4, 24) 16 + 8, (3, 44) 2 x 20 + 4, (100, 22) 2 x 9 + 4
     @pytest.mark.parametrize("k, W", [(2, 20), (2, 40), (2, 96), (3, 15), (3, 30), (3, 90),
                                       (10, 8), (10, 12), (10, 45), (2, 48), (2, 112), (4, 24),
                                       (2**32, 3), (3, 44), (100, 22)])
@@ -149,27 +148,18 @@ class TestInPlaceDoubling:
         n = 8 * intervalmaps.CHUNK
         W = 96
         doubling_orbit_exact(2, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
-        tracemalloc.start()
-        try:
-            orb = doubling_orbit_exact(2, n, W, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        orb, peak = peak_bytes(lambda: doubling_orbit_exact(2, n, W, seed=1))
         assert len(orb.keys) == 3
         assert peak < 4 * (n + W) + 4 * 4 * intervalmaps.CHUNK
 
-    # k = 2 at W = 88: the level and a narrower 24-digit limb; k = 2^17 at
-    # W = 21: an int64 level and one array for the seven 3-digit limbs
+    # k = 2 at W = 88: the last level, which is the base, and a narrower
+    # 24-digit limb read off it; k = 2^17 at W = 21: an int64 level and the
+    # base of the seven 3-digit limbs, a copy as L = 3
     @pytest.mark.parametrize("k, W", [(2, 88), (2**17, 21)])
     def test_working_set_of_two_arrays(self, k, W):
         n = 8 * intervalmaps.CHUNK
         doubling_orbit_exact(k, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
-        tracemalloc.start()
-        try:
-            orb = doubling_orbit_exact(k, n, W, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        orb, peak = peak_bytes(lambda: doubling_orbit_exact(k, n, W, seed=1))
         size = orb.keys[0].itemsize
         assert peak < 2 * size * (n + W) + 4 * size * intervalmaps.CHUNK
 

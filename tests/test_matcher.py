@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import admissible_words, cylinder_measure
+from _oracles import admissible_words, cylinder_measure, peak_bytes
 from orbitrecur import (
     BernoulliMeasure,
     MarkovMeasure,
@@ -206,12 +205,7 @@ class TestLongestSelfMatch:
         # caller's; a uint8 one is level 1 as it is, not copied to int64
         seq = sample_sequence(GOLDEN, None, 200_000, 100, seed=3)
         for path in (seq, seq.astype(np.uint8)):
-            tracemalloc.start()
-            try:
-                longest_self_match(path, 200_000)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = peak_bytes(lambda: longest_self_match(path, 200_000))
             assert peak < 2.0 * 8 * len(seq), path.dtype
 
 
@@ -478,12 +472,7 @@ class TestMatchCurve:
         # matching the int64 path, or keeping it alive through the match,
         # would pass 2.25
         buffer = math.ceil(8.0 * math.log(10**6) / renyi_entropy_exact(GOLDEN).h2)
-        tracemalloc.start()
-        try:
-            match_curve(GOLDEN, None, [10**6], 1, seed=2026)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: match_curve(GOLDEN, None, [10**6], 1, seed=2026))
         assert peak < 2.25 * 8 * (10**6 + buffer)
 
     def test_grid_validation(self):
@@ -670,12 +659,7 @@ class TestReturnSets:
 
     def test_exact_working_set_bounded(self):
         # words are enumerated in blocks: all 3^11 of them at once peak near 7 MB
-        tracemalloc.start()
-        try:
-            return_set_measure(SYM3, 12, 11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(lambda: return_set_measure(SYM3, 12, 11))
         assert peak < 2 * 1024 * 1024
 
     def test_budget_cap(self):

@@ -1,6 +1,7 @@
 """Package-wide checks: the runtime imports only the standard library and
-numpy, every public name a module lists is there, and parsing a config
-imports no more of numpy than `import numpy` does."""
+numpy, every public name a module lists is there, and neither parsing a
+config nor running an example imports more of numpy than `import numpy`
+does."""
 
 import ast
 import importlib
@@ -79,18 +80,28 @@ def test_bench_oracle_sampling_contract():
 
 STARTUP_PROBE = """
 import sys
+import tempfile
 import numpy
 before = "numpy.ma" in sys.modules
-from orbitrecur.expcli import EXAMPLE_CONFIGS, parse_config_text
+from orbitrecur.expcli import EXAMPLE_CONFIGS, parse_config_text, run
 for kind in ("match_curve", "h2", "diagnostics", "returns"):
     parse_config_text(EXAMPLE_CONFIGS[kind])
-print(before, "numpy.ma" in sys.modules)
+print("parse", before, "numpy.ma" in sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    for kind, text in EXAMPLE_CONFIGS.items():
+        run(parse_config_text(text), f"{tmp}/{kind}")
+        print(kind, before, "numpy.ma" in sys.modules)
 """
 
 
 def test_measure_configs_do_not_import_numpy_ma():
-    # a fresh interpreter: another test may already have imported numpy.ma
+    # a fresh interpreter: another test may already have imported numpy.ma.
+    # Neither parsing the measure configs nor running an example loads it
+    from orbitrecur.expcli import EXAMPLE_CONFIGS
+
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out[0] == out[1]
+                         capture_output=True, text=True).stdout
+    steps = [line.split() for line in out.splitlines()]
+    assert [step for step, _, _ in steps] == ["parse", *EXAMPLE_CONFIGS]
+    assert [step for step, before, after in steps if after != before] == []

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import python_int_orbit
+from _oracles import peak_bytes, python_int_orbit
 from orbitrecur import (
     GaussMap,
     KDoubling,
@@ -260,12 +259,7 @@ class TestChunkedCandidates:
         orb = doubling_orbit_exact(2, n, min_window_digits(2, n), seed=2)
         small = doubling_orbit_exact(2, 1000, min_window_digits(2, 1000), seed=2)
         closest_pair(small, "all")  # first-use imports untraced
-        tracemalloc.start()
-        try:
-            res = closest_pair(orb, "all")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = peak_bytes(lambda: closest_pair(orb, "all"))
         assert res.exact > 0
         assert peak < 4 * n + 4 * 8 * CHUNK
 
@@ -426,13 +420,13 @@ class TestRankOffsets:
         W = min_window_digits(2, n)
         orb = doubling_orbit_exact(2, n, W, seed=3)
         calls = []
-        abs_gaps = proximity._abs_gaps
+        gaps = proximity._gaps
 
         def spy(*args):
             calls.append(1)
-            return abs_gaps(*args)
+            return gaps(*args)
 
-        monkeypatch.setattr(proximity, "_abs_gaps", spy)
+        monkeypatch.setattr(proximity, "_gaps", spy)
         res = closest_pair(orb, "near")
         # one call per rank offset scanned; alpha_of(n) = 85 index offsets
         assert len(calls) < 10
@@ -571,12 +565,7 @@ class TestProximityCurve:
         W = min_window_digits(2, n)
         assert W == 96
         proximity_curve(KDoubling(2), [100], 1, "all", seed=4)  # first-use imports untraced
-        tracemalloc.start()
-        try:
-            rows = proximity_curve(KDoubling(2), [n], 3, "all", seed=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = peak_bytes(lambda: proximity_curve(KDoubling(2), [n], 3, "all", seed=4))
         assert len(rows) == 3
         assert peak < 2 * 4 * (n + W) + 4 * 8 * CHUNK
 

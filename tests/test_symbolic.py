@@ -1,7 +1,6 @@
 import bisect
 import hashlib
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diagnostics import gibbs_three_state
 
-from _oracles import admissible_words, cylinder_measure
+from _oracles import admissible_words, cylinder_measure, peak_bytes
 from orbitrecur import symbolic
 from orbitrecur import (
     BernoulliMeasure,
@@ -290,12 +289,7 @@ class TestSampling:
         # beside sym3's three rows of maps, would pass the bound of 12
         _, n, buffer, seed = golden_cell()
         for name, m in (("golden", markov_chain(2)), ("sym3", markov_chain(3))):
-            tracemalloc.start()
-            try:
-                sample_sequence(m, None, n, buffer, seed)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = peak_bytes(lambda: sample_sequence(m, None, n, buffer, seed))
             assert peak < 1.5 * 8 * (n + buffer), name
 
     def test_samples_own_frozen_int64(self):
