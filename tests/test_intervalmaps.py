@@ -154,8 +154,10 @@ class TestInPlaceDoubling:
 
     # k = 2 at W = 88: the last level, which is the base, and a narrower
     # 24-digit limb read off it; k = 2^17 at W = 21: an int64 level and the
-    # base of the seven 3-digit limbs, a copy as L = 3
-    @pytest.mark.parametrize("k, W", [(2, 88), (2**17, 21)])
+    # base of the seven 3-digit limbs, a copy as L = 3; k = 3 at W = 62: the
+    # level beside the base of three 20-digit limbs, then, with the levels
+    # dropped, the base beside a narrower 2-digit limb
+    @pytest.mark.parametrize("k, W", [(2, 88), (2**17, 21), (3, 62)])
     def test_working_set_of_two_arrays(self, k, W):
         n = 8 * intervalmaps.CHUNK
         doubling_orbit_exact(k, 100, W, seed=1, enforce_floor=False)  # first-use imports untraced
